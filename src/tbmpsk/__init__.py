@@ -18,7 +18,6 @@ from .ring_code import (
 from .modulation import encode, mls_encode, psk_map, transmit_signal
 from .factor_graph import FactorGraph, build_graph, degree_distribution
 from .decoders import (
-    bp_decode,
     channel_pmfs,
     check_update_fft,
     cp_als,
@@ -49,7 +48,6 @@ __all__ = [
     "FactorGraph",
     "build_graph",
     "degree_distribution",
-    "bp_decode",
     "channel_pmfs",
     "check_update_fft",
     "cp_als",

@@ -6,6 +6,15 @@ c_p = sum of participants mod M are processed with length-M DFTs: the DFT
 of a sum's pmf is the product of the DFTs, and negation conjugates the
 transform.  Variable-side products run in the log domain so that nodes of
 degree in the hundreds cannot underflow.
+
+BP runs on the code's tensor layout rather than on an edge list: position
+(j_1, ..., j_d) checks factor entry j_i of every mode i, so the messages of
+mode i are one array indexed by position, and all d modes stack into one
+array of shape (d, B, T_1, ..., T_d, M).  A pinned reference entry's slots
+hold the all-ones DFT of a delta at 0, an absent participant.
+
+The ML oracle enumerates the whole codebook; it refuses codebooks whose
+signals would take more than ``ML_SIGNAL_BYTES`` (M^K * T * 16 bytes).
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from .modulation import encode, mls_encode, psk_map, transmit_signal
 from .ring_code import TensorShape
 
 PMF_FLOOR = 1e-30
-ML_ENUM_LIMIT = 2**20
+ML_SIGNAL_BYTES = 2**30
 REFERENCE_TOL = 1e-6
 
 
@@ -45,24 +54,48 @@ def _clean(pmfs: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def check_extrinsics(target_f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Extrinsic pmfs at sum constraints (sum of participants = t mod M),
+    one per participant: the pmf of t minus the other participants.
+
+    ``w[k]`` is the conjugated DFT of participant k's pmf (conjugation
+    negates, and the DFT of a sum's pmf is the product of the DFTs), and
+    ``target_f`` is the DFT of t's pmf, broadcast against ``w[0]``.  The
+    products over the others run as a prefix/suffix product in participant
+    order.  A participant whose ``w`` is exactly 1 (a delta at 0) is absent:
+    multiplying by 1+0j is exact, so it changes no other output.
+    """
+    n = w.shape[0]
+    f = np.empty(w.shape, dtype=complex)
+    f[0] = target_f
+    for k in range(1, n):
+        f[k] = f[k - 1] * w[k - 1]
+    suffix = w[n - 1]
+    for k in range(n - 2, -1, -1):
+        f[k] = f[k] * suffix
+        suffix = suffix * w[k]
+    return _clean(np.fft.ifft(f, axis=-1).real)
+
+
 def check_update_fft(incoming: list[np.ndarray], target: np.ndarray | None = None) -> np.ndarray:
     """Extrinsic pmf for one more participant of a constraint
     (sum of participants = t mod M), given the others' pmfs.
 
     ``target`` is the pmf of t; None means the constraint sums to zero.
-    The result is the pmf of (t - sum incoming), computed with length-M
-    DFTs; conjugation implements the negation.
+    The result is the pmf of (t - sum incoming): the last output of
+    :func:`check_extrinsics` with the new participant appended as absent.
     """
     if not incoming and target is None:
         raise ValueError("need at least one incoming pmf or a target pmf")
     mats = [np.asarray(q, dtype=float) for q in incoming]
     m = mats[0].shape[-1] if mats else np.asarray(target).shape[-1]
+    if any(q.shape != (m,) for q in mats):
+        raise ValueError("pmf lengths differ")
+    w = np.ones((len(mats) + 1, m), dtype=complex)
+    if mats:
+        w[:-1] = np.conj(np.fft.fft(np.stack(mats), axis=-1))
     f = np.ones(m, dtype=complex) if target is None else np.fft.fft(np.asarray(target, dtype=float))
-    for q in mats:
-        if q.shape[-1] != m:
-            raise ValueError("pmf lengths differ")
-        f = f * np.conj(np.fft.fft(q))
-    return _clean(np.fft.ifft(f).real)
+    return check_extrinsics(f, w)[-1]
 
 
 def check_update_direct(incoming: list[np.ndarray], target: np.ndarray | None = None) -> np.ndarray:
@@ -83,56 +116,9 @@ def check_update_direct(incoming: list[np.ndarray], target: np.ndarray | None = 
     return _clean(out)
 
 
-@dataclass(frozen=True, eq=False)
-class BpWorkspace:
-    """Static gather/scatter tables for one graph.
-
-    ``check_slots[p, j]`` is the edge id in slot j of check p (-1 pad);
-    ``var_order`` sorts edges by variable so segment reductions work, with
-    ``var_starts`` marking each variable's first sorted position.
-    """
-
-    check_slots: np.ndarray
-    slot_valid: np.ndarray
-    var_order: np.ndarray
-    var_starts: np.ndarray
-    edge_var_sorted: np.ndarray
-
-
-def _workspace(graph: FactorGraph) -> BpWorkspace:
-    deg = graph.check_degrees()
-    dmax = int(deg.max()) if graph.num_edges else 1
-    slots = -np.ones((graph.num_checks, dmax), dtype=np.int64)
-    fill = np.zeros(graph.num_checks, dtype=np.int64)
-    for e, c in enumerate(graph.edge_check):
-        slots[c, fill[c]] = e
-        fill[c] += 1
-    order = np.argsort(graph.edge_var, kind="stable")
-    sorted_vars = graph.edge_var[order]
-    starts = np.searchsorted(sorted_vars, np.arange(graph.num_vars))
-    return BpWorkspace(
-        check_slots=slots,
-        slot_valid=slots >= 0,
-        var_order=order,
-        var_starts=starts,
-        edge_var_sorted=sorted_vars,
-    )
-
-
 @lru_cache(maxsize=32)
-def _graph_context(shape: TensorShape, case: int) -> tuple[FactorGraph, BpWorkspace]:
-    g = build_graph(shape, case)
-    return g, _workspace(g)
-
-
-@dataclass
-class DecodeResult:
-    """Hard decisions plus the BP run's bookkeeping."""
-
-    symbols: np.ndarray
-    posteriors: np.ndarray
-    iterations: int
-    converged: bool
+def _graph_context(shape: TensorShape, case: int) -> FactorGraph:
+    return build_graph(shape, case)
 
 
 def bp_decode_batch(
@@ -140,7 +126,6 @@ def bp_decode_batch(
     observation_pmfs: np.ndarray,
     max_iters: int = 50,
     damping: float = 0.0,
-    workspace: BpWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flooding BP over a batch of independent trials.
 
@@ -149,23 +134,37 @@ def bp_decode_batch(
     each trial's outcome depends only on its own row, so results are
     identical under any batching.  Returns (decisions, posteriors,
     iterations, converged).
+
+    Messages use the tensor layout of the module docstring.  The all-ones
+    slots of pinned entries leave the check extrinsics bit-identical to a
+    product over the participating entries only.  Variable sums move each
+    slab's own mode to the front and add each entry's T / T_i rows with
+    ``np.add.reduceat``: the order of a sum over an edge list sorted by
+    variable (``np.sum`` adds in another order and moves the last bit).
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {damping}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    ws = workspace if workspace is not None else _workspace(graph)
     obs = np.asarray(observation_pmfs, dtype=float)
     if obs.ndim != 3 or obs.shape[1] != graph.num_checks:
         raise ValueError(f"observation pmfs must be (B, {graph.num_checks}, M)")
-    nb, _, m = obs.shape
-    ne, nv = graph.num_edges, graph.num_vars
+    nb, t_len, m = obs.shape
+    dims = graph.shape.dims
+    d = len(dims)
+    nv = graph.num_vars
+    offsets = graph.shape.mode_offsets
+    # rows of the stacked, mode-first slabs where each factor entry's sum starts
+    starts = np.concatenate([i * t_len + np.arange(t) * (t_len // t) for i, t in enumerate(dims)])
+    free = np.array([offsets[i] + e for i, e in graph.var_labels], dtype=np.int64)
+    pinned = np.ones((d, 1) + dims + (1,), dtype=bool)
+    for i, e in graph.var_labels:
+        pinned[(i, 0) + (slice(None),) * i + (e,)] = False
 
-    obs_f = np.fft.fft(_clean(obs), axis=-1)  # (B, T, M)
-    v2c = np.full((nb, ne, m), 1.0 / m)
-    slots = ws.check_slots
-    valid = ws.slot_valid
-    safe_slots = np.where(valid, slots, 0)
+    obs_f = np.fft.fft(_clean(obs), axis=-1).reshape((nb,) + dims + (m,))
+    v2c = np.full((d, nb) + dims + (m,), 1.0 / m)
+    by_mode = np.empty((nb, d, t_len, m))
+    extrinsic = np.empty_like(v2c)
 
     decisions = np.zeros((nb, nv), dtype=np.int64)
     prev = np.full((nb, nv), -1, dtype=np.int64)
@@ -174,36 +173,23 @@ def bp_decode_batch(
     iters_used = np.full(nb, max_iters, dtype=np.int64)
     final = np.zeros((nb, nv), dtype=np.int64)
     final_post = np.full((nb, nv, m), 1.0 / m)
-    dmax = slots.shape[1]
 
     for it in range(max_iters):
-        # check side, DFT domain: conjugate = negate, product = convolve
+        # check side, DFT domain
         w = np.conj(np.fft.fft(v2c, axis=-1))
-        wg = w[:, safe_slots, :]
-        wg[:, ~valid, :] = 1.0
-        prefix = np.empty((nb, graph.num_checks, dmax + 1, m), dtype=complex)
-        prefix[:, :, 0, :] = obs_f
-        for j in range(dmax):
-            prefix[:, :, j + 1, :] = prefix[:, :, j, :] * wg[:, :, j, :]
-        suffix = np.empty_like(prefix)
-        suffix[:, :, dmax, :] = 1.0
-        for j in range(dmax - 1, -1, -1):
-            suffix[:, :, j, :] = suffix[:, :, j + 1, :] * wg[:, :, j, :]
-        msg_f = prefix[:, :, :-1, :] * suffix[:, :, 1:, :]
-        c2v_slots = np.fft.ifft(msg_f, axis=-1).real
-        c2v = np.empty((nb, ne, m))
-        c2v[:, slots[valid], :] = c2v_slots[:, valid, :]
-        c2v = _clean(c2v)
+        np.copyto(w, 1.0, where=pinned)
+        logs = np.log(check_extrinsics(obs_f, w))
 
         # variable side, log domain
-        logs = np.log(c2v)
-        logs_sorted = logs[:, ws.var_order, :]
-        sums = np.add.reduceat(logs_sorted, ws.var_starts, axis=1)  # (B, V, M)
-        posteriors = softmax(sums, axis=-1)
-        extrinsic = sums[:, ws.edge_var_sorted, :] - logs_sorted
-        fresh_sorted = softmax(extrinsic, axis=-1)
-        fresh = np.empty_like(fresh_sorted)
-        fresh[:, ws.var_order, :] = fresh_sorted
+        for i, t in enumerate(dims):
+            view = by_mode[:, i].reshape((nb, t) + dims[:i] + dims[i + 1 :] + (m,))
+            np.copyto(view, np.moveaxis(logs[i], i + 1, 1))
+        sums = np.add.reduceat(by_mode.reshape(nb, d * t_len, m), starts, axis=1)
+        posteriors = softmax(sums[:, free], axis=-1)
+        for i, (o, t) in enumerate(zip(offsets, dims)):
+            entry_shape = (nb,) + tuple(t if a == i else 1 for a in range(d)) + (m,)
+            np.subtract(sums[:, o : o + t].reshape(entry_shape), logs[i], out=extrinsic[i])
+        fresh = softmax(extrinsic, axis=-1)
         v2c = fresh if damping == 0.0 else _clean((1.0 - damping) * fresh + damping * v2c)
 
         decisions = np.argmax(posteriors, axis=-1)  # ties: smallest symbol
@@ -223,37 +209,26 @@ def bp_decode_batch(
     return final, final_post, iters_used, done
 
 
-def bp_decode(
-    graph: FactorGraph,
-    observation_pmfs: np.ndarray,
-    max_iters: int = 50,
-    damping: float = 0.0,
-) -> DecodeResult:
-    """Single-trial convenience wrapper around :func:`bp_decode_batch`."""
-    dec, post, iters, conv = bp_decode_batch(
-        graph, np.asarray(observation_pmfs, dtype=float)[None], max_iters, damping
-    )
-    return DecodeResult(dec[0], post[0], int(iters[0]), bool(conv[0]))
-
-
 @lru_cache(maxsize=8)
 def _codebook(shape: TensorShape, case: int) -> tuple[np.ndarray, np.ndarray]:
     """All info words (lexicographic) and their transmit signals."""
     m = shape.modulation_order
     k = shape.info_length(case)
-    if m**k > ML_ENUM_LIMIT:
+    nbytes = m**k * shape.blocklength * np.dtype(complex).itemsize
+    if nbytes > ML_SIGNAL_BYTES:
         raise RuntimeError(
-            f"ML enumeration needs M^K = {m}^{k} codewords; limit is {ML_ENUM_LIMIT}"
+            f"ML enumeration needs {m}^{k} codewords of length {shape.blocklength}, "
+            f"{nbytes} bytes of signals; limit is {ML_SIGNAL_BYTES}"
         )
     grids = np.indices((m,) * k).reshape(k, -1).T if k else np.zeros((1, 0), dtype=np.int64)
     words = np.ascontiguousarray(grids.astype(np.int64))
-    codewords = np.stack([encode(u, shape, case) for u in words])
-    return words, transmit_signal(codewords, m)
+    return words, transmit_signal(encode(words, shape, case), m)
 
 
 def ml_oracle_decode(received: np.ndarray, shape: TensorShape, case: int) -> np.ndarray:
     """Exhaustive max-correlation decoding; ties resolve to the
-    lexicographically smallest info word.  Guarded to M^K <= 2^20."""
+    lexicographically smallest info word.  Guarded to M^K * T * 16 bytes of
+    codebook signals <= ML_SIGNAL_BYTES."""
     words, signals = _codebook(shape, case)
     y = np.asarray(received, dtype=complex)
     scores = np.real(y @ np.conj(signals.T))
@@ -403,7 +378,7 @@ def multiuser_decode(
     als_restarts: int = 3,
 ) -> list[np.ndarray | None]:
     """Non-coherent multi-user receiver: CP-ALS separation, reference-based
-    normalization, then per-user BP on the reconstructed signal.
+    normalization, then BP on every user's reconstructed signal in one batch.
 
     The observation tensor has the code's shape plus a trailing antenna
     mode.  Per decodable user, the normalized signal-mode columns are
@@ -419,21 +394,21 @@ def multiuser_decode(
         tensor, num_users, rng, max_iters=als_iters, tol=als_tol, restarts=als_restarts
     )
     ncp, _, undecodable = normalize_factors(cp, shape.modulation_order)
-    graph, ws = _graph_context(shape, 1)
-    out: list[np.ndarray | None] = []
-    for r in range(num_users):
-        if undecodable[r]:
-            out.append(None)
-            continue
+    users = [r for r in range(num_users) if not undecodable[r]]
+    pmfs = []
+    for r in users:
         cols = [f[:, r] for f in ncp.factors[:-1]]
         signal = mls_encode(cols)
         gain_energy = float(np.linalg.norm(ncp.factors[-1][:, r]) ** 2)
         eff_var = max(noise_var / max(gain_energy, 1e-300), 1e-12)
-        pmfs = channel_pmfs(signal, eff_var, shape.modulation_order)
+        pmfs.append(channel_pmfs(signal, eff_var, shape.modulation_order))
+    out: list[np.ndarray | None] = [None] * num_users
+    if users:
         dec, _, _, _ = bp_decode_batch(
-            graph, pmfs[None], max_iters=max_bp_iters, damping=damping, workspace=ws
+            _graph_context(shape, 1), np.stack(pmfs), max_iters=max_bp_iters, damping=damping
         )
-        out.append(dec[0])
+        for r, word in zip(users, dec):
+            out[r] = word
     return out
 
 
@@ -444,9 +419,8 @@ def multiuser_decode(
 
 
 def _decode_trials_bp(received, noise_var, shape, case, max_iters, damping):
-    graph, ws = _graph_context(shape, case)
     pmfs = channel_pmfs(received, noise_var, shape.modulation_order)
-    dec, _, _, _ = bp_decode_batch(graph, pmfs, max_iters, damping, workspace=ws)
+    dec, _, _, _ = bp_decode_batch(_graph_context(shape, case), pmfs, max_iters, damping)
     return dec
 
 

@@ -7,9 +7,9 @@ import pytest
 from tbmpsk.channels import awgn, simo_mac
 from tbmpsk.decoders import (
     CpFactors,
-    bp_decode,
     bp_decode_batch,
     channel_pmfs,
+    check_extrinsics,
     check_update_direct,
     check_update_fft,
     cp_als,
@@ -64,6 +64,19 @@ class TestCheckUpdate:
                 b = check_update_direct(pmfs, target)
                 assert np.allclose(a, b, atol=1e-12)
 
+    def test_every_participant_matches_direct(self):
+        # BP's prefix/suffix products: each output leaves out its own participant
+        rng = np.random.default_rng(18)
+        for m in (2, 4, 8):
+            for n in (2, 3, 5):
+                pmfs = [rng.dirichlet(np.ones(m)) for _ in range(n)]
+                target = rng.dirichlet(np.ones(m))
+                w = np.conj(np.fft.fft(np.stack(pmfs), axis=-1))
+                out = check_extrinsics(np.fft.fft(target), w)
+                for k in range(n):
+                    want = check_update_direct(pmfs[:k] + pmfs[k + 1 :], target)
+                    assert np.allclose(out[k], want, atol=1e-12)
+
     def test_single_input_negates(self):
         q = np.array([0.1, 0.2, 0.3, 0.4])
         out = check_update_fft([q])
@@ -79,6 +92,11 @@ class TestCheckUpdate:
             check_update_fft([])
 
 
+def _bp_one(g, pmfs, **kwargs):
+    """Single-trial BP: (decisions, posteriors, iterations, converged) of row 0."""
+    return [out[0] for out in bp_decode_batch(g, pmfs[None], **kwargs)]
+
+
 class TestBpDecode:
     def test_clean_round_trip(self):
         sh = TensorShape((4, 2, 2), 4)
@@ -87,9 +105,9 @@ class TestBpDecode:
         for _ in range(25):
             u = rng.integers(0, 4, sh.k_shortened)
             s = transmit_signal(encode(u, sh, 1), 4)
-            res = bp_decode(g, channel_pmfs(s, 1e-6, 4))
-            assert np.array_equal(res.symbols, u)
-            assert res.converged
+            dec, _, _, conv = _bp_one(g, channel_pmfs(s, 1e-6, 4))
+            assert np.array_equal(dec, u)
+            assert conv
 
     def test_case3_round_trip(self):
         sh = TensorShape((4, 2, 2), 4)
@@ -98,16 +116,16 @@ class TestBpDecode:
         for _ in range(10):
             u = rng.integers(0, 4, sh.k_coherent)
             s = transmit_signal(encode(u, sh, 3), 4)
-            res = bp_decode(g, channel_pmfs(s, 1e-6, 4))
-            assert np.array_equal(res.symbols, u)
+            dec, _, _, _ = _bp_one(g, channel_pmfs(s, 1e-6, 4))
+            assert np.array_equal(dec, u)
 
     def test_posteriors_normalized(self):
         sh = TensorShape((4, 2, 2), 4)
         g = build_graph(sh, 1)
         s = transmit_signal(encode(np.array([1, 2, 3, 0, 1]), sh, 1), 4)
         y = awgn(s, 0.5, np.random.default_rng(4))
-        res = bp_decode(g, channel_pmfs(y, 0.5, 4))
-        assert np.allclose(res.posteriors.sum(axis=-1), 1.0, atol=1e-9)
+        _, post, _, _ = _bp_one(g, channel_pmfs(y, 0.5, 4))
+        assert np.allclose(post.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_batch_matches_single(self):
         sh = TensorShape((4, 2, 2), 4)
@@ -119,13 +137,10 @@ class TestBpDecode:
             u = rng.integers(0, 4, 5)
             ys.append(awgn(transmit_signal(encode(u, sh, 1), 4), nv, rng))
         pmfs = channel_pmfs(np.stack(ys), nv, 4)
-        dec_b, post_b, it_b, conv_b = bp_decode_batch(g, pmfs)
+        batch = bp_decode_batch(g, pmfs)
         for i in range(8):
-            one = bp_decode(g, pmfs[i])
-            assert np.array_equal(dec_b[i], one.symbols)
-            assert np.allclose(post_b[i], one.posteriors)
-            assert it_b[i] == one.iterations
-            assert conv_b[i] == one.converged
+            for got, one in zip(batch, _bp_one(g, pmfs[i])):
+                assert np.array_equal(got[i], one)
 
     def test_large_degree_no_underflow(self):
         # (10,20,16) variable nodes aggregate up to 320 messages
@@ -134,21 +149,21 @@ class TestBpDecode:
         u = np.zeros(sh.k_shortened, dtype=int)
         s = transmit_signal(encode(u, sh, 1), 4)
         y = awgn(s, 0.3, np.random.default_rng(6))
-        res = bp_decode(g, channel_pmfs(y, 0.3, 4), max_iters=10)
-        assert np.isfinite(res.posteriors).all()
-        assert np.allclose(res.posteriors.sum(axis=-1), 1.0, atol=1e-9)
+        _, post, _, _ = _bp_one(g, channel_pmfs(y, 0.3, 4), max_iters=10)
+        assert np.isfinite(post).all()
+        assert np.allclose(post.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_damping_validation(self):
         sh = TensorShape((2, 2), 4)
         g = build_graph(sh, 1)
         with pytest.raises(ValueError):
-            bp_decode(g, np.full((4, 4), 0.25), damping=1.0)
+            _bp_one(g, np.full((4, 4), 0.25), damping=1.0)
 
     def test_observation_shape_validation(self):
         sh = TensorShape((2, 2), 4)
         g = build_graph(sh, 1)
         with pytest.raises(ValueError):
-            bp_decode(g, np.full((3, 4), 0.25))
+            _bp_one(g, np.full((3, 4), 0.25))
 
 
 class TestMlOracle:
@@ -173,6 +188,12 @@ class TestMlOracle:
     def test_enumeration_guard(self):
         with pytest.raises(RuntimeError):
             ml_oracle_decode(np.zeros(3200, dtype=complex), TensorShape((10, 20, 16), 4), 1)
+
+    def test_guard_counts_signal_bytes(self):
+        # 4^10 words pass a 2^20-word limit, but their signals take 16 GiB
+        sh = TensorShape((2,) * 10, 4)
+        with pytest.raises(RuntimeError):
+            ml_oracle_decode(np.zeros(sh.blocklength, dtype=complex), sh, 1)
 
 
 class TestCpAls:
