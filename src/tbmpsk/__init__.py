@@ -8,7 +8,6 @@ from .ring_code import (
     RingMatrix,
     TensorShape,
     build_generator,
-    build_generator_kronecker,
     case_matrix,
     generalized_parity_check,
     reduce_coherent,
@@ -35,7 +34,6 @@ __all__ = [
     "RingMatrix",
     "TensorShape",
     "build_generator",
-    "build_generator_kronecker",
     "case_matrix",
     "generalized_parity_check",
     "reduce_coherent",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import db_to_linear, linear_to_db, min_snr_for_rate, normal_approx_rate
-from .decoders import SINGLE_USER_DECODERS, ml_oracle_decode
+from .decoders import SINGLE_USER_DECODERS
 from .factor_graph import build_graph, export_edges
 from .modulation import encode, transmit_signal
 from .ring_code import CASES, TensorShape, case_matrix, systematic_form
@@ -59,6 +59,17 @@ def _emit(out_path: str | None, text: str, command: str, config_doc: dict, extra
         sys.stdout.write(text)
 
 
+def _produce(args, doc: dict, **extras) -> int:
+    """Emit the subcommand's output through the producer that replay uses."""
+    _emit(args.out, REPLAYERS[args.command](doc), args.command, doc, extras)
+    return 0
+
+
+def _code_doc(args) -> dict:
+    shape = _shape(args)
+    return {"dims": list(shape.dims), "modulation_order": shape.modulation_order, "case": args.case}
+
+
 def _read_complex_lines(path: str) -> np.ndarray:
     """One 're im' pair per line."""
     values = []
@@ -73,8 +84,8 @@ def _read_complex_lines(path: str) -> np.ndarray:
     return np.array(values, dtype=complex)
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.replace(",", " ").split()]
+def _parse_list(text: str, kind=int) -> list:
+    return [kind(v) for v in text.replace(",", " ").split()]
 
 
 # --- per-command text producers (shared by the commands and replay) ----------
@@ -102,12 +113,9 @@ def decode_text(doc: dict) -> str:
     y = np.array([complex(re, im) for re, im in doc["received"]])
     if y.size != shape.blocklength:
         raise ValueError(f"expected {shape.blocklength} samples, got {y.size}")
-    if doc["decoder"] == "ml":
-        decided = ml_oracle_decode(y, shape, doc["case"])
-    else:
-        decided = SINGLE_USER_DECODERS["bp"](
-            y[None], doc["noise_var"], shape, doc["case"], doc["max_iters"], doc["damping"]
-        )[0]
+    decided = SINGLE_USER_DECODERS[doc["decoder"]](
+        y[None], doc["noise_var"], shape, doc["case"], doc["max_iters"], doc["damping"]
+    )[0]
     return " ".join(str(int(v)) for v in decided) + "\n"
 
 
@@ -142,62 +150,32 @@ REPLAYERS = {
 
 
 def cmd_matrix(args) -> int:
-    shape = _shape(args)
-    doc = {
-        "dims": list(shape.dims),
-        "modulation_order": shape.modulation_order,
-        "case": args.case,
-        "systematic": bool(args.systematic),
-    }
-    _emit(args.out, matrix_text(doc), "matrix", doc, {"shape_given": args.shape})
-    return 0
+    doc = {**_code_doc(args), "systematic": bool(args.systematic)}
+    return _produce(args, doc, shape_given=args.shape)
 
 
 def cmd_encode(args) -> int:
-    shape = _shape(args)
+    doc = _code_doc(args)
     if (args.info is None) == (args.infile is None):
         raise ValueError("provide exactly one of --info or --in")
     if args.info is not None:
-        info = _parse_ints(args.info)
+        doc["info"] = _parse_list(args.info)
     else:
         with open(args.infile) as fh:
-            info = _parse_ints(fh.read())
-    doc = {
-        "dims": list(shape.dims),
-        "modulation_order": shape.modulation_order,
-        "case": args.case,
-        "info": info,
-    }
-    _emit(args.out, encode_text(doc), "encode", doc, {"shape_given": args.shape})
-    return 0
+            doc["info"] = _parse_list(fh.read())
+    return _produce(args, doc, shape_given=args.shape)
 
 
 def cmd_decode(args) -> int:
-    shape = _shape(args)
-    y = _read_complex_lines(args.infile)
-    doc = {
-        "dims": list(shape.dims),
-        "modulation_order": shape.modulation_order,
-        "case": args.case,
-        "decoder": args.decoder,
-        "noise_var": args.noise_var,
-        "max_iters": args.max_iters,
-        "damping": args.damping,
-        "received": [[z.real, z.imag] for z in y],
-    }
-    _emit(args.out, decode_text(doc), "decode", doc, {"shape_given": args.shape})
-    return 0
+    doc = _code_doc(args)
+    received = [[z.real, z.imag] for z in _read_complex_lines(args.infile)]
+    doc.update(decoder=args.decoder, noise_var=args.noise_var, max_iters=args.max_iters,
+               damping=args.damping, received=received)
+    return _produce(args, doc, shape_given=args.shape)
 
 
 def cmd_export_graph(args) -> int:
-    shape = _shape(args)
-    doc = {
-        "dims": list(shape.dims),
-        "modulation_order": shape.modulation_order,
-        "case": args.case,
-    }
-    _emit(args.out, graph_text(doc), "export-graph", doc, {"shape_given": args.shape})
-    return 0
+    return _produce(args, _code_doc(args), shape_given=args.shape)
 
 
 def cmd_bound(args) -> int:
@@ -212,57 +190,31 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> SimConfig:
-    shape = _shape(args)
+def _sim_config(args, shape: TensorShape, snrs_db, **scenario) -> SimConfig:
+    """The one SimConfig builder: run flags shared by simulate and sweep."""
     return SimConfig(
-        dims=shape.dims,
-        modulation_order=shape.modulation_order,
-        snrs_db=tuple(float(v) for v in args.snr_db.replace(",", " ").split()),
-        trials=args.trials,
-        seed=args.seed,
-        case=args.case,
-        scenario=args.scenario,
-        decoder=args.decoder,
-        num_users=args.users,
-        num_antennas=args.antennas,
-        stop_errors=args.stop_errors,
-        max_iters=args.max_iters,
-        damping=args.damping,
-        threads=args.threads,
-        batch_size=args.batch_size,
+        dims=shape.dims, modulation_order=shape.modulation_order, snrs_db=snrs_db,
+        trials=args.trials, seed=args.seed, case=args.case, decoder=args.decoder,
+        stop_errors=args.stop_errors, max_iters=args.max_iters, damping=args.damping,
+        threads=args.threads, batch_size=args.batch_size, **scenario,
     )
 
 
 def cmd_simulate(args) -> int:
-    config = _config_from_args(args)
-    doc = config_to_dict(config)
-    _emit(args.out, simulate_text(doc), "simulate", doc, {"shape_given": args.shape})
-    return 0
+    config = _sim_config(args, _shape(args), _parse_list(args.snr_db, float),
+                         scenario=args.scenario, num_users=args.users,
+                         num_antennas=args.antennas)
+    return _produce(args, config_to_dict(config), shape_given=args.shape)
 
 
 def cmd_sweep(args) -> int:
     shapes = [parse_shape(s) for s in args.shapes.split(";") if s.strip()]
-    mods = [int(v) for v in args.mods.replace(",", " ").split()]
-    configs = []
-    for dims in shapes:
-        for m in mods:
-            configs.append(
-                SimConfig(
-                    dims=TensorShape(dims, m).dims,
-                    modulation_order=m,
-                    snrs_db=(args.snr_lo, args.snr_hi),
-                    trials=args.trials,
-                    seed=args.seed,
-                    case=args.case,
-                    scenario="awgn",
-                    decoder=args.decoder,
-                    stop_errors=args.stop_errors,
-                    max_iters=args.max_iters,
-                    damping=args.damping,
-                    threads=args.threads,
-                    batch_size=args.batch_size,
-                )
-            )
+    mods = _parse_list(args.mods)
+    configs = [
+        _sim_config(args, TensorShape(dims, m), (args.snr_lo, args.snr_hi))
+        for dims in shapes
+        for m in mods
+    ]
     doc = {
         "configs": [config_to_dict(c) for c in configs],
         "target_error": args.target_per,
@@ -270,8 +222,7 @@ def cmd_sweep(args) -> int:
         "hi_db": args.snr_hi,
         "resolution_db": args.resolution,
     }
-    _emit(args.out, sweep_text(doc), "sweep", doc, {"shapes_given": args.shapes})
-    return 0
+    return _produce(args, doc, shapes_given=args.shapes)
 
 
 def cmd_replay(args) -> int:
@@ -281,12 +232,9 @@ def cmd_replay(args) -> int:
     if command not in REPLAYERS:
         raise ValueError(f"manifest command {command!r} is not replayable")
     config_doc = doc["config"]
-    if args.threads is not None:
-        if command == "simulate":
-            config_doc["threads"] = args.threads
-        elif command == "sweep":
-            for c in config_doc["configs"]:
-                c["threads"] = args.threads
+    if args.threads is not None and command in ("simulate", "sweep"):
+        for c in config_doc.get("configs", [config_doc]):
+            c["threads"] = args.threads
     out_path = args.out or doc.get("output")
     if not out_path:
         raise ValueError("manifest records no output path; pass --out")
@@ -298,12 +246,26 @@ def cmd_replay(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-def _add_shape_args(p: argparse.ArgumentParser, with_case: bool = True) -> None:
+def _add_shape_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", required=True, help="tensor dims, e.g. 4,2,2 or 4x2x2")
     p.add_argument("--mod", type=int, required=True, help="PSK modulation order M")
-    if with_case:
-        p.add_argument("--case", type=int, default=1, choices=CASES,
-                       help="reference-symbol case (default 1, non-coherent)")
+    p.add_argument("--case", type=int, default=1, choices=CASES,
+                   help="reference-symbol case (default 1, non-coherent)")
+
+
+def _add_run_args(p: argparse.ArgumentParser) -> None:
+    """Monte Carlo flags shared by simulate and sweep."""
+    p.add_argument("--decoder", choices=sorted(SINGLE_USER_DECODERS), default="bp")
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True,
+                   help="master seed (mandatory: results are part of the record)")
+    p.add_argument("--stop-errors", type=int, default=100,
+                   help="stop a point once this many errors accumulate (0 disables)")
+    p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--damping", type=float, default=0.0)
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--out", help="CSV path (stdout if omitted)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,39 +316,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo error-rate points")
     _add_shape_args(p)
     p.add_argument("--scenario", choices=simmod.SCENARIOS, default="awgn")
-    p.add_argument("--decoder", choices=sorted(SINGLE_USER_DECODERS), default="bp")
     p.add_argument("--snr-db", required=True, help="SNR points in dB, e.g. 0,2,4")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True,
-                   help="master seed (mandatory: results are part of the record)")
-    p.add_argument("--stop-errors", type=int, default=100,
-                   help="stop a point once this many errors accumulate (0 disables)")
     p.add_argument("--users", type=int, default=1, help="active users (simo-mac)")
     p.add_argument("--antennas", type=int, default=1, help="receive antennas (simo-mac)")
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--damping", type=float, default=0.0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--out", help="CSV path (stdout if omitted)")
+    _add_run_args(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="rate vs measured minimum SNR table")
     p.add_argument("--shapes", required=True, help="semicolon-separated shapes, e.g. 4,2,2;4,4,2")
     p.add_argument("--mods", required=True, help="modulation orders, e.g. 2,4")
     p.add_argument("--case", type=int, default=1, choices=CASES)
-    p.add_argument("--decoder", choices=sorted(SINGLE_USER_DECODERS), default="bp")
     p.add_argument("--target-per", type=float, required=True)
     p.add_argument("--snr-lo", type=float, required=True, help="bracket low end, dB")
     p.add_argument("--snr-hi", type=float, required=True, help="bracket high end, dB")
     p.add_argument("--resolution", type=float, default=0.25, help="grid spacing, dB")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stop-errors", type=int, default=100)
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--damping", type=float, default=0.0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--out", help="CSV path (stdout if omitted)")
+    _add_run_args(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("replay", help="re-run a manifest; output must reproduce exactly")
@@ -406,10 +350,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -31,6 +31,7 @@ from .ring_code import TensorShape
 
 PMF_FLOOR = 1e-30
 ML_SIGNAL_BYTES = 2**30
+CODEBOOK_CHUNK = 2**18
 REFERENCE_TOL = 1e-6
 
 
@@ -39,13 +40,17 @@ def channel_pmfs(received: np.ndarray, noise_var: float, modulation_order: int) 
 
     Shape (..., M) for input (...,).  Distances are offset by the per-sample
     minimum before exponentiation, so arbitrarily small noise variances
-    yield a clean indicator pmf instead of 0/0.
+    yield a clean indicator pmf instead of 0/0; zero variance (infinite
+    SNR) gives the indicator of the nearest point, ties to the smallest
+    symbol.
     """
-    if noise_var <= 0:
-        raise ValueError(f"noise variance must be positive, got {noise_var}")
+    if noise_var < 0:
+        raise ValueError(f"noise variance must be non-negative, got {noise_var}")
     y = np.asarray(received, dtype=complex)
     points = psk_map(np.arange(modulation_order), modulation_order)
     d2 = np.abs(y[..., None] - points) ** 2
+    if noise_var == 0:
+        return (np.argmin(d2, axis=-1)[..., None] == np.arange(modulation_order)).astype(float)
     return softmax(-d2 / noise_var, axis=-1)
 
 
@@ -96,24 +101,6 @@ def check_update_fft(incoming: list[np.ndarray], target: np.ndarray | None = Non
         w[:-1] = np.conj(np.fft.fft(np.stack(mats), axis=-1))
     f = np.ones(m, dtype=complex) if target is None else np.fft.fft(np.asarray(target, dtype=float))
     return check_extrinsics(f, w)[-1]
-
-
-def check_update_direct(incoming: list[np.ndarray], target: np.ndarray | None = None) -> np.ndarray:
-    """O(M^2)-per-convolution reference for :func:`check_update_fft`."""
-    if not incoming and target is None:
-        raise ValueError("need at least one incoming pmf or a target pmf")
-    m = len(incoming[0]) if incoming else len(target)
-    out = np.zeros(m)
-    out[0] = 1.0
-    if target is not None:
-        out = np.asarray(target, dtype=float).copy()
-    for q in incoming:
-        nxt = np.zeros(m)
-        for t in range(m):
-            for v in range(m):
-                nxt[(t - v) % m] += out[t] * q[v]
-        out = nxt
-    return _clean(out)
 
 
 @lru_cache(maxsize=32)
@@ -211,28 +198,36 @@ def bp_decode_batch(
 
 @lru_cache(maxsize=8)
 def _codebook(shape: TensorShape, case: int) -> tuple[np.ndarray, np.ndarray]:
-    """All info words (lexicographic) and their transmit signals."""
+    """All info words (lexicographic) and their transmit signals.
+
+    The signals fill one preallocated array about ``CODEBOOK_CHUNK`` samples
+    at a time, so the temporaries of encoding stay small beside it."""
     m = shape.modulation_order
     k = shape.info_length(case)
-    nbytes = m**k * shape.blocklength * np.dtype(complex).itemsize
+    n, t = m**k, shape.blocklength
+    nbytes = n * t * np.dtype(complex).itemsize
     if nbytes > ML_SIGNAL_BYTES:
         raise RuntimeError(
-            f"ML enumeration needs {m}^{k} codewords of length {shape.blocklength}, "
+            f"ML enumeration needs {m}^{k} codewords of length {t}, "
             f"{nbytes} bytes of signals; limit is {ML_SIGNAL_BYTES}"
         )
-    grids = np.indices((m,) * k).reshape(k, -1).T if k else np.zeros((1, 0), dtype=np.int64)
-    words = np.ascontiguousarray(grids.astype(np.int64))
-    return words, transmit_signal(encode(words, shape, case), m)
+    words = np.empty((n, k), dtype=np.int64)
+    for j in range(k):
+        words[:, j] = np.arange(n) // m ** (k - 1 - j) % m
+    signals = np.empty((n, t), dtype=complex)
+    step = max(1, CODEBOOK_CHUNK // t)
+    for a in range(0, n, step):
+        signals[a : a + step] = transmit_signal(encode(words[a : a + step], shape, case), m)
+    return words, signals
 
 
 def ml_oracle_decode(received: np.ndarray, shape: TensorShape, case: int) -> np.ndarray:
-    """Exhaustive max-correlation decoding; ties resolve to the
-    lexicographically smallest info word.  Guarded to M^K * T * 16 bytes of
-    codebook signals <= ML_SIGNAL_BYTES."""
+    """Exhaustive max-correlation decoding of (..., T) samples; ties resolve
+    to the lexicographically smallest info word.  Guarded to M^K * T * 16
+    bytes of codebook signals <= ML_SIGNAL_BYTES."""
     words, signals = _codebook(shape, case)
-    y = np.asarray(received, dtype=complex)
-    scores = np.real(y @ np.conj(signals.T))
-    return words[int(np.argmax(scores))]
+    scores = np.real(np.asarray(received, dtype=complex) @ np.conj(signals.T))
+    return words[np.argmax(scores, axis=-1)]
 
 
 # --- CP decomposition -------------------------------------------------------
@@ -425,9 +420,7 @@ def _decode_trials_bp(received, noise_var, shape, case, max_iters, damping):
 
 
 def _decode_trials_ml(received, noise_var, shape, case, max_iters, damping):
-    words, signals = _codebook(shape, case)
-    scores = np.real(np.asarray(received, dtype=complex) @ np.conj(signals.T))
-    return words[np.argmax(scores, axis=1)]
+    return ml_oracle_decode(received, shape, case)
 
 
 SINGLE_USER_DECODERS = {

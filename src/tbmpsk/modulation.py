@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ring_code import CASES, RingMatrix, TensorShape, case_matrix, systematic_form
+from .ring_code import CASES, RingMatrix, TensorShape, case_matrix
 
 
 def validate_symbols(symbols: np.ndarray, modulation_order: int) -> np.ndarray:
@@ -43,32 +43,6 @@ def mls_encode(factors: list[np.ndarray]) -> np.ndarray:
     return s
 
 
-def factor_symbols(info: np.ndarray, shape: TensorShape, case: int) -> list[np.ndarray]:
-    """Per-mode ring symbol vectors with reference entries pinned to 0.
-
-    Case 2 uses all K entries of ``info``; case 3 pins the first entry of
-    every mode after the first; case 1 additionally pins the first entry of
-    mode 1.
-    """
-    u = validate_symbols(info, shape.modulation_order)
-    if u.ndim != 1 or u.size != shape.info_length(case):
-        raise ValueError(
-            f"case {case} expects {shape.info_length(case)} info symbols, got {u.size}"
-        )
-    out = []
-    pos = 0
-    for i, t in enumerate(shape.dims):
-        pinned = case == 1 or (case == 3 and i > 0)
-        if pinned:
-            vec = np.concatenate([[0], u[pos : pos + t - 1]])
-            pos += t - 1
-        else:
-            vec = u[pos : pos + t].copy()
-            pos += t
-        out.append(vec.astype(np.int64))
-    return out
-
-
 def _encode(info: np.ndarray, generator: RingMatrix) -> np.ndarray:
     u = validate_symbols(info, generator.modulus)
     if u.shape[-1] != generator.rows:
@@ -94,24 +68,6 @@ def encode_case1(info: np.ndarray, shortened: RingMatrix) -> np.ndarray:
     return np.concatenate([zero, tail], axis=-1)
 
 
-def encode_systematic(info: np.ndarray, parity: RingMatrix, perm: np.ndarray) -> np.ndarray:
-    """Case-1 codeword via the systematic route: c_sys = [u | u P], undone
-    through ``perm`` back to transmit order, pilot prepended.
-
-    Must agree symbol-for-symbol with :func:`encode_case1`.
-    """
-    u = validate_symbols(info, parity.modulus)
-    if u.ndim != 1 or u.size != parity.rows:
-        raise ValueError(f"expected {parity.rows} info symbols, got {u.size}")
-    if len(perm) != parity.rows + parity.cols:
-        raise ValueError("permutation length does not match [I | P] width")
-    p = (u @ parity.entries) % parity.modulus
-    c_sys = np.concatenate([u, p])
-    tail = np.empty(len(perm), dtype=np.int64)
-    tail[np.asarray(perm)] = c_sys
-    return np.concatenate([[0], tail])
-
-
 def encode(info: np.ndarray, shape: TensorShape, case: int) -> np.ndarray:
     """Codeword for any case, building the case's generator on the fly."""
     if case not in CASES:
@@ -125,12 +81,3 @@ def encode(info: np.ndarray, shape: TensorShape, case: int) -> np.ndarray:
 def transmit_signal(codeword: np.ndarray, modulation_order: int) -> np.ndarray:
     """Baseband samples phi(c) for a ring codeword."""
     return psk_map(codeword, modulation_order)
-
-
-def systematic_parts(shape: TensorShape) -> tuple[RingMatrix, np.ndarray]:
-    """(P, perm) for the systematic case-1 encoder: P is the parity block of
-    G_sys = [I | P], perm maps G_sys columns back to G_s columns."""
-    gs = case_matrix(shape, 1)
-    gsys, perm = systematic_form(gs, shape)
-    p = RingMatrix(gsys.entries[:, gsys.rows :], gsys.modulus)
-    return p, perm

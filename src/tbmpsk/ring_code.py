@@ -159,21 +159,6 @@ class RingMatrix:
         return cls(a, m)
 
 
-def index_to_tuple(p: int, dims: tuple[int, ...]) -> tuple[int, ...]:
-    """Flat lexicographic position -> per-mode indices (all 0-based, C order)."""
-    total = math.prod(dims)
-    if not 0 <= p < total:
-        raise ValueError(f"position {p} outside [0, {total})")
-    return tuple(int(i) for i in np.unravel_index(p, dims))
-
-
-def tuple_to_index(idx: tuple[int, ...], dims: tuple[int, ...]) -> int:
-    """Per-mode indices -> flat lexicographic position (all 0-based, C order)."""
-    if len(idx) != len(dims):
-        raise ValueError(f"index tuple has {len(idx)} entries for {len(dims)} modes")
-    return int(np.ravel_multi_index(idx, dims))
-
-
 def build_generator(shape: TensorShape) -> RingMatrix:
     """Full K x T generator: column p has a 1 in row (offset_i + m_i) for each
     mode i, where (m_1, ..., m_d) is the index tuple of position p."""
@@ -184,46 +169,6 @@ def build_generator(shape: TensorShape) -> RingMatrix:
     for i, off in enumerate(shape.mode_offsets):
         G[off + tuples[i], np.arange(T)] = 1
     return RingMatrix(G, shape.modulation_order)
-
-
-def build_generator_kronecker(shape: TensorShape) -> RingMatrix:
-    """Full generator via the Kronecker recursion (independent of
-    :func:`build_generator`; the two must agree entrywise).
-
-    Start from the identity on the last mode and grow leftwards: adding a
-    mode of size t to a suffix generator g with w columns gives
-    vstack(I_t (x) 1_w, 1_t (x) g).
-    """
-    dims = shape.dims
-    g = np.eye(dims[-1], dtype=np.int64)
-    width = dims[-1]
-    for t in reversed(dims[:-1]):
-        top = np.kron(np.eye(t, dtype=np.int64), np.ones((1, width), dtype=np.int64))
-        bottom = np.kron(np.ones((1, t), dtype=np.int64), g)
-        g = np.vstack([top, bottom])
-        width *= t
-    return RingMatrix(g, shape.modulation_order)
-
-
-def mode_row_sum(generator: RingMatrix, mode: int, shape: TensorShape) -> np.ndarray:
-    """Sum (mod M) of one mode's block of rows; equals the all-ones row for
-    the full generator, for every mode."""
-    if not 0 <= mode < shape.num_modes:
-        raise ValueError(f"mode {mode} outside [0, {shape.num_modes})")
-    off = shape.mode_offsets[mode]
-    block = generator.entries[off : off + shape.dims[mode]]
-    return np.asarray(block.sum(axis=0) % generator.modulus)
-
-
-def reference_row_residuals(generator: RingMatrix, shape: TensorShape) -> np.ndarray:
-    """Row-elimination witness: (mode-j row sum) - (mode-1 row sum) mod M for
-    each j >= 2; all-zero rows certify the rank deficiency of d - 1."""
-    base = mode_row_sum(generator, 0, shape)
-    rows = [
-        (mode_row_sum(generator, j, shape) - base) % generator.modulus
-        for j in range(1, shape.num_modes)
-    ]
-    return np.array(rows, dtype=np.int64).reshape(shape.num_modes - 1, generator.cols)
 
 
 def reduce_coherent(generator: RingMatrix, shape: TensorShape) -> RingMatrix:

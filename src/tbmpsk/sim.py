@@ -14,9 +14,11 @@ import json
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -192,35 +194,21 @@ def _stop_index(outcomes: np.ndarray, stop_errors: int) -> int | None:
 
 
 def _collect_outcomes(config: SimConfig, snr_db: float) -> np.ndarray:
-    ranges = [
-        (a, min(a + config.batch_size, config.trials))
-        for a in range(0, config.trials, config.batch_size)
-    ]
+    """Outcomes in trial order, run in waves of ``threads`` batches (in
+    worker processes when threads > 1) until the stop budget is reached."""
+    starts = range(0, config.trials, config.batch_size)
+    stops = [min(a + config.batch_size, config.trials) for a in starts]
     collected: list[np.ndarray] = []
-
-    def scan() -> np.ndarray | None:
-        arr = np.concatenate(collected) if collected else np.zeros(0, dtype=np.int64)
-        idx = _stop_index(arr, config.stop_errors)
-        return arr[: idx + 1] if idx is not None else None
-
-    if config.threads == 1:
-        for a, b in ranges:
-            collected.append(_trial_outcomes(config, snr_db, a, b))
-            stopped = scan()
-            if stopped is not None:
-                return stopped
-    else:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            for wave in range(0, len(ranges), config.threads):
-                futures = [
-                    pool.submit(_trial_outcomes, config, snr_db, a, b)
-                    for a, b in ranges[wave : wave + config.threads]
-                ]
-                for fut in futures:
-                    collected.append(fut.result())
-                stopped = scan()
-                if stopped is not None:
-                    return stopped
+    n = config.threads
+    with ProcessPoolExecutor(max_workers=n) if n > 1 else nullcontext() as pool:
+        run_batches = pool.map if pool else map
+        for w in range(0, len(starts), n):
+            collected.extend(run_batches(_trial_outcomes, repeat(config), repeat(snr_db),
+                                         starts[w : w + n], stops[w : w + n]))
+            arr = np.concatenate(collected)
+            idx = _stop_index(arr, config.stop_errors)
+            if idx is not None:
+                return arr[: idx + 1]
     return np.concatenate(collected)
 
 

@@ -1,0 +1,151 @@
+"""Independent routes that only the tests call: a second generator
+construction, row-sum witnesses, index arithmetic, a direct-convolution
+check update, and the per-mode and systematic encoders.  Each must agree
+with the production route it checks; none of them runs in a simulation.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from tbmpsk.decoders import _clean
+from tbmpsk.modulation import validate_symbols
+from tbmpsk.ring_code import RingMatrix, TensorShape, case_matrix, systematic_form
+
+
+# --- ring code ------------------------------------------------------------------
+
+
+def index_to_tuple(p: int, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Flat lexicographic position -> per-mode indices (all 0-based, C order)."""
+    total = math.prod(dims)
+    if not 0 <= p < total:
+        raise ValueError(f"position {p} outside [0, {total})")
+    return tuple(int(i) for i in np.unravel_index(p, dims))
+
+
+def tuple_to_index(idx: tuple[int, ...], dims: tuple[int, ...]) -> int:
+    """Per-mode indices -> flat lexicographic position (all 0-based, C order)."""
+    if len(idx) != len(dims):
+        raise ValueError(f"index tuple has {len(idx)} entries for {len(dims)} modes")
+    return int(np.ravel_multi_index(idx, dims))
+
+
+def build_generator_kronecker(shape: TensorShape) -> RingMatrix:
+    """Full generator via the Kronecker recursion (independent of
+    :func:`tbmpsk.ring_code.build_generator`; the two must agree entrywise).
+
+    Start from the identity on the last mode and grow leftwards: adding a
+    mode of size t to a suffix generator g with w columns gives
+    vstack(I_t (x) 1_w, 1_t (x) g).
+    """
+    dims = shape.dims
+    g = np.eye(dims[-1], dtype=np.int64)
+    width = dims[-1]
+    for t in reversed(dims[:-1]):
+        top = np.kron(np.eye(t, dtype=np.int64), np.ones((1, width), dtype=np.int64))
+        bottom = np.kron(np.ones((1, t), dtype=np.int64), g)
+        g = np.vstack([top, bottom])
+        width *= t
+    return RingMatrix(g, shape.modulation_order)
+
+
+def mode_row_sum(generator: RingMatrix, mode: int, shape: TensorShape) -> np.ndarray:
+    """Sum (mod M) of one mode's block of rows; equals the all-ones row for
+    the full generator, for every mode."""
+    if not 0 <= mode < shape.num_modes:
+        raise ValueError(f"mode {mode} outside [0, {shape.num_modes})")
+    off = shape.mode_offsets[mode]
+    block = generator.entries[off : off + shape.dims[mode]]
+    return np.asarray(block.sum(axis=0) % generator.modulus)
+
+
+def reference_row_residuals(generator: RingMatrix, shape: TensorShape) -> np.ndarray:
+    """Row-elimination witness: (mode-j row sum) - (mode-1 row sum) mod M for
+    each j >= 2; all-zero rows certify the rank deficiency of d - 1."""
+    base = mode_row_sum(generator, 0, shape)
+    rows = [
+        (mode_row_sum(generator, j, shape) - base) % generator.modulus
+        for j in range(1, shape.num_modes)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(shape.num_modes - 1, generator.cols)
+
+
+# --- modulation -----------------------------------------------------------------
+
+
+def factor_symbols(info: np.ndarray, shape: TensorShape, case: int) -> list[np.ndarray]:
+    """Per-mode ring symbol vectors with reference entries pinned to 0.
+
+    Case 2 uses all K entries of ``info``; case 3 pins the first entry of
+    every mode after the first; case 1 additionally pins the first entry of
+    mode 1.
+    """
+    u = validate_symbols(info, shape.modulation_order)
+    if u.ndim != 1 or u.size != shape.info_length(case):
+        raise ValueError(
+            f"case {case} expects {shape.info_length(case)} info symbols, got {u.size}"
+        )
+    out = []
+    pos = 0
+    for i, t in enumerate(shape.dims):
+        pinned = case == 1 or (case == 3 and i > 0)
+        if pinned:
+            vec = np.concatenate([[0], u[pos : pos + t - 1]])
+            pos += t - 1
+        else:
+            vec = u[pos : pos + t].copy()
+            pos += t
+        out.append(vec.astype(np.int64))
+    return out
+
+
+def encode_systematic(info: np.ndarray, parity: RingMatrix, perm: np.ndarray) -> np.ndarray:
+    """Case-1 codeword via the systematic route: c_sys = [u | u P], undone
+    through ``perm`` back to transmit order, pilot prepended.
+
+    Must agree symbol-for-symbol with :func:`tbmpsk.modulation.encode_case1`.
+    """
+    u = validate_symbols(info, parity.modulus)
+    if u.ndim != 1 or u.size != parity.rows:
+        raise ValueError(f"expected {parity.rows} info symbols, got {u.size}")
+    if len(perm) != parity.rows + parity.cols:
+        raise ValueError("permutation length does not match [I | P] width")
+    p = (u @ parity.entries) % parity.modulus
+    c_sys = np.concatenate([u, p])
+    tail = np.empty(len(perm), dtype=np.int64)
+    tail[np.asarray(perm)] = c_sys
+    return np.concatenate([[0], tail])
+
+
+def systematic_parts(shape: TensorShape) -> tuple[RingMatrix, np.ndarray]:
+    """(P, perm) for the systematic case-1 encoder: P is the parity block of
+    G_sys = [I | P], perm maps G_sys columns back to G_s columns."""
+    gs = case_matrix(shape, 1)
+    gsys, perm = systematic_form(gs, shape)
+    p = RingMatrix(gsys.entries[:, gsys.rows :], gsys.modulus)
+    return p, perm
+
+
+# --- decoders -------------------------------------------------------------------
+
+
+def check_update_direct(incoming: list[np.ndarray], target: np.ndarray | None = None) -> np.ndarray:
+    """O(M^2)-per-convolution reference for
+    :func:`tbmpsk.decoders.check_update_fft`."""
+    if not incoming and target is None:
+        raise ValueError("need at least one incoming pmf or a target pmf")
+    m = len(incoming[0]) if incoming else len(target)
+    out = np.zeros(m)
+    out[0] = 1.0
+    if target is not None:
+        out = np.asarray(target, dtype=float).copy()
+    for q in incoming:
+        nxt = np.zeros(m)
+        for t in range(m):
+            for v in range(m):
+                nxt[(t - v) % m] += out[t] * q[v]
+        out = nxt
+    return _clean(out)

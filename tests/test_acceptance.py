@@ -20,18 +20,18 @@ from tbmpsk.bounds import (
     tbm_rate,
 )
 from tbmpsk.cli import main as cli_main
-from tbmpsk.decoders import check_update_direct, check_update_fft
+from tbmpsk.decoders import check_update_fft
 from tbmpsk.factor_graph import build_graph, degree_distribution
 from tbmpsk.modulation import encode
-from tbmpsk.ring_code import (
-    TensorShape,
-    build_generator,
+from tbmpsk.ring_code import TensorShape, build_generator, case_matrix
+from tbmpsk.sim import SimConfig, run_point, sweep_table
+
+from oracles import (
     build_generator_kronecker,
-    case_matrix,
+    check_update_direct,
     mode_row_sum,
     reference_row_residuals,
 )
-from tbmpsk.sim import SimConfig, run_point, sweep_table
 
 SEED = 101
 

@@ -1,12 +1,17 @@
 """Command line behavior: formats, round trips, exit codes, replay."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tbmpsk.cli import main, parse_shape
 from tbmpsk.ring_code import TensorShape, case_matrix
+
+
+# outputs and manifests written by an earlier build of the package
+REPLAY_FIXTURES = Path(__file__).parent / "replay_fixtures"
 
 
 def run_cli(*argv):
@@ -174,3 +179,23 @@ class TestSimulateReplay:
         assert run_cli("replay", "--manifest", str(out) + ".manifest.json",
                        "--out", str(out2)) == 0
         assert out2.read_bytes() == first
+
+    @pytest.mark.parametrize("run_args", [
+        ("--decoder", "bp"),
+        ("--decoder", "ml"),
+        ("--scenario", "simo-mac", "--antennas", "2"),
+    ])
+    def test_infinite_snr_decodes_every_trial(self, run_args, capsys):
+        assert run_cli("simulate", "--shape", "4,2,2", "--mod", "4", "--snr-db", "inf",
+                       "--trials", "4", "--seed", "1", *run_args) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[5:8] == ["inf", "4", "0"]
+
+
+@pytest.mark.parametrize(
+    "manifest", sorted(REPLAY_FIXTURES.glob("*.manifest.json")), ids=lambda p: p.name[:-14]
+)
+def test_replays_stored_manifest_byte_for_byte(manifest, tmp_path):
+    out = tmp_path / "replayed"
+    assert run_cli("replay", "--manifest", str(manifest), "--out", str(out)) == 0
+    assert out.read_bytes() == manifest.with_name(manifest.name[:-14]).read_bytes()

@@ -1,16 +1,19 @@
 """Receiver correctness: FFT check updates vs direct convolution, BP round
 trips and batch invariance, the ML oracle, CP-ALS, and the multi-user path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tbmpsk.channels import awgn, simo_mac
 from tbmpsk.decoders import (
+    SINGLE_USER_DECODERS,
     CpFactors,
+    _codebook,
     bp_decode_batch,
     channel_pmfs,
     check_extrinsics,
-    check_update_direct,
     check_update_fft,
     cp_als,
     ml_oracle_decode,
@@ -20,6 +23,8 @@ from tbmpsk.decoders import (
 from tbmpsk.factor_graph import build_graph
 from tbmpsk.modulation import encode, mls_encode, psk_map, transmit_signal
 from tbmpsk.ring_code import TensorShape
+
+from oracles import check_update_direct
 
 
 class TestChannelPmfs:
@@ -44,9 +49,15 @@ class TestChannelPmfs:
         y = np.zeros((3, 7), dtype=complex)
         assert channel_pmfs(y, 1.0, 8).shape == (3, 7, 8)
 
-    def test_rejects_nonpositive_variance(self):
+    def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
-            channel_pmfs(np.array([1.0 + 0j]), 0.0, 4)
+            channel_pmfs(np.array([1.0 + 0j]), -1e-12, 4)
+
+    def test_zero_variance_gives_nearest_indicator(self):
+        # infinite SNR; 0j is equidistant from every point and goes to symbol 0
+        y = np.array([0.9 + 0.2j, -0.1 + 1.1j, -1.0 + 0j, 0.2 - 0.9j, 0j])
+        p = channel_pmfs(y, 0.0, 4)
+        assert np.array_equal(p, np.eye(4)[[0, 1, 2, 3, 0]])
 
 
 class TestCheckUpdate:
@@ -194,6 +205,27 @@ class TestMlOracle:
         sh = TensorShape((2,) * 10, 4)
         with pytest.raises(RuntimeError):
             ml_oracle_decode(np.zeros(sh.blocklength, dtype=complex), sh, 1)
+
+    def test_codebook_peak_close_to_signal_bytes(self):
+        # 4^9 words of length 60: 240 MiB of signals; the guard counts only those
+        sh = TensorShape((5, 4, 3), 4)
+        tracemalloc.start()
+        try:
+            words, signals = _codebook.__wrapped__(sh, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert signals.shape == (4**9, 60)
+        assert peak <= 1.25 * signals.nbytes
+
+    def test_registry_entry_is_the_oracle_on_batches(self):
+        sh = TensorShape((4, 2, 2), 4)
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+        y[0] = 0  # every word scores 0: the tie goes to the all-zero word
+        got = SINGLE_USER_DECODERS["ml"](y, 1.0, sh, 1, 50, 0.0)
+        assert np.array_equal(got, [ml_oracle_decode(row, sh, 1) for row in y])
+        assert not got[0].any()
 
 
 class TestCpAls:

@@ -4,23 +4,16 @@ the generator matrices."""
 import numpy as np
 import pytest
 
-from tbmpsk.modulation import (
-    encode,
-    encode_case1,
-    encode_systematic,
-    factor_symbols,
-    mls_encode,
-    psk_map,
-    systematic_parts,
-    transmit_signal,
-)
+from tbmpsk.modulation import encode, encode_case1, mls_encode, psk_map, transmit_signal
 from tbmpsk.ring_code import TensorShape, case_matrix
+
+from oracles import encode_systematic, factor_symbols, systematic_parts
 
 
 def oracle_factors(info, shape, case):
     """Split an info word into per-mode vectors, pinning reference entries
-    to zero; written from the case definitions, independent of the package's
-    factor_symbols."""
+    to zero; written from the case definitions, independent of
+    oracles.factor_symbols."""
     out, pos = [], 0
     for i, t in enumerate(shape.dims):
         if case == 2 or (case == 3 and i == 0):

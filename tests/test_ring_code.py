@@ -7,15 +7,18 @@ from tbmpsk.ring_code import (
     RingMatrix,
     TensorShape,
     build_generator,
-    build_generator_kronecker,
     case_matrix,
     generalized_parity_check,
-    index_to_tuple,
-    mode_row_sum,
     reduce_coherent,
-    reference_row_residuals,
     shorten_noncoherent,
     systematic_form,
+)
+
+from oracles import (
+    build_generator_kronecker,
+    index_to_tuple,
+    mode_row_sum,
+    reference_row_residuals,
     tuple_to_index,
 )
 
