@@ -10,8 +10,6 @@ from .ring_code import (
     build_generator,
     case_matrix,
     generalized_parity_check,
-    reduce_coherent,
-    shorten_noncoherent,
     systematic_form,
 )
 from .modulation import encode, mls_encode, psk_map, transmit_signal
@@ -36,8 +34,6 @@ __all__ = [
     "build_generator",
     "case_matrix",
     "generalized_parity_check",
-    "reduce_coherent",
-    "shorten_noncoherent",
     "systematic_form",
     "encode",
     "mls_encode",

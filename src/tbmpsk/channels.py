@@ -22,14 +22,6 @@ class ChannelRealization:
     gains: np.ndarray
     noise_var: float
 
-    @property
-    def num_users(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def num_antennas(self) -> int:
-        return self.gains.shape[1]
-
 
 def _complex_noise(shape: tuple[int, ...], noise_var: float, rng: np.random.Generator) -> np.ndarray:
     scale = np.sqrt(noise_var / 2.0)

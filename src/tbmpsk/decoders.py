@@ -33,6 +33,11 @@ PMF_FLOOR = 1e-30
 ML_SIGNAL_BYTES = 2**30
 CODEBOOK_CHUNK = 2**18
 REFERENCE_TOL = 1e-6
+# CP-ALS: sweeps per start, stopping improvement, random starts, ridge term
+CP_MAX_SWEEPS = 300
+CP_TOL = 1e-10
+CP_RESTARTS = 3
+CP_RIDGE = 1e-9
 
 
 def channel_pmfs(received: np.ndarray, noise_var: float, modulation_order: int) -> np.ndarray:
@@ -198,10 +203,11 @@ def bp_decode_batch(
 
 @lru_cache(maxsize=8)
 def _codebook(shape: TensorShape, case: int) -> tuple[np.ndarray, np.ndarray]:
-    """All info words (lexicographic) and their transmit signals.
+    """All info words (lexicographic) and their conjugated transmit signals.
 
     The signals fill one preallocated array about ``CODEBOOK_CHUNK`` samples
-    at a time, so the temporaries of encoding stay small beside it."""
+    at a time, so the temporaries of encoding stay small beside it, and are
+    conjugated in place, so scoring never copies them."""
     m = shape.modulation_order
     k = shape.info_length(case)
     n, t = m**k, shape.blocklength
@@ -218,6 +224,7 @@ def _codebook(shape: TensorShape, case: int) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, CODEBOOK_CHUNK // t)
     for a in range(0, n, step):
         signals[a : a + step] = transmit_signal(encode(words[a : a + step], shape, case), m)
+    np.conjugate(signals, out=signals)
     return words, signals
 
 
@@ -225,8 +232,8 @@ def ml_oracle_decode(received: np.ndarray, shape: TensorShape, case: int) -> np.
     """Exhaustive max-correlation decoding of (..., T) samples; ties resolve
     to the lexicographically smallest info word.  Guarded to M^K * T * 16
     bytes of codebook signals <= ML_SIGNAL_BYTES."""
-    words, signals = _codebook(shape, case)
-    scores = np.real(np.asarray(received, dtype=complex) @ np.conj(signals.T))
+    words, conj_signals = _codebook(shape, case)
+    scores = np.real(np.asarray(received, dtype=complex) @ conj_signals.T)
     return words[np.argmax(scores, axis=-1)]
 
 
@@ -265,27 +272,21 @@ def cp_als(
     tensor: np.ndarray,
     rank: int,
     rng: np.random.Generator,
-    max_iters: int = 300,
-    tol: float = 1e-10,
-    restarts: int = 3,
-    ridge: float = 1e-9,
 ) -> CpFactors:
     """Alternating least squares CP decomposition of a complex tensor.
 
     Each mode update solves the regularized normal equations
-    (G + ridge I) A_n^T = (Y_(n) conj(Z))^T with Z the Khatri-Rao product of
-    the other factors and G the Hadamard product of their Grams.  Runs
-    ``restarts`` random initializations and keeps the lowest relative
-    residual; per start, stops when the residual improves by less than
-    ``tol``.
+    (G + CP_RIDGE I) A_n^T = (Y_(n) conj(Z))^T with Z the Khatri-Rao product
+    of the other factors and G the Hadamard product of their Grams.  Runs
+    ``CP_RESTARTS`` random initializations and keeps the lowest relative
+    residual; per start, stops after ``CP_MAX_SWEEPS`` sweeps or when the
+    residual improves by less than ``CP_TOL``.
     """
     y = np.asarray(tensor, dtype=complex)
     if y.ndim < 2:
         raise ValueError("tensor must have at least 2 modes")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     norm_y = np.linalg.norm(y)
     if norm_y == 0:
         raise ValueError("zero tensor has no meaningful decomposition")
@@ -293,7 +294,7 @@ def cp_als(
     unfolds = [_unfold(y, n) for n in range(nmodes)]
 
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(CP_RESTARTS):
         factors = [
             (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
             / np.sqrt(2.0)
@@ -303,7 +304,7 @@ def cp_als(
         history = []
         prev_res = np.inf
         converged = False
-        for _sweep in range(max_iters):
+        for _sweep in range(CP_MAX_SWEEPS):
             for n in range(nmodes):
                 others = [factors[i] for i in range(nmodes) if i != n]
                 z = _khatri_rao(others)
@@ -312,12 +313,12 @@ def cp_als(
                     if i != n:
                         g = g * grams[i]
                 rhs = (unfolds[n] @ np.conj(z)).T
-                a = np.linalg.solve(g + ridge * np.eye(rank), rhs).T
+                a = np.linalg.solve(g + CP_RIDGE * np.eye(rank), rhs).T
                 factors[n] = a
                 grams[n] = a.conj().T @ a
             res = float(np.linalg.norm(y - _reconstruct(factors, y.shape)) / norm_y)
             history.append(res)
-            if prev_res - res < tol:
+            if prev_res - res < CP_TOL:
                 converged = True
                 break
             prev_res = res
@@ -368,9 +369,6 @@ def multiuser_decode(
     rng: np.random.Generator,
     max_bp_iters: int = 50,
     damping: float = 0.0,
-    als_iters: int = 300,
-    als_tol: float = 1e-10,
-    als_restarts: int = 3,
 ) -> list[np.ndarray | None]:
     """Non-coherent multi-user receiver: CP-ALS separation, reference-based
     normalization, then BP on every user's reconstructed signal in one batch.
@@ -385,9 +383,7 @@ def multiuser_decode(
         raise ValueError(
             f"tensor signal modes {tensor.shape[: shape.num_modes]} do not match {shape.dims}"
         )
-    cp = cp_als(
-        tensor, num_users, rng, max_iters=als_iters, tol=als_tol, restarts=als_restarts
-    )
+    cp = cp_als(tensor, num_users, rng)
     ncp, _, undecodable = normalize_factors(cp, shape.modulation_order)
     users = [r for r in range(num_users) if not undecodable[r]]
     pmfs = []

@@ -20,8 +20,8 @@ class FactorGraph:
     """Bipartite info-symbol / position-constraint graph.
 
     ``edge_check`` and ``edge_var`` list endpoint ids per edge, sorted by
-    (check, var); ``var_labels[v]`` is the (mode, entry) pair of info node v,
-    0-based, entry indexed within the mode's factor vector.
+    (check, var); ``var_labels`` is ``shape.free_entries(case)``, so
+    ``var_labels[v]`` is the (mode, entry) pair of info node v.
     """
 
     shape: TensorShape
@@ -47,14 +47,6 @@ class FactorGraph:
         return np.bincount(self.edge_check, minlength=self.num_checks)
 
 
-def _row_labels(shape: TensorShape, case: int) -> list[tuple[int, int]]:
-    labels = []
-    for i, t in enumerate(shape.dims):
-        start = 0 if (case == 3 and i == 0) else 1
-        labels.extend((i, m) for m in range(start, t))
-    return labels
-
-
 def build_graph(shape: TensorShape, case: int) -> FactorGraph:
     """Graph of the case-1 (from G_s) or case-3 (from G_r) code.
 
@@ -68,14 +60,11 @@ def build_graph(shape: TensorShape, case: int) -> FactorGraph:
     col_idx, row_idx = np.nonzero(g.entries.T)  # sorted by column, then row
     edge_check = (col_idx + check_shift).astype(np.int64)
     edge_var = row_idx.astype(np.int64)
-    labels = _row_labels(shape, case)
-    if len(labels) != g.rows:
-        raise ValueError("row labeling does not match the generator")
     return FactorGraph(
         shape=shape,
         case=case,
         num_checks=shape.blocklength,
-        var_labels=tuple(labels),
+        var_labels=shape.free_entries(case),
         edge_check=edge_check,
         edge_var=edge_var,
         pilot_check=0 if case == 1 else None,

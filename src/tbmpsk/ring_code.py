@@ -8,10 +8,10 @@ given tensor shape, plus the derived forms used by the receivers:
 * ``G`` (K x T, K = sum T_i): one binary row per factor-vector entry; full
   G is rank deficient by d - 1 because each mode's rows sum to the all-ones
   row.
-* ``G_r`` (K_r x T, K_r = K - d + 1): first row of every mode but the first
-  removed.  Full-rank; the coherent (known-gain) code.
-* ``G_s`` (K_s x (T - 1), K_s = K - d): row 1 and column 1 of G_r removed.
-  The non-coherent code with one pilot position fixed to the ring zero.
+* ``case_matrix``: the rows of G for a reference-symbol case's free entries
+  (see ``TensorShape.free_entries``).  Case 3 keeps K_r = K - d + 1 rows:
+  G_r, full rank, the coherent code.  Case 1 keeps K_s = K - d rows and
+  drops the pilot column 0: G_s, the non-coherent code.
 * ``G_sys = [I | P]``: column permutation of G_s exposing a systematic
   prefix, available because G_s keeps K_s weight-1 columns.
 """
@@ -19,7 +19,7 @@ given tensor shape, plus the derived forms used by the receivers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,11 @@ class TensorShape:
     """Tensor dimensions plus the PSK modulation order.
 
     Dimensions are canonicalized to non-increasing order (required by the
-    Kronecker recursion and assumed everywhere downstream); the order as
-    given is kept in ``input_dims`` so callers can report it.
+    Kronecker recursion and assumed everywhere downstream).
     """
 
     dims: tuple[int, ...]
     modulation_order: int
-    input_dims: tuple[int, ...] = field(default=None, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(t) for t in self.dims)
@@ -48,7 +46,6 @@ class TensorShape:
         m = int(self.modulation_order)
         if m < 2:
             raise ValueError(f"modulation order must be >= 2, got {m}")
-        object.__setattr__(self, "input_dims", dims)
         object.__setattr__(self, "dims", tuple(sorted(dims, reverse=True)))
         object.__setattr__(self, "modulation_order", m)
 
@@ -82,20 +79,28 @@ class TensorShape:
         offs = np.concatenate([[0], np.cumsum(self.dims[:-1])])
         return tuple(int(o) for o in offs)
 
-    def info_length(self, case: int) -> int:
-        """Number of free ring symbols for a reference-symbol case.
+    def free_entries(self, case: int) -> tuple[tuple[int, int], ...]:
+        """The (mode, entry) pairs that carry an info symbol, in the row
+        order of G; 0-based, entry indexed within the mode's factor vector.
 
-        Case 1 pins one factor entry per mode (non-coherent), case 2 pins
-        none (non-identifiable), case 3 pins one entry in every mode but
-        the first (coherent).
+        A pinned entry holds the reference symbol (ring zero, PSK point 1),
+        so pinning is shortening: the entry's row of G leaves the code.
+        Case 1 (non-coherent) pins entry 0 of every mode, case 2
+        (non-identifiable) pins none, and case 3 (coherent) pins entry 0 of
+        every mode but the first.
         """
-        if case == 1:
-            return self.k_shortened
-        if case == 2:
-            return self.k_full
-        if case == 3:
-            return self.k_coherent
-        raise ValueError(f"case must be one of {CASES}, got {case}")
+        if case not in CASES:
+            raise ValueError(f"case must be one of {CASES}, got {case}")
+        return tuple(
+            (i, e)
+            for i, t in enumerate(self.dims)
+            for e in range(t)
+            if e > 0 or case == 2 or (case == 3 and i == 0)
+        )
+
+    def info_length(self, case: int) -> int:
+        """Number of free ring symbols for a reference-symbol case."""
+        return len(self.free_entries(case))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,29 +176,6 @@ def build_generator(shape: TensorShape) -> RingMatrix:
     return RingMatrix(G, shape.modulation_order)
 
 
-def reduce_coherent(generator: RingMatrix, shape: TensorShape) -> RingMatrix:
-    """G_r: drop the first row of every mode except mode 1 (those rows are
-    linearly dependent on the rest); K_r x T and full rank."""
-    if generator.rows != shape.k_full or generator.cols != shape.blocklength:
-        raise ValueError("generator dimensions do not match the shape")
-    drop = set(shape.mode_offsets[1:])
-    keep = [r for r in range(shape.k_full) if r not in drop]
-    return RingMatrix(generator.entries[keep], generator.modulus)
-
-
-def shorten_noncoherent(reduced: RingMatrix, shape: TensorShape) -> tuple[RingMatrix, int]:
-    """G_s plus the pilot position: drop row 1 of G_r and the single column
-    where it was the only participant (position 0, the all-reference entry)."""
-    if reduced.rows != shape.k_coherent or reduced.cols != shape.blocklength:
-        raise ValueError("reduced generator dimensions do not match the shape")
-    pilot = 0
-    col = reduced.entries[:, pilot]
-    if col[0] == 0 or np.any(col[1:]):
-        raise ValueError("column 0 is not supported by row 0 alone; not a reduced generator")
-    body = np.delete(np.delete(reduced.entries, 0, axis=0), pilot, axis=1)
-    return RingMatrix(body, reduced.modulus), pilot
-
-
 def systematic_form(shortened: RingMatrix, shape: TensorShape) -> tuple[RingMatrix, np.ndarray]:
     """Permute G_s columns into [I | P].
 
@@ -229,15 +211,11 @@ def generalized_parity_check(reduced: RingMatrix, shape: TensorShape) -> RingMat
 
 
 def case_matrix(shape: TensorShape, case: int) -> RingMatrix:
-    """Generator actually used by a reference-symbol case: G (case 2),
-    G_r (case 3), or G_s (case 1)."""
-    g = build_generator(shape)
-    if case == 2:
-        return g
-    gr = reduce_coherent(g, shape)
-    if case == 3:
-        return gr
-    if case == 1:
-        gs, _ = shorten_noncoherent(gr, shape)
-        return gs
-    raise ValueError(f"case must be one of {CASES}, got {case}")
+    """Generator actually used by a reference-symbol case: the rows of G for
+    the case's free entries, i.e. G (case 2), G_r (case 3) or G_s (case 1).
+    G_s also drops column 0, the pilot position no free entry of case 1
+    reaches."""
+    offsets = shape.mode_offsets
+    rows = [offsets[i] + e for i, e in shape.free_entries(case)]
+    g = build_generator(shape).entries[rows]
+    return RingMatrix(g[:, 1:] if case == 1 else g, shape.modulation_order)

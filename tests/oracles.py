@@ -1,6 +1,7 @@
 """Independent routes that only the tests call: a second generator
-construction, row-sum witnesses, index arithmetic, a direct-convolution
-check update, and the per-mode and systematic encoders.  Each must agree
+construction, the paper's step-by-step derivation of the case generators,
+row-sum witnesses, index arithmetic, a direct-convolution check update, and
+the per-mode and systematic encoders.  Each must agree
 with the production route it checks; none of them runs in a simulation.
 """
 
@@ -50,6 +51,29 @@ def build_generator_kronecker(shape: TensorShape) -> RingMatrix:
         g = np.vstack([top, bottom])
         width *= t
     return RingMatrix(g, shape.modulation_order)
+
+
+def reduce_coherent(generator: RingMatrix, shape: TensorShape) -> RingMatrix:
+    """G_r: drop the first row of every mode except mode 1 (those rows are
+    linearly dependent on the rest); K_r x T and full rank."""
+    if generator.rows != shape.k_full or generator.cols != shape.blocklength:
+        raise ValueError("generator dimensions do not match the shape")
+    drop = set(shape.mode_offsets[1:])
+    keep = [r for r in range(shape.k_full) if r not in drop]
+    return RingMatrix(generator.entries[keep], generator.modulus)
+
+
+def shorten_noncoherent(reduced: RingMatrix, shape: TensorShape) -> tuple[RingMatrix, int]:
+    """G_s plus the pilot position: drop row 1 of G_r and the single column
+    where it was the only participant (position 0, the all-reference entry)."""
+    if reduced.rows != shape.k_coherent or reduced.cols != shape.blocklength:
+        raise ValueError("reduced generator dimensions do not match the shape")
+    pilot = 0
+    col = reduced.entries[:, pilot]
+    if col[0] == 0 or np.any(col[1:]):
+        raise ValueError("column 0 is not supported by row 0 alone; not a reduced generator")
+    body = np.delete(np.delete(reduced.entries, 0, axis=0), pilot, axis=1)
+    return RingMatrix(body, reduced.modulus), pilot
 
 
 def mode_row_sum(generator: RingMatrix, mode: int, shape: TensorShape) -> np.ndarray:

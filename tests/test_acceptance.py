@@ -70,6 +70,8 @@ FROZEN_AWGN_ERRORS = {
 FROZEN_PAIRED_ERRORS = {"bp": {4.0: 19, 8.0: 0}, "ml": {4.0: 18, 8.0: 0}}
 # (10,20,16), M=4, N_r=5, 15 dB, 200 trials
 FROZEN_PUPE_ERRORS = {1: 0, 5: 0}
+# (10,20,16), M=4, N_r=5, 5 users, -12 dB, 40 trials (200 user slots)
+FROZEN_PUPE_LOW_SNR_ERRORS = 5
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -323,8 +325,14 @@ def test_criterion_11b_pupe_stable_in_user_count():
     # one-error resolution floor keeps the ratio meaningful at zero counts
     floor = max(values[1], 1.0 / 200)
     ok &= values[5] <= 10 * floor
+    # below the waterfall, so the multi-user path has a non-zero frozen count
+    cfg = SimConfig(dims=(10, 20, 16), modulation_order=4, snrs_db=(-12.0,),
+                    trials=40, seed=SEED, case=1, scenario="simo-mac",
+                    num_users=5, num_antennas=5, stop_errors=0)
+    low = run_point(cfg, -12.0)
+    ok &= low.errors == FROZEN_PUPE_LOW_SNR_ERRORS > 0
     _report(11, "PUPE degrades less than 10x from 1 to 5 users (frozen counts)",
-            ok, f"pupe1 {values[1]}, pupe5 {values[5]}")
+            ok, f"pupe1 {values[1]}, pupe5 {values[5]}, pupe5 at -12 dB {low.value}")
 
 
 def test_criterion_12_replay_byte_identical(tmp_path):

@@ -218,6 +218,21 @@ class TestMlOracle:
         assert signals.shape == (4**9, 60)
         assert peak <= 1.25 * signals.nbytes
 
+    def test_scoring_does_not_copy_the_codebook(self):
+        # 4^7 words of length 32: 8 MiB of signals; a batch-1 call needs only
+        # its (1, 4^7) scores
+        sh = TensorShape((4, 4, 2), 4)
+        _, signals = _codebook(sh, 1)
+        y = np.ones((1, sh.blocklength), dtype=complex)
+        ml_oracle_decode(y, sh, 1)
+        tracemalloc.start()
+        try:
+            ml_oracle_decode(y, sh, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * signals.nbytes
+
     def test_registry_entry_is_the_oracle_on_batches(self):
         sh = TensorShape((4, 2, 2), 4)
         rng = np.random.default_rng(8)

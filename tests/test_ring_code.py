@@ -9,8 +9,6 @@ from tbmpsk.ring_code import (
     build_generator,
     case_matrix,
     generalized_parity_check,
-    reduce_coherent,
-    shorten_noncoherent,
     systematic_form,
 )
 
@@ -18,7 +16,9 @@ from oracles import (
     build_generator_kronecker,
     index_to_tuple,
     mode_row_sum,
+    reduce_coherent,
     reference_row_residuals,
+    shorten_noncoherent,
     tuple_to_index,
 )
 
@@ -55,7 +55,6 @@ class TestTensorShape:
     def test_canonical_order(self):
         sh = TensorShape((10, 20, 16), 4)
         assert sh.dims == (20, 16, 10)
-        assert sh.input_dims == (10, 20, 16)
 
     def test_counts(self):
         sh = TensorShape((4, 2, 2), 4)
@@ -142,15 +141,31 @@ class TestGenerator:
 
 class TestDerivedMatrices:
     def test_printed_reduced_matrix(self):
-        sh = TensorShape((4, 2, 2), 4)
-        gr = reduce_coherent(build_generator(sh), sh)
+        gr = case_matrix(TensorShape((4, 2, 2), 4), 3)
         assert np.array_equal(gr.entries, G_422[GR_KEEP])
 
     def test_printed_shortened_matrix(self):
-        sh = TensorShape((4, 2, 2), 4)
-        gs, pilot = shorten_noncoherent(reduce_coherent(build_generator(sh), sh), sh)
-        assert pilot == 0
+        gs = case_matrix(TensorShape((4, 2, 2), 4), 1)
         assert np.array_equal(gs.entries, GS_422)
+
+    def test_case_matrices_match_derivation(self):
+        # rows of the free entries (and no pilot column in case 1) equal the
+        # paper's route: reduce G to G_r, then shorten G_r to G_s
+        for dims in SHAPES:
+            sh = TensorShape(dims, 4)
+            g = build_generator(sh)
+            gr = reduce_coherent(g, sh)
+            gs, pilot = shorten_noncoherent(gr, sh)
+            assert pilot == 0
+            assert case_matrix(sh, 3) == gr, dims
+            assert case_matrix(sh, 1) == gs, dims
+            assert case_matrix(sh, 2) == g, dims
+
+    def test_free_entries_label_rows(self):
+        sh = TensorShape((4, 2, 2), 4)
+        assert sh.free_entries(2) == ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (2, 0), (2, 1))
+        assert sh.free_entries(3) == ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 1))
+        assert sh.free_entries(1) == ((0, 1), (0, 2), (0, 3), (1, 1), (2, 1))
 
     def test_shortened_weight1_columns(self):
         sh = TensorShape((4, 2, 2), 4)
