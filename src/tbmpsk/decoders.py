@@ -32,6 +32,7 @@ from .ring_code import TensorShape
 PMF_FLOOR = 1e-30
 ML_SIGNAL_BYTES = 2**30
 CODEBOOK_CHUNK = 2**18
+ML_SCORE_CHUNK = 2**16
 REFERENCE_TOL = 1e-6
 # CP-ALS: sweeps per start, stopping improvement, random starts, ridge term
 CP_MAX_SWEEPS = 300
@@ -127,6 +128,11 @@ def bp_decode_batch(
     identical under any batching.  Returns (decisions, posteriors,
     iterations, converged).
 
+    Settled trials leave the batch: on the iteration a trial settles, its
+    outputs are recorded and its rows are compacted out of the working
+    arrays, so later iterations run on the live trials only, and the loop
+    ends when none is left.
+
     Messages use the tensor layout of the module docstring.  The all-ones
     slots of pinned entries leave the check extrinsics bit-identical to a
     product over the participating entries only.  Variable sums move each
@@ -158,46 +164,60 @@ def bp_decode_batch(
     by_mode = np.empty((nb, d, t_len, m))
     extrinsic = np.empty_like(v2c)
 
-    decisions = np.zeros((nb, nv), dtype=np.int64)
+    # working row r is batch row live[r]; rows leave once recorded
+    live = np.arange(nb)
     prev = np.full((nb, nv), -1, dtype=np.int64)
     streak = np.zeros(nb, dtype=np.int64)
+    iters_used = np.zeros(nb, dtype=np.int64)
     done = np.zeros(nb, dtype=bool)
-    iters_used = np.full(nb, max_iters, dtype=np.int64)
     final = np.zeros((nb, nv), dtype=np.int64)
-    final_post = np.full((nb, nv, m), 1.0 / m)
+    final_post = np.zeros((nb, nv, m))
 
     for it in range(max_iters):
+        n = len(live)
+        if n == 0:
+            break
         # check side, DFT domain
         w = np.conj(np.fft.fft(v2c, axis=-1))
         np.copyto(w, 1.0, where=pinned)
         logs = np.log(check_extrinsics(obs_f, w))
 
         # variable side, log domain
+        slabs = by_mode[:n]
         for i, t in enumerate(dims):
-            view = by_mode[:, i].reshape((nb, t) + dims[:i] + dims[i + 1 :] + (m,))
+            view = slabs[:, i].reshape((n, t) + dims[:i] + dims[i + 1 :] + (m,))
             np.copyto(view, np.moveaxis(logs[i], i + 1, 1))
-        sums = np.add.reduceat(by_mode.reshape(nb, d * t_len, m), starts, axis=1)
+        sums = np.add.reduceat(slabs.reshape(n, d * t_len, m), starts, axis=1)
         posteriors = softmax(sums[:, free], axis=-1)
+        ext = extrinsic[:, :n]
         for i, (o, t) in enumerate(zip(offsets, dims)):
-            entry_shape = (nb,) + tuple(t if a == i else 1 for a in range(d)) + (m,)
-            np.subtract(sums[:, o : o + t].reshape(entry_shape), logs[i], out=extrinsic[i])
-        fresh = softmax(extrinsic, axis=-1)
+            entry_shape = (n,) + tuple(t if a == i else 1 for a in range(d)) + (m,)
+            np.subtract(sums[:, o : o + t].reshape(entry_shape), logs[i], out=ext[i])
+        fresh = softmax(ext, axis=-1)
         v2c = fresh if damping == 0.0 else _clean((1.0 - damping) * fresh + damping * v2c)
 
         decisions = np.argmax(posteriors, axis=-1)  # ties: smallest symbol
         streak = np.where((decisions == prev).all(axis=1), streak + 1, 0)
         prev = decisions
-        newly = (~done) & (streak >= 3)
-        if newly.any():
-            final[newly] = decisions[newly]
-            final_post[newly] = posteriors[newly]
-            iters_used[newly] = it + 1
-            done |= newly
-        if done.all():
-            break
+        settled = streak >= 3
+        leaving = settled if it + 1 < max_iters else np.ones(n, dtype=bool)
+        if not leaving.any():
+            continue
+        rows = live[leaving]
+        final[rows] = decisions[leaving]
+        final_post[rows] = posteriors[leaving]
+        iters_used[rows] = it + 1
+        done[rows] = settled[leaving]
+        keep = np.flatnonzero(~leaving)
+        # compact in place: kept row src moves down to dst <= src, in order
+        for dst, src in enumerate(keep):
+            if dst != src:
+                v2c[:, dst] = v2c[:, src]
+                obs_f[dst] = obs_f[src]
+        v2c = v2c[:, : len(keep)]
+        obs_f = obs_f[: len(keep)]
+        live, prev, streak = live[keep], prev[keep], streak[keep]
 
-    final[~done] = decisions[~done]
-    final_post[~done] = posteriors[~done]
     return final, final_post, iters_used, done
 
 
@@ -231,10 +251,26 @@ def _codebook(shape: TensorShape, case: int) -> tuple[np.ndarray, np.ndarray]:
 def ml_oracle_decode(received: np.ndarray, shape: TensorShape, case: int) -> np.ndarray:
     """Exhaustive max-correlation decoding of (..., T) samples; ties resolve
     to the lexicographically smallest info word.  Guarded to M^K * T * 16
-    bytes of codebook signals <= ML_SIGNAL_BYTES."""
+    bytes of codebook signals <= ML_SIGNAL_BYTES.
+
+    Scores about ``ML_SCORE_CHUNK`` (row, word) pairs at a time, so a call
+    never holds the whole (rows, M^K) score matrix; a chunk's best replaces
+    the running best only if strictly higher, which keeps ties on the
+    smallest word."""
     words, conj_signals = _codebook(shape, case)
-    scores = np.real(np.asarray(received, dtype=complex) @ conj_signals.T)
-    return words[np.argmax(scores, axis=-1)]
+    y = np.asarray(received, dtype=complex)
+    rows = y.reshape(-1, y.shape[-1])
+    best = np.full(len(rows), -np.inf)
+    pick = np.zeros(len(rows), dtype=np.int64)
+    step = max(1, ML_SCORE_CHUNK // max(1, len(rows)))
+    for a in range(0, len(words), step):
+        scores = np.real(rows @ conj_signals[a : a + step].T)
+        j = np.argmax(scores, axis=-1)
+        top = scores[np.arange(len(rows)), j]
+        better = top > best
+        best[better] = top[better]
+        pick[better] = a + j[better]
+    return words[pick].reshape(y.shape[:-1] + words.shape[1:])
 
 
 # --- CP decomposition -------------------------------------------------------

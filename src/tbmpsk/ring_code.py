@@ -66,12 +66,12 @@ class TensorShape:
     @property
     def k_coherent(self) -> int:
         """K_r = K - d + 1, rows of the reduced (full-rank) generator."""
-        return self.k_full - self.num_modes + 1
+        return self.info_length(3)
 
     @property
     def k_shortened(self) -> int:
         """K_s = K - d, rows of the shortened non-coherent generator."""
-        return self.k_full - self.num_modes
+        return self.info_length(1)
 
     @property
     def mode_offsets(self) -> tuple[int, ...]:

@@ -1,11 +1,13 @@
 """Receiver correctness: FFT check updates vs direct convolution, BP round
 trips and batch invariance, the ML oracle, CP-ALS, and the multi-user path."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import tbmpsk.decoders as decoders
 from tbmpsk.channels import awgn, simo_mac
 from tbmpsk.decoders import (
     SINGLE_USER_DECODERS,
@@ -108,6 +110,25 @@ def _bp_one(g, pmfs, **kwargs):
     return [out[0] for out in bp_decode_batch(g, pmfs[None], **kwargs)]
 
 
+def _mixed_batch():
+    """(4,2,2), M=4, case 1 at mixed noise levels: trials settle after 4, 5,
+    11 and 25 iterations, and one never settles in 50."""
+    sh = TensorShape((4, 2, 2), 4)
+    rng = np.random.default_rng(0)
+    nvs = [0.3, 0.5, 1.0, 1.5, 2.0, 3.0] * 2
+    s = transmit_signal(encode(rng.integers(0, 4, (len(nvs), 5)), sh, 1), 4)
+    pmfs = np.stack([channel_pmfs(awgn(row, v, rng), v, 4) for row, v in zip(s, nvs)])
+    return build_graph(sh, 1), pmfs
+
+
+def _assert_rows_decode_alone(g, pmfs, **kwargs):
+    batch = bp_decode_batch(g, pmfs, **kwargs)
+    for i in range(len(pmfs)):
+        for got, one in zip(batch, _bp_one(g, pmfs[i], **kwargs)):
+            assert np.array_equal(got[i], one)
+    return batch
+
+
 class TestBpDecode:
     def test_clean_round_trip(self):
         sh = TensorShape((4, 2, 2), 4)
@@ -147,11 +168,7 @@ class TestBpDecode:
         for _ in range(8):
             u = rng.integers(0, 4, 5)
             ys.append(awgn(transmit_signal(encode(u, sh, 1), 4), nv, rng))
-        pmfs = channel_pmfs(np.stack(ys), nv, 4)
-        batch = bp_decode_batch(g, pmfs)
-        for i in range(8):
-            for got, one in zip(batch, _bp_one(g, pmfs[i])):
-                assert np.array_equal(got[i], one)
+        _assert_rows_decode_alone(g, channel_pmfs(np.stack(ys), nv, 4))
 
     def test_large_degree_no_underflow(self):
         # (10,20,16) variable nodes aggregate up to 320 messages
@@ -175,6 +192,57 @@ class TestBpDecode:
         g = build_graph(sh, 1)
         with pytest.raises(ValueError):
             _bp_one(g, np.full((3, 4), 0.25))
+
+
+class TestActiveSet:
+    def test_settled_trials_leave_the_batch(self, monkeypatch):
+        g, pmfs = _mixed_batch()
+        rows = []
+        kernel = decoders.check_extrinsics
+
+        def spy(target_f, w):
+            rows.append(w.shape[1])
+            return kernel(target_f, w)
+
+        monkeypatch.setattr(decoders, "check_extrinsics", spy)
+        _, _, iters, conv = bp_decode_batch(g, pmfs)
+        assert 0 < conv.sum() < len(pmfs) and len(set(iters[conv])) > 2
+        assert len(rows) == iters.max()
+        # iteration k runs on the trials that had not settled after k - 1
+        assert rows == [int((iters > k).sum()) for k in range(len(rows))]
+
+    @pytest.mark.parametrize("kwargs", [{}, {"damping": 0.3}, {"max_iters": 2}])
+    def test_mixed_batch_rows_match_single(self, kwargs):
+        g, pmfs = _mixed_batch()
+        _, _, iters, conv = _assert_rows_decode_alone(g, pmfs, **kwargs)
+        if kwargs.get("max_iters", 50) < 3:
+            assert not conv.any() and (iters == 2).all()  # a streak of 3 needs 4 iterations
+        else:
+            assert len(set(iters)) > 2  # rows leave while others stay live
+
+    def test_all_settle_on_the_same_iteration(self):
+        sh = TensorShape((4, 2, 2), 4)
+        rng = np.random.default_rng(1)
+        s = transmit_signal(encode(rng.integers(0, 4, (6, 5)), sh, 1), 4)
+        g = build_graph(sh, 1)
+        _, _, iters, conv = _assert_rows_decode_alone(g, channel_pmfs(s, 1e-6, 4))
+        assert conv.all() and len(set(iters)) == 1
+
+    def test_settles_on_the_last_allowed_iteration(self):
+        g, pmfs = _mixed_batch()
+        _, _, iters, conv = bp_decode_batch(g, pmfs)
+        last = int(iters[conv].max())
+        _, _, got, got_conv = _assert_rows_decode_alone(g, pmfs, max_iters=last)
+        assert (got == np.minimum(iters, last)).all()
+        assert np.array_equal(got_conv, conv & (iters <= last))
+
+    def test_batch_of_one(self):
+        g, pmfs = _mixed_batch()
+        batch = bp_decode_batch(g, pmfs)
+        for i in (0, 8, 10):  # settles after 4 and 25 iterations, never settles
+            alone = bp_decode_batch(g, pmfs[i : i + 1])
+            for got, one in zip(batch, alone):
+                assert one.shape[0] == 1 and np.array_equal(got[i], one[0])
 
 
 class TestMlOracle:
@@ -233,6 +301,34 @@ class TestMlOracle:
             tracemalloc.stop()
         assert peak < 0.25 * signals.nbytes
 
+    def test_scoring_peak_well_below_the_score_matrix(self):
+        # a batch of 32 against 4^7 words: a (32, 4^7) complex matrix is 8 MiB
+        sh = TensorShape((4, 4, 2), 4)
+        words, _ = _codebook(sh, 1)
+        rng = np.random.default_rng(19)
+        y = rng.standard_normal((32, sh.blocklength, 2)) @ [1, 1j]
+        ml_oracle_decode(y, sh, 1)
+        tracemalloc.start()
+        try:
+            ml_oracle_decode(y, sh, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * len(y) * len(words) * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("dims, case", [((4, 4, 2), 1), ((4, 2, 2), 2)])
+    def test_chunked_scoring_matches_the_whole_matrix(self, dims, case):
+        # case 2 is many-to-one: a sent codeword's 16 words tie across 4 chunks
+        sh = TensorShape(dims, 4)
+        words, conj_signals = _codebook(sh, case)
+        rng = np.random.default_rng(20)
+        s = transmit_signal(encode(rng.integers(0, 4, (32, words.shape[1])), sh, case), 4)
+        y = awgn(s, 1.0, rng)
+        y[:4] = s[:4]
+        y[4] = 0
+        got = ml_oracle_decode(y, sh, case)
+        assert np.array_equal(got, words[np.argmax(np.real(y @ conj_signals.T), axis=-1)])
+
     def test_registry_entry_is_the_oracle_on_batches(self):
         sh = TensorShape((4, 2, 2), 4)
         rng = np.random.default_rng(8)
@@ -271,6 +367,26 @@ class TestCpAls:
         tensor, _ = simo_mac(s, sh, 4, 0.01, rng)
         cp = cp_als(tensor, 2, rng)
         assert cp.residual < 0.1
+
+    def test_gains_match_the_channel_up_to_permutation(self):
+        # 3 users, 5 antennas, 40 dB on (5,4,3); distinct users per mode give
+        # k-ranks summing to >= 2R + 3, Kruskal's condition for a unique CP
+        sh = TensorShape((5, 4, 3), 4)
+        rng = np.random.default_rng(21)
+        u = rng.integers(0, 4, (3, sh.k_shortened))
+        c = encode(u, sh, 1).reshape((3,) + sh.dims)
+        for i in range(sh.num_modes):
+            factor_vectors = {tuple(row[(0,) * i + (slice(None),) + (0,) * (2 - i)]) for row in c}
+            assert len(factor_vectors) == 3
+        tensor, real = simo_mac(transmit_signal(encode(u, sh, 1), 4), sh, 5, 1e-4, rng)
+        ncp, _, bad = normalize_factors(cp_als(tensor, 3, rng), 4)
+        assert not bad.any()
+        gains = ncp.factors[-1]
+        err = min(
+            max(np.linalg.norm(gains[:, r] - h) / np.linalg.norm(h) for r, h in zip(p, real.gains))
+            for p in itertools.permutations(range(3))
+        )
+        assert err < 0.02
 
     def test_validation(self):
         rng = np.random.default_rng(11)
