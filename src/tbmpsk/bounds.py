@@ -7,8 +7,9 @@ with dispersion V = snr (snr + 2) / (snr + 1)^2 * log2(e)^2.
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
-from scipy.stats import norm
 
 from .ring_code import TensorShape
 
@@ -25,6 +26,11 @@ def awgn_dispersion(snr: float) -> float:
     return float(snr * (snr + 2.0) / (snr + 1.0) ** 2 * LOG2_E**2)
 
 
+def _q_inv(p: float) -> float:
+    """Inverse of the standard Gaussian tail Q(x) = P(N(0, 1) > x)."""
+    return -NormalDist().inv_cdf(p)
+
+
 def normal_approx_rate(blocklength: int, target_error: float, snr: float) -> float:
     """Highest rate (bits per complex symbol) supported at the given
     blocklength and block error target, by the normal approximation."""
@@ -32,10 +38,10 @@ def normal_approx_rate(blocklength: int, target_error: float, snr: float) -> flo
         raise ValueError(f"blocklength must be >= 1, got {blocklength}")
     if not 0.0 < target_error < 1.0:
         raise ValueError(f"target error must be in (0, 1), got {target_error}")
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    if not 0.0 <= snr < np.inf:
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
     n = blocklength
-    qinv = float(norm.isf(target_error))
+    qinv = _q_inv(target_error)
     v = awgn_dispersion(snr)
     return float(awgn_capacity(snr) - np.sqrt(v / n) * qinv + np.log2(n) / (2.0 * n))
 

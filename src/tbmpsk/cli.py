@@ -97,7 +97,7 @@ def matrix_text(doc: dict) -> str:
     if doc.get("systematic"):
         if doc["case"] != 1:
             raise ValueError("--systematic applies to case 1 only")
-        g, _ = systematic_form(g, shape)
+        g, _ = systematic_form(g)
     return g.to_text()
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import softmax
 
 from .factor_graph import FactorGraph, build_graph
 from .modulation import encode, mls_encode, psk_map, transmit_signal
@@ -50,14 +49,19 @@ def channel_pmfs(received: np.ndarray, noise_var: float, modulation_order: int) 
     SNR) gives the indicator of the nearest point, ties to the smallest
     symbol.
     """
-    if noise_var < 0:
+    if not noise_var >= 0:
         raise ValueError(f"noise variance must be non-negative, got {noise_var}")
     y = np.asarray(received, dtype=complex)
     points = psk_map(np.arange(modulation_order), modulation_order)
     d2 = np.abs(y[..., None] - points) ** 2
     if noise_var == 0:
         return (np.argmin(d2, axis=-1)[..., None] == np.arange(modulation_order)).astype(float)
-    return softmax(-d2 / noise_var, axis=-1)
+    return _softmax(-d2 / noise_var)
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _clean(pmfs: np.ndarray) -> np.ndarray:
@@ -188,12 +192,12 @@ def bp_decode_batch(
             view = slabs[:, i].reshape((n, t) + dims[:i] + dims[i + 1 :] + (m,))
             np.copyto(view, np.moveaxis(logs[i], i + 1, 1))
         sums = np.add.reduceat(slabs.reshape(n, d * t_len, m), starts, axis=1)
-        posteriors = softmax(sums[:, free], axis=-1)
+        posteriors = _softmax(sums[:, free])
         ext = extrinsic[:, :n]
         for i, (o, t) in enumerate(zip(offsets, dims)):
             entry_shape = (n,) + tuple(t if a == i else 1 for a in range(d)) + (m,)
             np.subtract(sums[:, o : o + t].reshape(entry_shape), logs[i], out=ext[i])
-        fresh = softmax(ext, axis=-1)
+        fresh = _softmax(ext)
         v2c = fresh if damping == 0.0 else _clean((1.0 - damping) * fresh + damping * v2c)
 
         decisions = np.argmax(posteriors, axis=-1)  # ties: smallest symbol

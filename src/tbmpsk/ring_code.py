@@ -64,16 +64,6 @@ class TensorShape:
         return sum(self.dims)
 
     @property
-    def k_coherent(self) -> int:
-        """K_r = K - d + 1, rows of the reduced (full-rank) generator."""
-        return self.info_length(3)
-
-    @property
-    def k_shortened(self) -> int:
-        """K_s = K - d, rows of the shortened non-coherent generator."""
-        return self.info_length(1)
-
-    @property
     def mode_offsets(self) -> tuple[int, ...]:
         """Row index where each mode's block starts inside G."""
         offs = np.concatenate([[0], np.cumsum(self.dims[:-1])])
@@ -176,7 +166,7 @@ def build_generator(shape: TensorShape) -> RingMatrix:
     return RingMatrix(G, shape.modulation_order)
 
 
-def systematic_form(shortened: RingMatrix, shape: TensorShape) -> tuple[RingMatrix, np.ndarray]:
+def systematic_form(shortened: RingMatrix) -> tuple[RingMatrix, np.ndarray]:
     """Permute G_s columns into [I | P].
 
     G_s keeps exactly K_s weight-1 columns, one per row; moving them to the
@@ -202,7 +192,7 @@ def systematic_form(shortened: RingMatrix, shape: TensorShape) -> tuple[RingMatr
 def generalized_parity_check(reduced: RingMatrix, shape: TensorShape) -> RingMatrix:
     """H = [G_r^T | (M-1) I_T]; satisfies [u | c] H^T = 0 mod M for any
     info word u and its codeword c = u G_r."""
-    if reduced.rows != shape.k_coherent or reduced.cols != shape.blocklength:
+    if reduced.rows != shape.info_length(3) or reduced.cols != shape.blocklength:
         raise ValueError("reduced generator dimensions do not match the shape")
     m = reduced.modulus
     T = reduced.cols

@@ -68,6 +68,8 @@ class SimConfig:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case}")
+        if not all(s > -np.inf for s in self.snrs_db):
+            raise ValueError(f"snrs_db must not be NaN or -inf, got {self.snrs_db}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -258,6 +260,8 @@ def min_snr_sweep(
     the error rate is non-increasing in SNR.  Returns None when even the
     top of the bracket misses the target.
     """
+    if not (np.isfinite(lo_db) and np.isfinite(hi_db)):
+        raise ValueError(f"bracket ends must be finite, got {lo_db}, {hi_db}")
     if hi_db <= lo_db:
         raise ValueError("need lo_db < hi_db")
     if resolution_db <= 0:

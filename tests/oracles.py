@@ -66,7 +66,7 @@ def reduce_coherent(generator: RingMatrix, shape: TensorShape) -> RingMatrix:
 def shorten_noncoherent(reduced: RingMatrix, shape: TensorShape) -> tuple[RingMatrix, int]:
     """G_s plus the pilot position: drop row 1 of G_r and the single column
     where it was the only participant (position 0, the all-reference entry)."""
-    if reduced.rows != shape.k_coherent or reduced.cols != shape.blocklength:
+    if reduced.rows != shape.info_length(3) or reduced.cols != shape.blocklength:
         raise ValueError("reduced generator dimensions do not match the shape")
     pilot = 0
     col = reduced.entries[:, pilot]
@@ -148,7 +148,7 @@ def systematic_parts(shape: TensorShape) -> tuple[RingMatrix, np.ndarray]:
     """(P, perm) for the systematic case-1 encoder: P is the parity block of
     G_sys = [I | P], perm maps G_sys columns back to G_s columns."""
     gs = case_matrix(shape, 1)
-    gsys, perm = systematic_form(gs, shape)
+    gsys, perm = systematic_form(gs)
     p = RingMatrix(gsys.entries[:, gsys.rows :], gsys.modulus)
     return p, perm
 

@@ -144,7 +144,7 @@ def test_criterion_03_pipeline_equivalence():
         ok &= np.array_equal(
             np.stack([encode(u, sh, 2) for u in w2]), oracle_codewords(w2, sh, 2)
         )
-        w1 = all_words(m, sh.k_shortened)
+        w1 = all_words(m, sh.info_length(1))
         ok &= np.array_equal(
             np.stack([encode(u, sh, 1) for u in w1]), oracle_codewords(w1, sh, 1)
         )
@@ -171,9 +171,9 @@ def test_criterion_04_row_sums_and_codeword_counts():
     for dims, m in [((2, 2), 2), ((2, 2), 4), ((2, 2), 8), ((2, 2, 2), 2), ((3, 2), 4)]:
         sh = TensorShape(dims, m)
         assert m**sh.k_full <= 4096
-        c3 = {tuple(encode(u, sh, 3)) for u in all_words(m, sh.k_coherent)}
-        c1 = {tuple(encode(u, sh, 1)) for u in all_words(m, sh.k_shortened)}
-        counts_ok &= len(c3) == m**sh.k_coherent and len(c1) == m**sh.k_shortened
+        c3 = {tuple(encode(u, sh, 3)) for u in all_words(m, sh.info_length(3))}
+        c1 = {tuple(encode(u, sh, 1)) for u in all_words(m, sh.info_length(1))}
+        counts_ok &= len(c3) == m**sh.info_length(3) and len(c1) == m**sh.info_length(1)
     ok &= counts_ok
     _report(4, "mode row sums all-ones, elimination rows vanish, codeword counts exact",
             ok)

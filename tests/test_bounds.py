@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from tbmpsk.bounds import (
+    _q_inv,
     awgn_capacity,
     awgn_dispersion,
     db_to_linear,
@@ -57,6 +59,18 @@ class TestNormalApprox:
         with pytest.raises(ValueError):
             normal_approx_rate(100, 1e-2, -1.0)
 
+    @pytest.mark.parametrize("snr", [np.inf, float("nan")])
+    def test_rejects_non_finite_snr(self, snr):
+        with pytest.raises(ValueError):
+            normal_approx_rate(100, 1e-2, snr)
+
+    def test_q_inv_matches_normal_isf(self):
+        # each is within 9e-16 relative of the exact quantile on [1e-6, 0.5]
+        # (checked against 40-digit arithmetic), so they differ by up to 5 ulp
+        for eps in np.concatenate([np.geomspace(1e-6, 0.5, 1000), [1e-4, 0.01, 0.05, 0.1]]):
+            want = float(norm.isf(eps))
+            assert abs(_q_inv(float(eps)) - want) <= 1e-15 * abs(want)
+
 
 class TestMinSnr:
     def test_round_trip(self):
@@ -67,6 +81,21 @@ class TestMinSnr:
     def test_unreachable_rate_raises(self):
         with pytest.raises(RuntimeError):
             min_snr_for_rate(3200, 1e-2, 40.0)
+
+    @pytest.mark.parametrize("dims, m, eps, want", [
+        # perfbench's sweep configurations
+        ((4, 2, 2), 4, 0.05, 1.0217485064380527),
+        ((4, 4, 2), 4, 0.05, 0.6114066156937406),
+        # the configurations of tests/replay_fixtures/sweep.csv
+        ((4, 2, 2), 2, 0.1, 0.4324046886510216),
+        ((4, 2, 2), 4, 0.1, 0.8519494800505724),
+        ((2, 2), 2, 0.1, 1.0869674204524586),
+        ((2, 2), 4, 0.1, 2.0832949873719455),
+    ])
+    def test_frozen_sweep_bounds(self, dims, m, eps, want):
+        # frozen when the tail inverse came from scipy.stats.norm.isf
+        sh = TensorShape(dims, m)
+        assert min_snr_for_rate(sh.blocklength, eps, tbm_rate(sh, 1)) == want
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):

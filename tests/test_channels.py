@@ -36,7 +36,7 @@ class TestAwgn:
 
 class TestSimoMac:
     def _signals(self, rng, sh, users):
-        u = rng.integers(0, sh.modulation_order, (users, sh.k_shortened))
+        u = rng.integers(0, sh.modulation_order, (users, sh.info_length(1)))
         return transmit_signal(encode(u, sh, 1), sh.modulation_order)
 
     def test_tensor_shape(self):

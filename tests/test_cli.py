@@ -1,6 +1,10 @@
 """Command line behavior: formats, round trips, exit codes, replay."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +101,14 @@ class TestEncodeDecode:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_noise_variance_exits_2(self, tmp_path, capsys):
+        enc = tmp_path / "s.txt"
+        run_cli("encode", "--shape", "4,2,2", "--mod", "4", "--info", "3,1,0,2,1",
+                "--out", str(enc))
+        assert run_cli("decode", "--shape", "4,2,2", "--mod", "4", "--in", str(enc),
+                       "--noise-var", "nan", "--decoder", "bp") == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_wrong_info_length_exits_2(self):
         assert run_cli("encode", "--shape", "4,2,2", "--mod", "4", "--info", "1,2") == 2
 
@@ -125,6 +137,12 @@ class TestGraphAndBound:
 
     def test_bound_requires_one_mode(self):
         assert run_cli("bound", "--blocklength", "100", "--target-error", "0.01") == 2
+
+    @pytest.mark.parametrize("snr_db", ["inf", "nan"])
+    def test_bound_non_finite_snr_exits_2(self, snr_db, capsys):
+        assert run_cli("bound", "--blocklength", "100", "--target-error", "0.01",
+                       "--snr-db", snr_db) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestSimulateReplay:
@@ -190,6 +208,70 @@ class TestSimulateReplay:
                        "--trials", "4", "--seed", "1", *run_args) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[5:8] == ["inf", "4", "0"]
+
+    @pytest.mark.parametrize("run_args", [
+        ("--snr-db", "nan"),
+        ("--snr-db", "nan", "--scenario", "simo-mac", "--antennas", "2"),
+        ("--snr-db=-inf",),
+        ("--snr-db=-inf", "--scenario", "simo-mac", "--antennas", "2"),
+    ])
+    def test_nan_or_minus_inf_snr_exits_2(self, run_args, capsys):
+        assert run_cli("simulate", "--shape", "4,2,2", "--mod", "4", "--trials", "4",
+                       "--seed", "1", *run_args) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bracket", [("--snr-lo", "0", "--snr-hi", "inf"),
+                                         ("--snr-lo=-inf", "--snr-hi", "4"),
+                                         ("--snr-lo", "nan", "--snr-hi", "4")])
+    def test_sweep_non_finite_bracket_exits_2(self, bracket, capsys):
+        assert run_cli("sweep", "--shapes", "2,2", "--mods", "4", "--target-per", "0.2",
+                       *bracket, "--trials", "4", "--seed", "3") == 2
+        assert "error:" in capsys.readouterr().err
+
+
+SCIPY_BLOCKED = textwrap.dedent("""
+    import sys
+
+    class BlockScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"scipy is blocked: {name}")
+            return None
+
+    sys.meta_path.insert(0, BlockScipy())
+    from tbmpsk.cli import main
+
+    received = sys.argv[1]
+    runs = [
+        ["simulate", "--shape", "4,2,2", "--mod", "4", "--snr-db", "2", "--trials", "8",
+         "--seed", "1"],
+        ["simulate", "--scenario", "simo-mac", "--shape", "4,2,2", "--mod", "4",
+         "--users", "1", "--antennas", "2", "--snr-db", "10", "--trials", "2", "--seed", "1"],
+        ["sweep", "--shapes", "2,2", "--mods", "4", "--target-per", "0.2", "--snr-lo", "0",
+         "--snr-hi", "4", "--resolution", "2", "--trials", "8", "--seed", "3"],
+        ["bound", "--blocklength", "100", "--target-error", "0.01", "--rate", "0.5"],
+        ["bound", "--blocklength", "100", "--target-error", "0.01", "--snr-db", "0"],
+        ["decode", "--shape", "4,2,2", "--mod", "4", "--in", received, "--decoder", "ml"],
+    ]
+    codes = [main(argv) for argv in runs]
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print("RESULT", codes, loaded)
+""")
+
+
+def test_commands_run_without_scipy(tmp_path):
+    received = tmp_path / "s.txt"
+    assert run_cli("encode", "--shape", "4,2,2", "--mod", "4", "--info", "3,1,0,2,1",
+                   "--out", str(received)) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(received)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = proc.stdout.splitlines()[-1]
+    assert result == "RESULT [0, 0, 0, 0, 0, 0] []", proc.stdout + proc.stderr
+    assert "3 1 0 2 1" in proc.stdout
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 import tbmpsk.decoders as decoders
 from tbmpsk.channels import awgn, simo_mac
@@ -13,6 +14,7 @@ from tbmpsk.decoders import (
     SINGLE_USER_DECODERS,
     CpFactors,
     _codebook,
+    _softmax,
     bp_decode_batch,
     channel_pmfs,
     check_extrinsics,
@@ -55,11 +57,33 @@ class TestChannelPmfs:
         with pytest.raises(ValueError):
             channel_pmfs(np.array([1.0 + 0j]), -1e-12, 4)
 
+    def test_rejects_nan_variance(self):
+        with pytest.raises(ValueError):
+            channel_pmfs(np.array([1.0 + 0j]), float("nan"), 4)
+
+    @pytest.mark.parametrize("noise_var", [1e-9, 0.05, 1.0, 40.0])
+    def test_matches_scipy_softmax_reference(self, noise_var):
+        rng = np.random.default_rng(11)
+        y = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        points = psk_map(np.arange(8), 8)
+        want = softmax(-np.abs(y[..., None] - points) ** 2 / noise_var, axis=-1)
+        assert np.array_equal(channel_pmfs(y, noise_var, 8), want)
+
     def test_zero_variance_gives_nearest_indicator(self):
         # infinite SNR; 0j is equidistant from every point and goes to symbol 0
         y = np.array([0.9 + 0.2j, -0.1 + 1.1j, -1.0 + 0j, 0.2 - 0.9j, 0j])
         p = channel_pmfs(y, 0.0, 4)
         assert np.array_equal(p, np.eye(4)[[0, 1, 2, 3, 0]])
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1e4, 1e300])
+    def test_bit_identical_to_scipy(self, scale):
+        # BP's shapes: posteriors (B, K, M) and extrinsics (d, B, T_1, ..., T_d, M)
+        rng = np.random.default_rng(5)
+        for shape in [(4, 5, 4), (3, 2, 4, 2, 2, 4), (1, 7, 8)]:
+            x = scale * rng.standard_normal(shape)
+            assert np.array_equal(_softmax(x), softmax(x, axis=-1))
 
 
 class TestCheckUpdate:
@@ -135,7 +159,7 @@ class TestBpDecode:
         g = build_graph(sh, 1)
         rng = np.random.default_rng(2)
         for _ in range(25):
-            u = rng.integers(0, 4, sh.k_shortened)
+            u = rng.integers(0, 4, sh.info_length(1))
             s = transmit_signal(encode(u, sh, 1), 4)
             dec, _, _, conv = _bp_one(g, channel_pmfs(s, 1e-6, 4))
             assert np.array_equal(dec, u)
@@ -146,7 +170,7 @@ class TestBpDecode:
         g = build_graph(sh, 3)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            u = rng.integers(0, 4, sh.k_coherent)
+            u = rng.integers(0, 4, sh.info_length(3))
             s = transmit_signal(encode(u, sh, 3), 4)
             dec, _, _, _ = _bp_one(g, channel_pmfs(s, 1e-6, 4))
             assert np.array_equal(dec, u)
@@ -174,7 +198,7 @@ class TestBpDecode:
         # (10,20,16) variable nodes aggregate up to 320 messages
         sh = TensorShape((10, 20, 16), 4)
         g = build_graph(sh, 1)
-        u = np.zeros(sh.k_shortened, dtype=int)
+        u = np.zeros(sh.info_length(1), dtype=int)
         s = transmit_signal(encode(u, sh, 1), 4)
         y = awgn(s, 0.3, np.random.default_rng(6))
         _, post, _, _ = _bp_one(g, channel_pmfs(y, 0.3, 4), max_iters=10)
@@ -342,7 +366,7 @@ class TestMlOracle:
 class TestCpAls:
     def _rank2_tensor(self, rng):
         sh = TensorShape((4, 3, 2), 4)
-        u = rng.integers(0, 4, (2, sh.k_shortened))
+        u = rng.integers(0, 4, (2, sh.info_length(1)))
         s = transmit_signal(encode(u, sh, 1), 4)
         tensor, real = simo_mac(s, sh, 4, 0.0, rng)
         return sh, u, s, tensor, real
@@ -362,7 +386,7 @@ class TestCpAls:
     def test_noisy_fit_reasonable(self):
         rng = np.random.default_rng(10)
         sh = TensorShape((4, 3, 2), 4)
-        u = rng.integers(0, 4, (2, sh.k_shortened))
+        u = rng.integers(0, 4, (2, sh.info_length(1)))
         s = transmit_signal(encode(u, sh, 1), 4)
         tensor, _ = simo_mac(s, sh, 4, 0.01, rng)
         cp = cp_als(tensor, 2, rng)
@@ -373,7 +397,7 @@ class TestCpAls:
         # k-ranks summing to >= 2R + 3, Kruskal's condition for a unique CP
         sh = TensorShape((5, 4, 3), 4)
         rng = np.random.default_rng(21)
-        u = rng.integers(0, 4, (3, sh.k_shortened))
+        u = rng.integers(0, 4, (3, sh.info_length(1)))
         c = encode(u, sh, 1).reshape((3,) + sh.dims)
         for i in range(sh.num_modes):
             factor_vectors = {tuple(row[(0,) * i + (slice(None),) + (0,) * (2 - i)]) for row in c}
@@ -400,7 +424,7 @@ class TestNormalizeFactors:
     def test_reference_entries_become_one(self):
         rng = np.random.default_rng(12)
         sh = TensorShape((4, 3, 2), 4)
-        u = rng.integers(0, 4, (2, sh.k_shortened))
+        u = rng.integers(0, 4, (2, sh.info_length(1)))
         s = transmit_signal(encode(u, sh, 1), 4)
         tensor, _ = simo_mac(s, sh, 4, 0.0, rng)
         cp = cp_als(tensor, 2, rng)
@@ -412,7 +436,7 @@ class TestNormalizeFactors:
     def test_reconstruction_invariant(self):
         rng = np.random.default_rng(13)
         sh = TensorShape((4, 3, 2), 4)
-        u = rng.integers(0, 4, (2, sh.k_shortened))
+        u = rng.integers(0, 4, (2, sh.info_length(1)))
         s = transmit_signal(encode(u, sh, 1), 4)
         tensor, _ = simo_mac(s, sh, 4, 0.0, rng)
         cp = cp_als(tensor, 2, rng)
@@ -429,7 +453,7 @@ class TestNormalizeFactors:
     def test_hard_projection_recovers_symbols(self):
         rng = np.random.default_rng(14)
         sh = TensorShape((4, 3, 2), 4)
-        u = rng.integers(0, 4, (1, sh.k_shortened))
+        u = rng.integers(0, 4, (1, sh.info_length(1)))
         s = transmit_signal(encode(u, sh, 1), 4)
         tensor, _ = simo_mac(s, sh, 4, 0.0, rng)
         cp = cp_als(tensor, 1, rng)
@@ -455,7 +479,7 @@ class TestMultiuserDecode:
     def test_two_user_round_trip(self):
         rng = np.random.default_rng(15)
         sh = TensorShape((4, 3, 2), 4)
-        u = rng.integers(0, 4, (2, sh.k_shortened))
+        u = rng.integers(0, 4, (2, sh.info_length(1)))
         s = transmit_signal(encode(u, sh, 1), 4)
         nv = 10 ** (-15 / 10)
         tensor, _ = simo_mac(s, sh, 5, nv, rng)

@@ -75,7 +75,7 @@ class TestCase3Graph:
 
     def test_var_count(self):
         sh = TensorShape((4, 2, 2), 4)
-        assert build_graph(sh, 3).num_vars == sh.k_coherent
+        assert build_graph(sh, 3).num_vars == sh.info_length(3)
 
     def test_case2_rejected(self):
         with pytest.raises(ValueError):

@@ -70,7 +70,7 @@ class TestPipelineEquivalence:
     @pytest.mark.parametrize("m", [2, 4])
     def test_exhaustive_2x2_case1(self, m):
         sh = TensorShape((2, 2), m)
-        for u in all_words(m, sh.k_shortened):
+        for u in all_words(m, sh.info_length(1)):
             assert np.array_equal(encode(u, sh, 1), oracle_codeword(u, sh, 1))
 
     @pytest.mark.parametrize("case", [1, 2, 3])
@@ -107,22 +107,22 @@ class TestCodewordCounts:
                                         ((2, 2, 2), 2), ((3, 2), 4)])
     def test_case3_count(self, dims, m):
         sh = TensorShape(dims, m)
-        words = all_words(m, sh.k_coherent)
+        words = all_words(m, sh.info_length(3))
         seen = {tuple(encode(u, sh, 3)) for u in words}
-        assert len(seen) == m**sh.k_coherent
+        assert len(seen) == m**sh.info_length(3)
 
     @pytest.mark.parametrize("dims,m", [((2, 2), 2), ((2, 2), 4), ((2, 2), 8),
                                         ((2, 2, 2), 2), ((3, 2), 4)])
     def test_case1_count(self, dims, m):
         sh = TensorShape(dims, m)
-        words = all_words(m, sh.k_shortened)
+        words = all_words(m, sh.info_length(1))
         seen = {tuple(encode(u, sh, 1)) for u in words}
-        assert len(seen) == m**sh.k_shortened
+        assert len(seen) == m**sh.info_length(1)
 
     def test_case2_collapses_to_coherent_count(self):
         sh = TensorShape((2, 2), 4)
         seen = {tuple(encode(u, sh, 2)) for u in all_words(4, 4)}
-        assert len(seen) == 4**sh.k_coherent
+        assert len(seen) == 4**sh.info_length(3)
 
 
 class TestSystematicEncoder:
@@ -133,7 +133,7 @@ class TestSystematicEncoder:
             gs = case_matrix(sh, 1)
             rng = np.random.default_rng(4)
             for _ in range(50):
-                u = rng.integers(0, 4, sh.k_shortened)
+                u = rng.integers(0, 4, sh.info_length(1))
                 assert np.array_equal(encode_systematic(u, parity, perm), encode_case1(u, gs))
 
     def test_info_symbols_appear_verbatim(self):

@@ -60,8 +60,8 @@ class TestTensorShape:
         sh = TensorShape((4, 2, 2), 4)
         assert sh.blocklength == 16
         assert sh.k_full == 8
-        assert sh.k_coherent == 6
-        assert sh.k_shortened == 5
+        assert sh.info_length(3) == 6
+        assert sh.info_length(1) == 5
         assert sh.mode_offsets == (0, 4, 6)
 
     def test_info_lengths(self):
@@ -176,7 +176,7 @@ class TestDerivedMatrices:
     def test_systematic_form(self):
         sh = TensorShape((4, 2, 2), 4)
         gs = case_matrix(sh, 1)
-        gsys, perm = systematic_form(gs, sh)
+        gsys, perm = systematic_form(gs)
         k = gs.rows
         assert np.array_equal(gsys.entries[:, :k], np.eye(k, dtype=int))
         assert sorted(perm.tolist()) == list(range(gs.cols))
@@ -186,7 +186,7 @@ class TestDerivedMatrices:
         for dims in [(3, 2), (4, 4, 2), (6, 5, 4), (3, 2, 2, 2)]:
             sh = TensorShape(dims, 4)
             gs = case_matrix(sh, 1)
-            gsys, _ = systematic_form(gs, sh)
+            gsys, _ = systematic_form(gs)
             assert np.array_equal(gsys.entries[:, : gs.rows], np.eye(gs.rows, dtype=int))
 
     def test_parity_check_annihilates(self):
@@ -196,9 +196,9 @@ class TestDerivedMatrices:
             gr = case_matrix(sh, 3)
             h = generalized_parity_check(gr, sh)
             assert h.rows == sh.blocklength
-            assert h.cols == sh.k_coherent + sh.blocklength
+            assert h.cols == sh.info_length(3) + sh.blocklength
             for _ in range(25):
-                u = rng.integers(0, m, sh.k_coherent)
+                u = rng.integers(0, m, sh.info_length(3))
                 c = (u @ gr.entries) % m
                 assert not (np.concatenate([u, c]) @ h.entries.T % m).any()
 

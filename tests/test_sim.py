@@ -52,6 +52,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(**{**BASE, "seed": -1})
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), -np.inf])
+    def test_rejects_nan_and_minus_inf_snr(self, snr_db):
+        with pytest.raises(ValueError):
+            SimConfig(**{**BASE, "snrs_db": (2.0, snr_db)})
+
 
 class TestSubstreams:
     def test_snr_key_distinguishes_values(self):
@@ -184,6 +189,12 @@ class TestSweep:
     def test_unreachable_target_is_none(self):
         cfg = SimConfig(**{**BASE, "snrs_db": (-12.0, -9.0), "trials": 80})
         assert min_snr_sweep(cfg, 1e-4, -12.0, -9.0, resolution_db=1.0) is None
+
+    @pytest.mark.parametrize("lo_db, hi_db", [(-2.0, np.inf), (-np.inf, 6.0),
+                                               (float("nan"), 6.0)])
+    def test_rejects_non_finite_bracket(self, lo_db, hi_db):
+        with pytest.raises(ValueError):
+            min_snr_sweep(self._cfg(), 0.05, lo_db, hi_db)
 
     def test_table_bound_column_matches_bounds_module(self):
         cfg = self._cfg()
