@@ -16,7 +16,6 @@ from .modulation import encode, mls_encode, psk_map, transmit_signal
 from .factor_graph import FactorGraph, build_graph, degree_distribution
 from .decoders import (
     channel_pmfs,
-    check_update_fft,
     cp_als,
     ml_oracle_decode,
     multiuser_decode,
@@ -43,7 +42,6 @@ __all__ = [
     "build_graph",
     "degree_distribution",
     "channel_pmfs",
-    "check_update_fft",
     "cp_als",
     "ml_oracle_decode",
     "multiuser_decode",

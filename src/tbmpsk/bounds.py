@@ -52,7 +52,7 @@ def min_snr_for_rate(blocklength: int, target_error: float, rate: float) -> floa
     Geometric bisection on [1e-9, 1e9] to a relative width of 1e-6; raises
     if the rate is unreachable even at the ceiling.
     """
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
 
     def achieved(snr: float) -> float:
@@ -81,10 +81,15 @@ def tbm_rate(shape: TensorShape, case: int) -> float:
 
 
 def db_to_linear(snr_db: float) -> float:
-    return float(10.0 ** (snr_db / 10.0))
+    """10^(snr_db / 10); inf where that overflows a float, 0.0 where it
+    underflows."""
+    try:
+        return float(10.0 ** (snr_db / 10.0))
+    except OverflowError:
+        return np.inf
 
 
 def linear_to_db(snr: float) -> float:
-    if snr <= 0:
+    if not snr > 0:
         raise ValueError(f"snr must be positive for dB conversion, got {snr}")
     return float(10.0 * np.log10(snr))

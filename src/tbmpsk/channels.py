@@ -8,19 +8,9 @@ per user and antenna (Rayleigh magnitudes), unknown to the receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ring_code import TensorShape
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Fading draw behind one SIMO observation (kept for oracle checks)."""
-
-    gains: np.ndarray
-    noise_var: float
 
 
 def _complex_noise(shape: tuple[int, ...], noise_var: float, rng: np.random.Generator) -> np.ndarray:
@@ -30,7 +20,7 @@ def _complex_noise(shape: tuple[int, ...], noise_var: float, rng: np.random.Gene
 
 def awgn(signal: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarray:
     """y = s + CN(0, noise_var); noise_var = 0 returns the signal exactly."""
-    if noise_var < 0:
+    if not noise_var >= 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_var}")
     s = np.asarray(signal, dtype=complex)
     return s + _complex_noise(s.shape, noise_var, rng)
@@ -42,19 +32,20 @@ def simo_mac(
     num_antennas: int,
     noise_var: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, ChannelRealization]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Multiple-access observation tensor Y = sum_k s_k (x) h_k + noise.
 
     ``signals`` is (K_a, T) with every user's flattened rank-1 signal on the
-    same shape; the result has the tensor dims plus a trailing antenna mode.
-    Gains are drawn before the noise (one rng, fixed order).
+    same shape.  Returns the observation, with the tensor dims plus a
+    trailing antenna mode, and the (K_a, N) gains, which are drawn before
+    the noise (one rng, fixed order).
     """
     s = np.atleast_2d(np.asarray(signals, dtype=complex))
     if s.shape[1] != shape.blocklength:
         raise ValueError(f"signals must have length T = {shape.blocklength}")
     if num_antennas < 1:
         raise ValueError(f"need at least one antenna, got {num_antennas}")
-    if noise_var < 0:
+    if not noise_var >= 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_var}")
     num_users = s.shape[0]
     gains = (rng.standard_normal((num_users, num_antennas))
@@ -62,4 +53,4 @@ def simo_mac(
     clean = np.einsum("kt,kn->tn", s, gains)
     y = clean + _complex_noise(clean.shape, noise_var, rng)
     tensor = y.reshape(shape.dims + (num_antennas,))
-    return tensor, ChannelRealization(gains=gains, noise_var=float(noise_var))
+    return tensor, gains

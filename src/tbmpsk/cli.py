@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .factor_graph import build_graph, export_edges
 from .modulation import encode, transmit_signal
 from .ring_code import CASES, TensorShape, case_matrix, systematic_form
 from . import sim as simmod
-from .sim import SimConfig, config_from_dict, config_to_dict, result_csv, run, sweep_csv, sweep_table, write_manifest
+from .sim import SimConfig, result_csv, run, sweep_csv, sweep_table, write_manifest
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
@@ -125,11 +126,11 @@ def graph_text(doc: dict) -> str:
 
 
 def simulate_text(doc: dict) -> str:
-    return result_csv(run(config_from_dict(doc)))
+    return result_csv(run(SimConfig(**doc)))
 
 
 def sweep_text(doc: dict) -> str:
-    configs = [config_from_dict(c) for c in doc["configs"]]
+    configs = [SimConfig(**c) for c in doc["configs"]]
     rows = sweep_table(
         configs, doc["target_error"], doc["lo_db"], doc["hi_db"], doc["resolution_db"]
     )
@@ -204,7 +205,7 @@ def cmd_simulate(args) -> int:
     config = _sim_config(args, _shape(args), _parse_list(args.snr_db, float),
                          scenario=args.scenario, num_users=args.users,
                          num_antennas=args.antennas)
-    return _produce(args, config_to_dict(config), shape_given=args.shape)
+    return _produce(args, asdict(config), shape_given=args.shape)
 
 
 def cmd_sweep(args) -> int:
@@ -216,7 +217,7 @@ def cmd_sweep(args) -> int:
         for m in mods
     ]
     doc = {
-        "configs": [config_to_dict(c) for c in configs],
+        "configs": [asdict(c) for c in configs],
         "target_error": args.target_per,
         "lo_db": args.snr_lo,
         "hi_db": args.snr_hi,

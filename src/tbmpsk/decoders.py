@@ -92,27 +92,6 @@ def check_extrinsics(target_f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _clean(np.fft.ifft(f, axis=-1).real)
 
 
-def check_update_fft(incoming: list[np.ndarray], target: np.ndarray | None = None) -> np.ndarray:
-    """Extrinsic pmf for one more participant of a constraint
-    (sum of participants = t mod M), given the others' pmfs.
-
-    ``target`` is the pmf of t; None means the constraint sums to zero.
-    The result is the pmf of (t - sum incoming): the last output of
-    :func:`check_extrinsics` with the new participant appended as absent.
-    """
-    if not incoming and target is None:
-        raise ValueError("need at least one incoming pmf or a target pmf")
-    mats = [np.asarray(q, dtype=float) for q in incoming]
-    m = mats[0].shape[-1] if mats else np.asarray(target).shape[-1]
-    if any(q.shape != (m,) for q in mats):
-        raise ValueError("pmf lengths differ")
-    w = np.ones((len(mats) + 1, m), dtype=complex)
-    if mats:
-        w[:-1] = np.conj(np.fft.fft(np.stack(mats), axis=-1))
-    f = np.ones(m, dtype=complex) if target is None else np.fft.fft(np.asarray(target, dtype=float))
-    return check_extrinsics(f, w)[-1]
-
-
 @lru_cache(maxsize=32)
 def _graph_context(shape: TensorShape, case: int) -> FactorGraph:
     return build_graph(shape, case)
@@ -137,12 +116,14 @@ def bp_decode_batch(
     arrays, so later iterations run on the live trials only, and the loop
     ends when none is left.
 
-    Messages use the tensor layout of the module docstring.  The all-ones
-    slots of pinned entries leave the check extrinsics bit-identical to a
-    product over the participating entries only.  Variable sums move each
-    slab's own mode to the front and add each entry's T / T_i rows with
-    ``np.add.reduceat``: the order of a sum over an edge list sorted by
-    variable (``np.sum`` adds in another order and moves the last bit).
+    Messages use the tensor layout of the module docstring.  Entry 0 of a
+    mode absent from ``graph.var_labels`` holds the reference symbol:
+    slicing sets its slots to all ones, which leaves the check extrinsics
+    bit-identical to a product over the participating entries only.  Mode
+    i's variable sums are one ``np.add.reduceat`` over its slab with axis i
+    moved to the front: the order of a sum over an edge list sorted by
+    variable (``np.sum`` over the entry axis adds in another order and
+    moves the last bit).
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {damping}")
@@ -155,17 +136,11 @@ def bp_decode_batch(
     dims = graph.shape.dims
     d = len(dims)
     nv = graph.num_vars
-    offsets = graph.shape.mode_offsets
-    # rows of the stacked, mode-first slabs where each factor entry's sum starts
-    starts = np.concatenate([i * t_len + np.arange(t) * (t_len // t) for i, t in enumerate(dims)])
-    free = np.array([offsets[i] + e for i, e in graph.var_labels], dtype=np.int64)
-    pinned = np.ones((d, 1) + dims + (1,), dtype=bool)
-    for i, e in graph.var_labels:
-        pinned[(i, 0) + (slice(None),) * i + (e,)] = False
+    # each mode's first info entry: 1 where entry 0 holds the reference symbol
+    first = [int((i, 0) not in graph.var_labels) for i in range(d)]
 
     obs_f = np.fft.fft(_clean(obs), axis=-1).reshape((nb,) + dims + (m,))
     v2c = np.full((d, nb) + dims + (m,), 1.0 / m)
-    by_mode = np.empty((nb, d, t_len, m))
     extrinsic = np.empty_like(v2c)
 
     # working row r is batch row live[r]; rows leave once recorded
@@ -183,20 +158,22 @@ def bp_decode_batch(
             break
         # check side, DFT domain
         w = np.conj(np.fft.fft(v2c, axis=-1))
-        np.copyto(w, 1.0, where=pinned)
+        for i in range(d):
+            if first[i]:
+                w[(i, slice(None)) + (slice(None),) * i + (0,)] = 1.0
         logs = np.log(check_extrinsics(obs_f, w))
 
         # variable side, log domain
-        slabs = by_mode[:n]
-        for i, t in enumerate(dims):
-            view = slabs[:, i].reshape((n, t) + dims[:i] + dims[i + 1 :] + (m,))
-            np.copyto(view, np.moveaxis(logs[i], i + 1, 1))
-        sums = np.add.reduceat(slabs.reshape(n, d * t_len, m), starts, axis=1)
-        posteriors = _softmax(sums[:, free])
+        sums = [
+            np.add.reduceat(np.moveaxis(logs[i], i + 1, 1).reshape(n, t_len, m),
+                            np.arange(0, t_len, t_len // t), axis=1)
+            for i, t in enumerate(dims)
+        ]
+        posteriors = _softmax(np.concatenate([s[:, e:] for s, e in zip(sums, first)], axis=1))
         ext = extrinsic[:, :n]
-        for i, (o, t) in enumerate(zip(offsets, dims)):
+        for i, t in enumerate(dims):
             entry_shape = (n,) + tuple(t if a == i else 1 for a in range(d)) + (m,)
-            np.subtract(sums[:, o : o + t].reshape(entry_shape), logs[i], out=ext[i])
+            np.subtract(sums[i].reshape(entry_shape), logs[i], out=ext[i])
         fresh = _softmax(ext)
         v2c = fresh if damping == 0.0 else _clean((1.0 - damping) * fresh + damping * v2c)
 
@@ -212,20 +189,14 @@ def bp_decode_batch(
         final_post[rows] = posteriors[leaving]
         iters_used[rows] = it + 1
         done[rows] = settled[leaving]
-        keep = np.flatnonzero(~leaving)
-        # compact in place: kept row src moves down to dst <= src, in order
-        for dst, src in enumerate(keep):
-            if dst != src:
-                v2c[:, dst] = v2c[:, src]
-                obs_f[dst] = obs_f[src]
-        v2c = v2c[:, : len(keep)]
-        obs_f = obs_f[: len(keep)]
+        keep = ~leaving
+        v2c, obs_f = v2c[:, keep], obs_f[keep]
         live, prev, streak = live[keep], prev[keep], streak[keep]
 
     return final, final_post, iters_used, done
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _codebook(shape: TensorShape, case: int) -> tuple[np.ndarray, np.ndarray]:
     """All info words (lexicographic) and their conjugated transmit signals.
 

@@ -1,7 +1,8 @@
-"""Tanner graph of the tensor code, built from the generator's support.
+"""Tanner graph of the tensor code, read from the tensor layout.
 
-One constraint node per transmit position p enforces c_p = sum of its
-participating info symbols mod M; every info (variable) node for a mode-i
+One constraint node per transmit position p = (j_1, ..., j_d) enforces
+c_p = sum of the free entries among entry j_i of each mode i, mod M
+(``TensorShape.free_entries``); every info (variable) node for a mode-i
 entry participates in T / T_i constraints.  In the non-coherent case the
 pilot position's node touches no info symbol and stays isolated.
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring_code import TensorShape, case_matrix
+from .ring_code import TensorShape
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,25 +49,29 @@ class FactorGraph:
 
 
 def build_graph(shape: TensorShape, case: int) -> FactorGraph:
-    """Graph of the case-1 (from G_s) or case-3 (from G_r) code.
+    """Graph of the case-1 or case-3 code: a pinned entry checks nothing,
+    the shortening of the code by its row of G.
 
     Case 2 has no identifiable graph semantics here and is rejected.
     """
     if case not in (1, 3):
         raise ValueError(f"factor graph is defined for cases 1 and 3, got case {case}")
-    g = case_matrix(shape, case)
-    # column q of G_s feeds transmit position q + 1 (position 0 is the pilot)
-    check_shift = 1 if case == 1 else 0
-    col_idx, row_idx = np.nonzero(g.entries.T)  # sorted by column, then row
-    edge_check = (col_idx + check_shift).astype(np.int64)
-    edge_var = row_idx.astype(np.int64)
+    labels = shape.free_entries(case)
+    d = shape.num_modes
+    # node[i, e]: the info node of entry e of mode i, -1 where it is pinned
+    node = np.full((d, max(shape.dims)), -1, dtype=np.int64)
+    for v, (i, e) in enumerate(labels):
+        node[i, e] = v
+    # var[p, i]: the node position p checks in mode i; ids grow with the mode
+    var = node[np.arange(d)[:, None], np.indices(shape.dims).reshape(d, -1)].T
+    edge_check, mode = np.nonzero(var >= 0)  # sorted by position, then variable
     return FactorGraph(
         shape=shape,
         case=case,
         num_checks=shape.blocklength,
-        var_labels=shape.free_entries(case),
-        edge_check=edge_check,
-        edge_var=edge_var,
+        var_labels=labels,
+        edge_check=edge_check.astype(np.int64),
+        edge_var=var[edge_check, mode],
         pilot_check=0 if case == 1 else None,
     )
 

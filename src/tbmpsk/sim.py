@@ -11,11 +11,10 @@ reported number.
 from __future__ import annotations
 
 import json
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import repeat
@@ -38,6 +37,15 @@ SWEEP_COLUMNS = (
     "shape", "M", "case", "rate", "target_per",
     "min_snr_db", "bound_snr_db", "trials", "seed",
 )
+
+
+def check_snrs_db(snrs_db) -> None:
+    """Reject SNRs whose linear value is 0 or NaN: NaN, -inf, and finite
+    values low enough that 10^(snr/10) underflows.  +inf (zero noise)
+    passes."""
+    bad = [s for s in snrs_db if not db_to_linear(s) > 0]
+    if bad:
+        raise ValueError(f"SNR must have a positive linear value, got {bad} dB")
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,7 @@ class SimConfig:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case}")
-        if not all(s > -np.inf for s in self.snrs_db):
-            raise ValueError(f"snrs_db must not be NaN or -inf, got {self.snrs_db}")
+        check_snrs_db(self.snrs_db)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -121,7 +128,6 @@ class PointRecord:
 class SimResult:
     config: SimConfig
     points: tuple[PointRecord, ...]
-    wall_seconds: float
 
 
 _case_matrix = lru_cache(maxsize=16)(case_matrix)
@@ -226,9 +232,7 @@ def run_point(config: SimConfig, snr_db: float) -> PointRecord:
 
 
 def run(config: SimConfig) -> SimResult:
-    t0 = time.perf_counter()
-    points = tuple(run_point(config, s) for s in config.snrs_db)
-    return SimResult(config, points, time.perf_counter() - t0)
+    return SimResult(config, tuple(run_point(config, s) for s in config.snrs_db))
 
 
 # --- sweep -------------------------------------------------------------------
@@ -269,6 +273,7 @@ def min_snr_sweep(
     steps = int(np.ceil((hi_db - lo_db) / resolution_db))
     grid = [lo_db + i * resolution_db for i in range(steps + 1)]
     grid[-1] = min(grid[-1], hi_db)
+    check_snrs_db(grid)
 
     measured: dict[int, float] = {}
 
@@ -365,17 +370,6 @@ def sweep_csv(rows: list[SweepRow]) -> str:
         )
         lines.append(",".join(_fmt(v) for v in cells))
     return "\n".join(lines) + "\n"
-
-
-def config_to_dict(config: SimConfig) -> dict:
-    return asdict(config)
-
-
-def config_from_dict(doc: dict) -> SimConfig:
-    doc = dict(doc)
-    doc["dims"] = tuple(doc["dims"])
-    doc["snrs_db"] = tuple(doc["snrs_db"])
-    return SimConfig(**doc)
 
 
 def write_manifest(output_path: str, command: str, config_doc: dict, extras: dict | None = None):

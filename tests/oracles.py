@@ -1,7 +1,8 @@
 """Independent routes that only the tests call: a second generator
 construction, the paper's step-by-step derivation of the case generators,
-row-sum witnesses, index arithmetic, a direct-convolution check update, and
-the per-mode and systematic encoders.  Each must agree
+row-sum witnesses, index arithmetic, the single-constraint FFT check update
+and its direct-convolution reference, and the per-mode and systematic
+encoders.  Each must agree
 with the production route it checks; none of them runs in a simulation.
 """
 
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from tbmpsk.decoders import _clean
+from tbmpsk.decoders import _clean, check_extrinsics
 from tbmpsk.modulation import validate_symbols
 from tbmpsk.ring_code import RingMatrix, TensorShape, case_matrix, systematic_form
 
@@ -156,9 +157,29 @@ def systematic_parts(shape: TensorShape) -> tuple[RingMatrix, np.ndarray]:
 # --- decoders -------------------------------------------------------------------
 
 
+def check_update_fft(incoming: list[np.ndarray], target: np.ndarray | None = None) -> np.ndarray:
+    """Extrinsic pmf for one more participant of a constraint
+    (sum of participants = t mod M), given the others' pmfs.
+
+    ``target`` is the pmf of t; None means the constraint sums to zero.
+    The result is the pmf of (t - sum incoming): the last output of
+    :func:`check_extrinsics` with the new participant appended as absent.
+    """
+    if not incoming and target is None:
+        raise ValueError("need at least one incoming pmf or a target pmf")
+    mats = [np.asarray(q, dtype=float) for q in incoming]
+    m = mats[0].shape[-1] if mats else np.asarray(target).shape[-1]
+    if any(q.shape != (m,) for q in mats):
+        raise ValueError("pmf lengths differ")
+    w = np.ones((len(mats) + 1, m), dtype=complex)
+    if mats:
+        w[:-1] = np.conj(np.fft.fft(np.stack(mats), axis=-1))
+    f = np.ones(m, dtype=complex) if target is None else np.fft.fft(np.asarray(target, dtype=float))
+    return check_extrinsics(f, w)[-1]
+
+
 def check_update_direct(incoming: list[np.ndarray], target: np.ndarray | None = None) -> np.ndarray:
-    """O(M^2)-per-convolution reference for
-    :func:`tbmpsk.decoders.check_update_fft`."""
+    """O(M^2)-per-convolution reference for :func:`check_update_fft`."""
     if not incoming and target is None:
         raise ValueError("need at least one incoming pmf or a target pmf")
     m = len(incoming[0]) if incoming else len(target)

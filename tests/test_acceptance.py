@@ -20,7 +20,6 @@ from tbmpsk.bounds import (
     tbm_rate,
 )
 from tbmpsk.cli import main as cli_main
-from tbmpsk.decoders import check_update_fft
 from tbmpsk.factor_graph import build_graph, degree_distribution
 from tbmpsk.modulation import encode
 from tbmpsk.ring_code import TensorShape, build_generator, case_matrix
@@ -29,6 +28,7 @@ from tbmpsk.sim import SimConfig, run_point, sweep_table
 from oracles import (
     build_generator_kronecker,
     check_update_direct,
+    check_update_fft,
     mode_row_sum,
     reference_row_residuals,
 )

@@ -101,6 +101,10 @@ class TestMinSnr:
         with pytest.raises(ValueError):
             min_snr_for_rate(3200, 1e-2, 0.0)
 
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValueError):
+            min_snr_for_rate(3200, 1e-2, float("nan"))
+
 
 class TestTbmRate:
     def test_cases_4x2x2(self):
@@ -128,3 +132,11 @@ class TestDbConversion:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             linear_to_db(0.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            linear_to_db(float("nan"))
+
+    def test_ends_of_the_float_range(self):
+        assert db_to_linear(4000.0) == np.inf
+        assert db_to_linear(-4000.0) == 0.0

@@ -33,6 +33,10 @@ class TestAwgn:
         with pytest.raises(ValueError):
             awgn(np.ones(3, dtype=complex), -0.1, np.random.default_rng(0))
 
+    def test_nan_variance_rejected(self):
+        with pytest.raises(ValueError):
+            awgn(np.ones(3, dtype=complex), float("nan"), np.random.default_rng(0))
+
 
 class TestSimoMac:
     def _signals(self, rng, sh, users):
@@ -43,33 +47,33 @@ class TestSimoMac:
         rng = np.random.default_rng(2)
         sh = TensorShape((4, 3, 2), 4)
         s = self._signals(rng, sh, 3)
-        tensor, real = simo_mac(s, sh, 5, 0.1, rng)
+        tensor, gains = simo_mac(s, sh, 5, 0.1, rng)
         assert tensor.shape == (4, 3, 2, 5)
-        assert real.gains.shape == (3, 5)
+        assert gains.shape == (3, 5)
 
     def test_noiseless_identity(self):
         # the tensor must equal sum_k s_k (outer) h_k for the returned gains
         rng = np.random.default_rng(3)
         sh = TensorShape((4, 3, 2), 4)
         s = self._signals(rng, sh, 2)
-        tensor, real = simo_mac(s, sh, 4, 0.0, rng)
-        direct = np.einsum("kt,kn->tn", s, real.gains).reshape(4, 3, 2, 4)
+        tensor, gains = simo_mac(s, sh, 4, 0.0, rng)
+        direct = np.einsum("kt,kn->tn", s, gains).reshape(4, 3, 2, 4)
         assert np.allclose(tensor, direct, atol=1e-12)
 
     def test_gain_statistics(self):
         rng = np.random.default_rng(4)
         sh = TensorShape((2, 2), 4)
         s = np.ones((400, 4), dtype=complex)
-        _, real = simo_mac(s, sh, 50, 0.0, rng)
-        power = np.mean(np.abs(real.gains) ** 2)
+        _, gains = simo_mac(s, sh, 50, 0.0, rng)
+        power = np.mean(np.abs(gains) ** 2)
         assert abs(power - 1.0) < 0.02
 
     def test_single_user_vector_accepted(self):
         rng = np.random.default_rng(5)
         sh = TensorShape((2, 2), 4)
-        tensor, real = simo_mac(np.ones(4, dtype=complex), sh, 2, 0.0, rng)
+        tensor, gains = simo_mac(np.ones(4, dtype=complex), sh, 2, 0.0, rng)
         assert tensor.shape == (2, 2, 2)
-        assert real.gains.shape == (1, 2)
+        assert gains.shape == (1, 2)
 
     def test_validation(self):
         rng = np.random.default_rng(6)
@@ -80,3 +84,8 @@ class TestSimoMac:
             simo_mac(np.ones((1, 4), dtype=complex), sh, 0, 0.0, rng)
         with pytest.raises(ValueError):
             simo_mac(np.ones((1, 4), dtype=complex), sh, 2, -1.0, rng)
+
+    def test_nan_variance_rejected(self):
+        with pytest.raises(ValueError):
+            simo_mac(np.ones((1, 4), dtype=complex), TensorShape((2, 2), 4), 2, float("nan"),
+                     np.random.default_rng(6))

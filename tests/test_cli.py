@@ -138,10 +138,15 @@ class TestGraphAndBound:
     def test_bound_requires_one_mode(self):
         assert run_cli("bound", "--blocklength", "100", "--target-error", "0.01") == 2
 
-    @pytest.mark.parametrize("snr_db", ["inf", "nan"])
+    @pytest.mark.parametrize("snr_db", ["inf", "nan", "4000"])
     def test_bound_non_finite_snr_exits_2(self, snr_db, capsys):
         assert run_cli("bound", "--blocklength", "100", "--target-error", "0.01",
                        "--snr-db", snr_db) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_bound_nan_rate_exits_2(self, capsys):
+        assert run_cli("bound", "--blocklength", "100", "--target-error", "0.01",
+                       "--rate", "nan") == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -214,11 +219,29 @@ class TestSimulateReplay:
         ("--snr-db", "nan", "--scenario", "simo-mac", "--antennas", "2"),
         ("--snr-db=-inf",),
         ("--snr-db=-inf", "--scenario", "simo-mac", "--antennas", "2"),
+        ("--snr-db=-4000",),
+        ("--snr-db=-4000", "--scenario", "simo-mac", "--antennas", "2"),
     ])
     def test_nan_or_minus_inf_snr_exits_2(self, run_args, capsys):
         assert run_cli("simulate", "--shape", "4,2,2", "--mod", "4", "--trials", "4",
                        "--seed", "1", *run_args) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run_args", [
+        ("--decoder", "bp"),
+        ("--scenario", "simo-mac", "--antennas", "2"),
+    ])
+    def test_snr_past_the_float_range_is_zero_noise(self, run_args, capsys):
+        assert run_cli("simulate", "--shape", "4,2,2", "--mod", "4", "--snr-db", "4000",
+                       "--trials", "4", "--seed", "1", *run_args) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[5:8] == ["4000.0", "4", "0"]
+
+    def test_sweep_past_the_float_range_runs(self, capsys):
+        assert run_cli("sweep", "--shapes", "2,2", "--mods", "4", "--target-per", "0.2",
+                       "--snr-lo", "3990", "--snr-hi", "4000", "--trials", "4",
+                       "--seed", "3") == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[5] == "3990.0"
 
     @pytest.mark.parametrize("bracket", [("--snr-lo", "0", "--snr-hi", "inf"),
                                          ("--snr-lo=-inf", "--snr-hi", "4"),

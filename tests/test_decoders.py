@@ -18,7 +18,6 @@ from tbmpsk.decoders import (
     bp_decode_batch,
     channel_pmfs,
     check_extrinsics,
-    check_update_fft,
     cp_als,
     ml_oracle_decode,
     multiuser_decode,
@@ -28,7 +27,7 @@ from tbmpsk.factor_graph import build_graph
 from tbmpsk.modulation import encode, mls_encode, psk_map, transmit_signal
 from tbmpsk.ring_code import TensorShape
 
-from oracles import check_update_direct
+from oracles import check_update_direct, check_update_fft
 
 
 class TestChannelPmfs:
@@ -310,6 +309,20 @@ class TestMlOracle:
         assert signals.shape == (4**9, 60)
         assert peak <= 1.25 * signals.nbytes
 
+    def test_cache_holds_one_codebook(self):
+        # a run decodes one (shape, case); the next one's codebook replaces it
+        shapes = [TensorShape((4, 4, 2), 4), TensorShape((5, 3, 2), 4)]
+        _codebook.cache_clear()
+        tracemalloc.start()
+        try:
+            for sh in shapes:
+                ml_oracle_decode(np.ones(sh.blocklength, dtype=complex), sh, 1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = max(_codebook.__wrapped__(sh, 1)[1].nbytes for sh in shapes)
+        assert held < 1.5 * largest
+
     def test_scoring_does_not_copy_the_codebook(self):
         # 4^7 words of length 32: 8 MiB of signals; a batch-1 call needs only
         # its (1, 4^7) scores
@@ -368,8 +381,8 @@ class TestCpAls:
         sh = TensorShape((4, 3, 2), 4)
         u = rng.integers(0, 4, (2, sh.info_length(1)))
         s = transmit_signal(encode(u, sh, 1), 4)
-        tensor, real = simo_mac(s, sh, 4, 0.0, rng)
-        return sh, u, s, tensor, real
+        tensor, gains = simo_mac(s, sh, 4, 0.0, rng)
+        return sh, u, s, tensor, gains
 
     def test_exact_fit(self):
         rng = np.random.default_rng(8)
@@ -402,12 +415,12 @@ class TestCpAls:
         for i in range(sh.num_modes):
             factor_vectors = {tuple(row[(0,) * i + (slice(None),) + (0,) * (2 - i)]) for row in c}
             assert len(factor_vectors) == 3
-        tensor, real = simo_mac(transmit_signal(encode(u, sh, 1), 4), sh, 5, 1e-4, rng)
+        tensor, true_gains = simo_mac(transmit_signal(encode(u, sh, 1), 4), sh, 5, 1e-4, rng)
         ncp, _, bad = normalize_factors(cp_als(tensor, 3, rng), 4)
         assert not bad.any()
         gains = ncp.factors[-1]
         err = min(
-            max(np.linalg.norm(gains[:, r] - h) / np.linalg.norm(h) for r, h in zip(p, real.gains))
+            max(np.linalg.norm(gains[:, r] - h) / np.linalg.norm(h) for r, h in zip(p, true_gains))
             for p in itertools.permutations(range(3))
         )
         assert err < 0.02

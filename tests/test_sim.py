@@ -2,6 +2,7 @@
 semantics, metric accounting, and persistence formats."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from tbmpsk.bounds import linear_to_db, min_snr_for_rate, tbm_rate
 from tbmpsk.sim import (
     SimConfig,
     _snr_key,
-    config_from_dict,
-    config_to_dict,
     min_snr_sweep,
     missed_users,
     result_csv,
@@ -30,7 +29,7 @@ BASE = dict(dims=(4, 2, 2), modulation_order=4, snrs_db=(2.0,), trials=60,
 class TestConfig:
     def test_round_trip_through_dict(self):
         cfg = SimConfig(**BASE)
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert SimConfig(**asdict(cfg)) == cfg
 
     def test_dims_canonical_in_shape(self):
         cfg = SimConfig(**{**BASE, "dims": (2, 4, 2)})
@@ -56,6 +55,15 @@ class TestConfig:
     def test_rejects_nan_and_minus_inf_snr(self, snr_db):
         with pytest.raises(ValueError):
             SimConfig(**{**BASE, "snrs_db": (2.0, snr_db)})
+
+    def test_rejects_snr_whose_linear_value_underflows(self):
+        with pytest.raises(ValueError):
+            SimConfig(**{**BASE, "snrs_db": (2.0, -4000.0)})
+
+    def test_snr_whose_linear_value_overflows_is_zero_noise(self):
+        huge, inf = (run(SimConfig(**{**BASE, "snrs_db": (s,), "trials": 8})).points[0]
+                     for s in (4000.0, np.inf))
+        assert (huge.trials, huge.errors) == (inf.trials, inf.errors) == (8, 0)
 
 
 class TestSubstreams:
@@ -163,10 +171,10 @@ class TestPersistence:
         cfg = SimConfig(**{**BASE, "trials": 5})
         out = tmp_path / "r.csv"
         out.write_text(result_csv(run(cfg)))
-        mpath = write_manifest(str(out), "simulate", config_to_dict(cfg))
+        mpath = write_manifest(str(out), "simulate", asdict(cfg))
         doc = json.loads(open(mpath).read())
         assert doc["command"] == "simulate"
-        assert config_from_dict(doc["config"]) == cfg
+        assert SimConfig(**doc["config"]) == cfg
         assert doc["output"] == str(out)
 
 
@@ -195,6 +203,10 @@ class TestSweep:
     def test_rejects_non_finite_bracket(self, lo_db, hi_db):
         with pytest.raises(ValueError):
             min_snr_sweep(self._cfg(), 0.05, lo_db, hi_db)
+
+    def test_rejects_grid_whose_linear_value_underflows(self):
+        with pytest.raises(ValueError):
+            min_snr_sweep(self._cfg(), 0.05, -4000.0, -3990.0, resolution_db=5.0)
 
     def test_table_bound_column_matches_bounds_module(self):
         cfg = self._cfg()
