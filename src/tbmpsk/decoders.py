@@ -29,6 +29,9 @@ from .modulation import encode, mls_encode, psk_map, transmit_signal
 from .ring_code import TensorShape
 
 PMF_FLOOR = 1e-30
+# Largest M whose half-spectrum DFTs (rfft/irfft) and left-to-right sums over
+# the last axis were measured bit-identical to fft/ifft(...).real and np.sum
+HALF_SPECTRUM_M = 4
 ML_SIGNAL_BYTES = 2**30
 CODEBOOK_CHUNK = 2**18
 ML_SCORE_CHUNK = 2**16
@@ -56,20 +59,65 @@ def channel_pmfs(received: np.ndarray, noise_var: float, modulation_order: int) 
     d2 = np.abs(y[..., None] - points) ** 2
     if noise_var == 0:
         return (np.argmin(d2, axis=-1)[..., None] == np.arange(modulation_order)).astype(float)
-    return _softmax(-d2 / noise_var)
+    x = -d2 / noise_var
+    return _softmax(x, out=x)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+def _max_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.max(x, axis=-1)`` as a running ``np.maximum`` over the last
+    axis's slices: a maximum is exact, so every order gives the same bits,
+    and the slices skip numpy's slow reduction over a short axis."""
+    if out is None:
+        out = np.empty(x.shape[:-1])
+    np.maximum(x[..., 0], x[..., 1], out=out)
+    for j in range(2, x.shape[-1]):
+        np.maximum(out, x[..., j], out=out)
+    return out
 
 
-def _clean(pmfs: np.ndarray) -> np.ndarray:
-    p = np.maximum(pmfs, PMF_FLOOR)
-    return p / p.sum(axis=-1, keepdims=True)
+def _sum_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum(x, axis=-1)``.  For M <= ``HALF_SPECTRUM_M`` it is the slice
+    adds ((x_0 + x_1) + x_2) + x_3, which numpy's sum of so short an axis
+    equals bit for bit; longer axes keep ``np.sum`` and its pairwise order,
+    which slice adds would not reproduce."""
+    m = x.shape[-1]
+    if m > HALF_SPECTRUM_M:
+        return np.sum(x, axis=-1, out=out)
+    if out is None:
+        out = np.empty(x.shape[:-1])
+    np.add(x[..., 0], x[..., 1], out=out)
+    for j in range(2, m):
+        np.add(out, x[..., j], out=out)
+    return out
 
 
-def check_extrinsics(target_f: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _softmax(
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """``scipy.special.softmax(x, axis=-1)``: exp(x - max) / sum, in
+    scipy's three operations.  ``out`` may be ``x``; ``scratch`` (shape
+    ``x.shape[:-1]``) holds the per-row max and then the sum."""
+    s = _max_last(x, scratch)
+    e = np.subtract(x, s[..., None], out=out)
+    np.exp(e, out=e)
+    return np.divide(e, _sum_last(e, s)[..., None], out=e)
+
+
+def _clean(
+    pmfs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Floor at ``PMF_FLOOR`` and renormalize over the last axis; ``out``
+    and ``scratch`` as for :func:`_softmax`."""
+    p = np.maximum(pmfs, PMF_FLOOR, out=out)
+    return np.divide(p, _sum_last(p, scratch)[..., None], out=p)
+
+
+def check_extrinsics(
+    target_f: np.ndarray,
+    w: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Extrinsic pmfs at sum constraints (sum of participants = t mod M),
     one per participant: the pmf of t minus the other participants.
 
@@ -77,19 +125,30 @@ def check_extrinsics(target_f: np.ndarray, w: np.ndarray) -> np.ndarray:
     negates, and the DFT of a sum's pmf is the product of the DFTs), and
     ``target_f`` is the DFT of t's pmf, broadcast against ``w[0]``.  The
     products over the others run as a prefix/suffix product in participant
-    order.  A participant whose ``w`` is exactly 1 (a delta at 0) is absent:
+    order; the running suffix is kept in ``w``, which is overwritten.  A
+    participant whose ``w`` is exactly 1 (a delta at 0) is absent:
     multiplying by 1+0j is exact, so it changes no other output.
+
+    The cleaned pmfs go to ``out``, shape ``w.shape[:-1] + (M,)``; without
+    ``out``, ``w`` holds full DFTs and M is its last length.  For
+    M <= ``HALF_SPECTRUM_M`` the inverse is ``irfft``, which reads only the
+    first M // 2 + 1 bins, so ``w`` and ``target_f`` may hold just those;
+    larger M uses ``ifft(...).real`` on the full spectrum.
     """
     n = w.shape[0]
-    f = np.empty(w.shape, dtype=complex)
+    f = np.empty_like(w)
     f[0] = target_f
     for k in range(1, n):
-        f[k] = f[k - 1] * w[k - 1]
-    suffix = w[n - 1]
-    for k in range(n - 2, -1, -1):
-        f[k] = f[k] * suffix
-        suffix = suffix * w[k]
-    return _clean(np.fft.ifft(f, axis=-1).real)
+        np.multiply(f[k - 1], w[k - 1], out=f[k])
+    for k in range(n - 2, -1, -1):  # w[k + 1] holds the product of w[k + 1:]
+        np.multiply(f[k], w[k + 1], out=f[k])
+        if k:
+            np.multiply(w[k + 1], w[k], out=w[k])
+    m = w.shape[-1] if out is None else out.shape[-1]
+    if m <= HALF_SPECTRUM_M:
+        out = np.fft.irfft(f, n=m, axis=-1, out=out)
+        return _clean(out, out=out, scratch=scratch)
+    return _clean(np.fft.ifft(f, axis=-1, out=f).real, out=out, scratch=scratch)
 
 
 @lru_cache(maxsize=32)
@@ -124,6 +183,17 @@ def bp_decode_batch(
     moved to the front: the order of a sum over an edge list sorted by
     variable (``np.sum`` over the entry axis adds in another order and
     moves the last bit).
+
+    An iteration allocates almost nothing: the DFTs, the check extrinsics
+    and their inverse transform write into per-call buffers, whose first
+    rows hold the live trials; log, extrinsic subtraction, softmax and
+    damping then run in place in the inverse transform's output.  For
+    M <= ``HALF_SPECTRUM_M`` the messages go through ``rfft``/``irfft`` and
+    keep M // 2 + 1 bins, and the short pmf axis is summed slice by slice;
+    only at those orders were both measured bit-identical to ``fft``,
+    ``ifft(...).real`` and ``np.sum``, so larger M keeps the full spectrum
+    and ``np.sum``.  Maxima run slice by slice at every M, as any order of
+    a maximum is exact.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {damping}")
@@ -139,9 +209,17 @@ def bp_decode_batch(
     # each mode's first info entry: 1 where entry 0 holds the reference symbol
     first = [int((i, 0) not in graph.var_labels) for i in range(d)]
 
-    obs_f = np.fft.fft(_clean(obs), axis=-1).reshape((nb,) + dims + (m,))
+    # the transform pair follows M; an M <= 4 message keeps only its first
+    # M // 2 + 1 DFT bins, the others being their conjugates
+    half = m <= HALF_SPECTRUM_M
+    dft = np.fft.rfft if half else np.fft.fft
+    bins = m // 2 + 1 if half else m
+    obs_f = dft(_clean(obs), axis=-1).reshape((nb,) + dims + (bins,))
     v2c = np.full((d, nb) + dims + (m,), 1.0 / m)
-    extrinsic = np.empty_like(v2c)
+    # made once per call; an iteration uses the first n rows, one per live trial
+    spectra = np.empty((d, nb) + dims + (bins,), dtype=complex)
+    messages = np.empty_like(v2c)
+    row_scratch = np.empty((d, nb) + dims)
 
     # working row r is batch row live[r]; rows leave once recorded
     live = np.arange(nb)
@@ -156,12 +234,15 @@ def bp_decode_batch(
         n = len(live)
         if n == 0:
             break
+        scratch = row_scratch[:, :n]
         # check side, DFT domain
-        w = np.conj(np.fft.fft(v2c, axis=-1))
+        w = dft(v2c, axis=-1, out=spectra[:, :n])
+        np.conjugate(w, out=w)
         for i in range(d):
             if first[i]:
                 w[(i, slice(None)) + (slice(None),) * i + (0,)] = 1.0
-        logs = np.log(check_extrinsics(obs_f, w))
+        logs = check_extrinsics(obs_f, w, messages[:, :n], scratch)
+        np.log(logs, out=logs)
 
         # variable side, log domain
         sums = [
@@ -169,13 +250,19 @@ def bp_decode_batch(
                             np.arange(0, t_len, t_len // t), axis=1)
             for i, t in enumerate(dims)
         ]
-        posteriors = _softmax(np.concatenate([s[:, e:] for s, e in zip(sums, first)], axis=1))
-        ext = extrinsic[:, :n]
+        posteriors = np.concatenate([s[:, e:] for s, e in zip(sums, first)], axis=1)
+        _softmax(posteriors, out=posteriors)
         for i, t in enumerate(dims):
             entry_shape = (n,) + tuple(t if a == i else 1 for a in range(d)) + (m,)
-            np.subtract(sums[i].reshape(entry_shape), logs[i], out=ext[i])
-        fresh = _softmax(ext)
-        v2c = fresh if damping == 0.0 else _clean((1.0 - damping) * fresh + damping * v2c)
+            np.subtract(sums[i].reshape(entry_shape), logs[i], out=logs[i])
+        fresh = _softmax(logs, out=logs, scratch=scratch)
+        if damping == 0.0:
+            v2c = fresh  # a view of ``messages``, read before the next kernel call
+        else:
+            # (1 - damping) * fresh + damping * v2c, in v2c's own memory
+            np.multiply(fresh, 1.0 - damping, out=fresh)
+            np.multiply(v2c, damping, out=v2c)
+            _clean(np.add(fresh, v2c, out=v2c), out=v2c, scratch=scratch)
 
         decisions = np.argmax(posteriors, axis=-1)  # ties: smallest symbol
         streak = np.where((decisions == prev).all(axis=1), streak + 1, 0)

@@ -40,12 +40,13 @@ SWEEP_COLUMNS = (
 
 
 def check_snrs_db(snrs_db) -> None:
-    """Reject SNRs whose linear value is 0 or NaN: NaN, -inf, and finite
-    values low enough that 10^(snr/10) underflows.  +inf (zero noise)
-    passes."""
-    bad = [s for s in snrs_db if not db_to_linear(s) > 0]
+    """Reject SNRs without a finite noise variance 1 / 10^(snr/10): NaN,
+    -inf, and finite values low enough that 10^(snr/10) underflows to 0 or
+    to a subnormal whose reciprocal overflows.  +inf (zero noise) passes."""
+    linear = [db_to_linear(s) for s in snrs_db]
+    bad = [s for s, x in zip(snrs_db, linear) if not (x > 0 and 1.0 / x < np.inf)]
     if bad:
-        raise ValueError(f"SNR must have a positive linear value, got {bad} dB")
+        raise ValueError(f"SNR must give a finite noise variance, got {bad} dB")
 
 
 @dataclass(frozen=True)

@@ -221,11 +221,14 @@ class TestSimulateReplay:
         ("--snr-db=-inf", "--scenario", "simo-mac", "--antennas", "2"),
         ("--snr-db=-4000",),
         ("--snr-db=-4000", "--scenario", "simo-mac", "--antennas", "2"),
+        # 10^(-320) is positive, but its noise variance 1 / 10^(-320) overflows
+        ("--snr-db=-3200",),
+        ("--snr-db=-3200", "--scenario", "simo-mac", "--users", "2", "--antennas", "2"),
     ])
     def test_nan_or_minus_inf_snr_exits_2(self, run_args, capsys):
         assert run_cli("simulate", "--shape", "4,2,2", "--mod", "4", "--trials", "4",
                        "--seed", "1", *run_args) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: SNR" in capsys.readouterr().err
 
     @pytest.mark.parametrize("run_args", [
         ("--decoder", "bp"),

@@ -223,9 +223,9 @@ class TestActiveSet:
         rows = []
         kernel = decoders.check_extrinsics
 
-        def spy(target_f, w):
+        def spy(target_f, w, *args):
             rows.append(w.shape[1])
-            return kernel(target_f, w)
+            return kernel(target_f, w, *args)
 
         monkeypatch.setattr(decoders, "check_extrinsics", spy)
         _, _, iters, conv = bp_decode_batch(g, pmfs)

@@ -60,6 +60,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(**{**BASE, "snrs_db": (2.0, -4000.0)})
 
+    @pytest.mark.parametrize("snr_db", [-3083.0, -3200.0])
+    def test_rejects_snr_whose_noise_variance_overflows(self, snr_db):
+        # a positive but subnormal linear SNR: 1 / 10^(snr/10) is inf
+        with pytest.raises(ValueError, match="finite noise variance"):
+            SimConfig(**{**BASE, "snrs_db": (2.0, snr_db)})
+
     def test_snr_whose_linear_value_overflows_is_zero_noise(self):
         huge, inf = (run(SimConfig(**{**BASE, "snrs_db": (s,), "trials": 8})).points[0]
                      for s in (4000.0, np.inf))
