@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import db_to_linear, linear_to_db, min_snr_for_rate, normal_approx_rate
-from .decoders import SINGLE_USER_DECODERS
+from .decoders import SINGLE_USER_DECODERS, check_bp_params
 from .factor_graph import build_graph, export_edges
 from .modulation import encode, transmit_signal
 from .ring_code import CASES, TensorShape, case_matrix, systematic_form
@@ -94,12 +94,11 @@ def _parse_list(text: str, kind=int) -> list:
 
 def matrix_text(doc: dict) -> str:
     shape = TensorShape(tuple(doc["dims"]), doc["modulation_order"])
-    g = case_matrix(shape, doc["case"])
-    if doc.get("systematic"):
-        if doc["case"] != 1:
-            raise ValueError("--systematic applies to case 1 only")
-        g, _ = systematic_form(g)
-    return g.to_text()
+    if not doc.get("systematic"):
+        return case_matrix(shape, doc["case"]).to_text()
+    if doc["case"] != 1:
+        raise ValueError("--systematic applies to case 1 only")
+    return systematic_form(shape)[0].to_text()
 
 
 def encode_text(doc: dict) -> str:
@@ -114,6 +113,7 @@ def decode_text(doc: dict) -> str:
     y = np.array([complex(re, im) for re, im in doc["received"]])
     if y.size != shape.blocklength:
         raise ValueError(f"expected {shape.blocklength} samples, got {y.size}")
+    check_bp_params(doc["max_iters"], doc["damping"])
     decided = SINGLE_USER_DECODERS[doc["decoder"]](
         y[None], doc["noise_var"], shape, doc["case"], doc["max_iters"], doc["damping"]
     )[0]

@@ -151,6 +151,14 @@ def check_extrinsics(
     return _clean(np.fft.ifft(f, axis=-1, out=f).real, out=out, scratch=scratch)
 
 
+def check_bp_params(max_iters: int, damping: float) -> None:
+    """Reject fewer than one BP iteration or a damping weight outside [0, 1)."""
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping must be in [0, 1), got {damping}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+
+
 @lru_cache(maxsize=32)
 def _graph_context(shape: TensorShape, case: int) -> FactorGraph:
     return build_graph(shape, case)
@@ -195,10 +203,7 @@ def bp_decode_batch(
     and ``np.sum``.  Maxima run slice by slice at every M, as any order of
     a maximum is exact.
     """
-    if not 0.0 <= damping < 1.0:
-        raise ValueError(f"damping must be in [0, 1), got {damping}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    check_bp_params(max_iters, damping)
     obs = np.asarray(observation_pmfs, dtype=float)
     if obs.ndim != 3 or obs.shape[1] != graph.num_checks:
         raise ValueError(f"observation pmfs must be (B, {graph.num_checks}, M)")

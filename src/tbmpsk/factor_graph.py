@@ -1,10 +1,11 @@
 """Tanner graph of the tensor code, read from the tensor layout.
 
 One constraint node per transmit position p = (j_1, ..., j_d) enforces
-c_p = sum of the free entries among entry j_i of each mode i, mod M
-(``TensorShape.free_entries``); every info (variable) node for a mode-i
-entry participates in T / T_i constraints.  In the non-coherent case the
-pilot position's node touches no info symbol and stays isolated.
+c_p = sum of the free entries among entry j_i of each mode i, mod M; its
+edges are the position's column of ``TensorShape.entry_rows``.  Every info
+(variable) node for a mode-i entry participates in T / T_i constraints.  In
+the non-coherent case the pilot position's node touches no info symbol and
+stays isolated.
 """
 
 from __future__ import annotations
@@ -56,20 +57,14 @@ def build_graph(shape: TensorShape, case: int) -> FactorGraph:
     """
     if case not in (1, 3):
         raise ValueError(f"factor graph is defined for cases 1 and 3, got case {case}")
-    labels = shape.free_entries(case)
-    d = shape.num_modes
-    # node[i, e]: the info node of entry e of mode i, -1 where it is pinned
-    node = np.full((d, max(shape.dims)), -1, dtype=np.int64)
-    for v, (i, e) in enumerate(labels):
-        node[i, e] = v
-    # var[p, i]: the node position p checks in mode i; ids grow with the mode
-    var = node[np.arange(d)[:, None], np.indices(shape.dims).reshape(d, -1)].T
+    # var[p, i]: the info node position p checks in mode i; ids grow with the mode
+    var = shape.entry_rows(case).T
     edge_check, mode = np.nonzero(var >= 0)  # sorted by position, then variable
     return FactorGraph(
         shape=shape,
         case=case,
         num_checks=shape.blocklength,
-        var_labels=labels,
+        var_labels=shape.free_entries(case),
         edge_check=edge_check.astype(np.int64),
         edge_var=var[edge_check, mode],
         pilot_check=0 if case == 1 else None,

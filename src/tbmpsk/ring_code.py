@@ -2,18 +2,18 @@
 
 A rank-1 tensor of M-PSK factor vectors, flattened in lexicographic order,
 is the image of a linear block code over Z_M under the componentwise
-exponential map.  This module builds that code's generator matrix G for a
-given tensor shape, plus the derived forms used by the receivers:
+exponential map: position p = (j_1, ..., j_d) carries the sum of entry j_i
+of every mode i.  ``TensorShape.entry_rows`` states that rule once, as an
+incidence table, and every construction reads it:
 
-* ``G`` (K x T, K = sum T_i): one binary row per factor-vector entry; full
-  G is rank deficient by d - 1 because each mode's rows sum to the all-ones
-  row.
-* ``case_matrix``: the rows of G for a reference-symbol case's free entries
-  (see ``TensorShape.free_entries``).  Case 3 keeps K_r = K - d + 1 rows:
-  G_r, full rank, the coherent code.  Case 1 keeps K_s = K - d rows and
-  drops the pilot column 0: G_s, the non-coherent code.
-* ``G_sys = [I | P]``: column permutation of G_s exposing a systematic
-  prefix, available because G_s keeps K_s weight-1 columns.
+* ``case_matrix``: one binary row per free entry of a reference-symbol
+  case (``TensorShape.free_entries``).  Case 2 gives the full G (K x T,
+  K = sum T_i, rank deficient by d - 1), case 3 the full-rank coherent G_r
+  (K - d + 1 rows), case 1 the non-coherent G_s (K - d rows, the pilot
+  column 0 dropped).
+* ``systematic_form``: G_s permuted into [I | P]; the identity columns are
+  the single-mode positions.
+* ``generalized_parity_check``: H = [G_r^T | (M-1) I_T].
 """
 
 from __future__ import annotations
@@ -58,17 +58,6 @@ class TensorShape:
         """T = prod(T_i), the number of tensor entries."""
         return math.prod(self.dims)
 
-    @property
-    def k_full(self) -> int:
-        """K = sum(T_i), rows of the full generator."""
-        return sum(self.dims)
-
-    @property
-    def mode_offsets(self) -> tuple[int, ...]:
-        """Row index where each mode's block starts inside G."""
-        offs = np.concatenate([[0], np.cumsum(self.dims[:-1])])
-        return tuple(int(o) for o in offs)
-
     def free_entries(self, case: int) -> tuple[tuple[int, int], ...]:
         """The (mode, entry) pairs that carry an info symbol, in the row
         order of G; 0-based, entry indexed within the mode's factor vector.
@@ -91,6 +80,16 @@ class TensorShape:
     def info_length(self, case: int) -> int:
         """Number of free ring symbols for a reference-symbol case."""
         return len(self.free_entries(case))
+
+    def entry_rows(self, case: int) -> np.ndarray:
+        """Incidence table (d, T): [i, p] is the generator row (the index in
+        ``free_entries(case)``) of entry j_i of mode i, which position
+        p = (j_1, ..., j_d) reads in lexicographic order; -1 if pinned."""
+        d = self.num_modes
+        row = np.full((d, max(self.dims)), -1, dtype=np.int64)
+        for r, (i, e) in enumerate(self.free_entries(case)):
+            row[i, e] = r
+        return row[np.arange(d)[:, None], np.indices(self.dims).reshape(d, -1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,11 +122,7 @@ class RingMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
             return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.entries.shape == other.entries.shape
-            and bool(np.array_equal(self.entries, other.entries))
-        )
+        return self.modulus == other.modulus and bool(np.array_equal(self.entries, other.entries))
 
     def to_text(self) -> str:
         """Render as 'rows cols modulus' header plus one space-separated row per line."""
@@ -154,58 +149,36 @@ class RingMatrix:
         return cls(a, m)
 
 
+def case_matrix(shape: TensorShape, case: int) -> RingMatrix:
+    """Generator of a reference-symbol case, G (2), G_r (3) or G_s (1): a 1
+    in row r, column p wherever position p reads free entry r.  G_s also
+    drops column 0, the pilot position no free entry of case 1 reaches."""
+    rows = shape.entry_rows(case)
+    g = np.zeros((shape.info_length(case), shape.blocklength), dtype=np.int64)
+    mode, pos = np.nonzero(rows >= 0)
+    g[rows[mode, pos], pos] = 1
+    return RingMatrix(g[:, 1:] if case == 1 else g, shape.modulation_order)
+
+
 def build_generator(shape: TensorShape) -> RingMatrix:
-    """Full K x T generator: column p has a 1 in row (offset_i + m_i) for each
-    mode i, where (m_1, ..., m_d) is the index tuple of position p."""
-    dims = shape.dims
-    T = shape.blocklength
-    G = np.zeros((shape.k_full, T), dtype=np.int64)
-    tuples = np.stack(np.unravel_index(np.arange(T), dims))
-    for i, off in enumerate(shape.mode_offsets):
-        G[off + tuples[i], np.arange(T)] = 1
-    return RingMatrix(G, shape.modulation_order)
+    """Full K x T generator G: the case with no pinned entry."""
+    return case_matrix(shape, 2)
 
 
-def systematic_form(shortened: RingMatrix) -> tuple[RingMatrix, np.ndarray]:
-    """Permute G_s columns into [I | P].
+def systematic_form(shape: TensorShape) -> tuple[RingMatrix, np.ndarray]:
+    """G_s permuted into [I | P], and ``perm`` with G_sys[:, q] = G_s[:, perm[q]].
 
-    G_s keeps exactly K_s weight-1 columns, one per row; moving them to the
-    front (ordered by their row) gives the identity block.  Returns the
-    permuted matrix and ``perm`` with ``G_sys[:, q] = G_s[:, perm[q]]``.
-    """
-    a = shortened.entries
-    k = shortened.rows
-    weight1 = [q for q in range(shortened.cols) if np.count_nonzero(a[:, q]) == 1]
-    col_of_row = {}
-    for q in weight1:
-        r = int(np.nonzero(a[:, q])[0][0])
-        if a[r, q] == 1 and r not in col_of_row:
-            col_of_row[r] = q
-    if len(col_of_row) != k:
-        raise ValueError("no systematic column set: some row lacks a weight-1 column")
-    front = [col_of_row[r] for r in range(k)]
-    rest = [q for q in range(shortened.cols) if q not in set(front)]
-    perm = np.array(front + rest, dtype=np.int64)
-    return RingMatrix(a[:, perm], shortened.modulus), perm
+    Free entry (i, e) alone reaches position e * prod_{k>i} T_k, one column
+    less in G_s (no pilot); those weight-1 columns, in row order, are I."""
+    gs = case_matrix(shape, 1)
+    front = [e * math.prod(shape.dims[i + 1 :]) - 1 for i, e in shape.free_entries(1)]
+    perm = np.concatenate([front, np.setdiff1d(np.arange(gs.cols), front)]).astype(np.int64)
+    return RingMatrix(gs.entries[:, perm], gs.modulus), perm
 
 
-def generalized_parity_check(reduced: RingMatrix, shape: TensorShape) -> RingMatrix:
+def generalized_parity_check(shape: TensorShape) -> RingMatrix:
     """H = [G_r^T | (M-1) I_T]; satisfies [u | c] H^T = 0 mod M for any
     info word u and its codeword c = u G_r."""
-    if reduced.rows != shape.info_length(3) or reduced.cols != shape.blocklength:
-        raise ValueError("reduced generator dimensions do not match the shape")
-    m = reduced.modulus
-    T = reduced.cols
-    h = np.hstack([reduced.entries.T, (m - 1) * np.eye(T, dtype=np.int64)]) % m
-    return RingMatrix(h, m)
-
-
-def case_matrix(shape: TensorShape, case: int) -> RingMatrix:
-    """Generator actually used by a reference-symbol case: the rows of G for
-    the case's free entries, i.e. G (case 2), G_r (case 3) or G_s (case 1).
-    G_s also drops column 0, the pilot position no free entry of case 1
-    reaches."""
-    offsets = shape.mode_offsets
-    rows = [offsets[i] + e for i, e in shape.free_entries(case)]
-    g = build_generator(shape).entries[rows]
-    return RingMatrix(g[:, 1:] if case == 1 else g, shape.modulation_order)
+    gr = case_matrix(shape, 3).entries
+    m = shape.modulation_order
+    return RingMatrix(np.hstack([gr.T, (m - 1) * np.eye(shape.blocklength, dtype=np.int64)]), m)

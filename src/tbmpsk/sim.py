@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bounds import db_to_linear, linear_to_db, min_snr_for_rate, tbm_rate
 from .channels import awgn, simo_mac
-from .decoders import SINGLE_USER_DECODERS, multiuser_decode
+from .decoders import SINGLE_USER_DECODERS, check_bp_params, multiuser_decode
 from .modulation import encode_case1, encode_case2, encode_case3, transmit_signal
 from .ring_code import CASES, TensorShape, case_matrix
 
@@ -86,15 +86,18 @@ class SimConfig:
             raise ValueError(f"stop_errors must be >= 0, got {self.stop_errors}")
         if self.threads < 1 or self.batch_size < 1:
             raise ValueError("threads and batch_size must be >= 1")
+        if self.decoder not in SINGLE_USER_DECODERS:
+            raise ValueError(
+                f"unknown decoder {self.decoder!r}; available: "
+                f"{sorted(SINGLE_USER_DECODERS)}"
+            )
+        check_bp_params(self.max_iters, self.damping)
         if self.scenario == "awgn":
-            if self.decoder not in SINGLE_USER_DECODERS:
-                raise ValueError(
-                    f"unknown decoder {self.decoder!r}; available: "
-                    f"{sorted(SINGLE_USER_DECODERS)}"
-                )
             if self.decoder == "bp" and self.case == 2:
                 raise ValueError("case 2 has no factor graph; use the ml decoder")
         else:
+            if self.decoder != "bp":
+                raise ValueError(f"simo-mac decodes with CP+BP, got decoder {self.decoder!r}")
             if self.case != 1:
                 raise ValueError("the non-coherent multi-user scenario requires case 1")
             if self.num_users < 1 or self.num_antennas < 1:
@@ -269,8 +272,8 @@ def min_snr_sweep(
         raise ValueError(f"bracket ends must be finite, got {lo_db}, {hi_db}")
     if hi_db <= lo_db:
         raise ValueError("need lo_db < hi_db")
-    if resolution_db <= 0:
-        raise ValueError("resolution must be positive")
+    if not (np.isfinite(resolution_db) and resolution_db > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution_db}")
     steps = int(np.ceil((hi_db - lo_db) / resolution_db))
     grid = [lo_db + i * resolution_db for i in range(steps + 1)]
     grid[-1] = min(grid[-1], hi_db)

@@ -14,7 +14,7 @@ import numpy as np
 
 from tbmpsk.decoders import _clean, check_extrinsics
 from tbmpsk.modulation import validate_symbols
-from tbmpsk.ring_code import RingMatrix, TensorShape, case_matrix, systematic_form
+from tbmpsk.ring_code import RingMatrix, TensorShape, systematic_form
 
 
 # --- ring code ------------------------------------------------------------------
@@ -54,13 +54,19 @@ def build_generator_kronecker(shape: TensorShape) -> RingMatrix:
     return RingMatrix(g, shape.modulation_order)
 
 
+def mode_offsets(shape: TensorShape) -> list[int]:
+    """Row index where each mode's block starts inside the full G."""
+    return [sum(shape.dims[:i]) for i in range(shape.num_modes)]
+
+
 def reduce_coherent(generator: RingMatrix, shape: TensorShape) -> RingMatrix:
     """G_r: drop the first row of every mode except mode 1 (those rows are
     linearly dependent on the rest); K_r x T and full rank."""
-    if generator.rows != shape.k_full or generator.cols != shape.blocklength:
+    k = sum(shape.dims)
+    if generator.rows != k or generator.cols != shape.blocklength:
         raise ValueError("generator dimensions do not match the shape")
-    drop = set(shape.mode_offsets[1:])
-    keep = [r for r in range(shape.k_full) if r not in drop]
+    drop = set(mode_offsets(shape)[1:])
+    keep = [r for r in range(k) if r not in drop]
     return RingMatrix(generator.entries[keep], generator.modulus)
 
 
@@ -82,7 +88,7 @@ def mode_row_sum(generator: RingMatrix, mode: int, shape: TensorShape) -> np.nda
     the full generator, for every mode."""
     if not 0 <= mode < shape.num_modes:
         raise ValueError(f"mode {mode} outside [0, {shape.num_modes})")
-    off = shape.mode_offsets[mode]
+    off = mode_offsets(shape)[mode]
     block = generator.entries[off : off + shape.dims[mode]]
     return np.asarray(block.sum(axis=0) % generator.modulus)
 
@@ -148,8 +154,7 @@ def encode_systematic(info: np.ndarray, parity: RingMatrix, perm: np.ndarray) ->
 def systematic_parts(shape: TensorShape) -> tuple[RingMatrix, np.ndarray]:
     """(P, perm) for the systematic case-1 encoder: P is the parity block of
     G_sys = [I | P], perm maps G_sys columns back to G_s columns."""
-    gs = case_matrix(shape, 1)
-    gsys, perm = systematic_form(gs)
+    gsys, perm = systematic_form(shape)
     p = RingMatrix(gsys.entries[:, gsys.rows :], gsys.modulus)
     return p, perm
 

@@ -86,7 +86,7 @@ def oracle_codewords(words: np.ndarray, shape: TensorShape, case: int) -> np.nda
     p's index tuple.  Shares nothing with the generator-matrix route."""
     m = shape.modulation_order
     offsets = np.concatenate([[0], np.cumsum(shape.dims[:-1])])
-    full = np.zeros((len(words), shape.k_full), dtype=np.int64)
+    full = np.zeros((len(words), shape.info_length(2)), dtype=np.int64)
     pos = 0
     for i, t in enumerate(shape.dims):
         start = 1 if (case == 1 or (case == 3 and i > 0)) else 0
@@ -140,7 +140,7 @@ def test_criterion_03_pipeline_equivalence():
     ok = True
     for m in (2, 4):
         sh = TensorShape((2, 2), m)
-        w2 = all_words(m, sh.k_full)
+        w2 = all_words(m, sh.info_length(2))
         ok &= np.array_equal(
             np.stack([encode(u, sh, 2) for u in w2]), oracle_codewords(w2, sh, 2)
         )
@@ -170,7 +170,7 @@ def test_criterion_04_row_sums_and_codeword_counts():
     counts_ok = True
     for dims, m in [((2, 2), 2), ((2, 2), 4), ((2, 2), 8), ((2, 2, 2), 2), ((3, 2), 4)]:
         sh = TensorShape(dims, m)
-        assert m**sh.k_full <= 4096
+        assert m**sh.info_length(2) <= 4096
         c3 = {tuple(encode(u, sh, 3)) for u in all_words(m, sh.info_length(3))}
         c1 = {tuple(encode(u, sh, 1)) for u in all_words(m, sh.info_length(1))}
         counts_ok &= len(c3) == m**sh.info_length(3) and len(c1) == m**sh.info_length(1)

@@ -109,6 +109,16 @@ class TestEncodeDecode:
                        "--noise-var", "nan", "--decoder", "bp") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [("--max-iters", "0"), ("--damping", "7")])
+    @pytest.mark.parametrize("decoder", ["bp", "ml"])
+    def test_bad_bp_settings_exit_2_under_every_decoder(self, decoder, bad, tmp_path, capsys):
+        enc = tmp_path / "s.txt"
+        run_cli("encode", "--shape", "4,2,2", "--mod", "4", "--info", "3,1,0,2,1",
+                "--out", str(enc))
+        assert run_cli("decode", "--shape", "4,2,2", "--mod", "4", "--in", str(enc),
+                       "--decoder", decoder, *bad) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_wrong_info_length_exits_2(self):
         assert run_cli("encode", "--shape", "4,2,2", "--mod", "4", "--info", "1,2") == 2
 
@@ -213,6 +223,18 @@ class TestSimulateReplay:
                        "--trials", "4", "--seed", "1", *run_args) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[5:8] == ["inf", "4", "0"]
+
+    @pytest.mark.parametrize("run_args", [
+        ("--scenario", "simo-mac", "--decoder", "ml", "--antennas", "2"),
+        ("--decoder", "ml", "--max-iters", "0"),
+        ("--decoder", "ml", "--damping", "7"),
+    ])
+    def test_settings_the_run_would_ignore_exit_2(self, run_args, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run_cli("simulate", "--shape", "4,2,2", "--mod", "4", "--snr-db", "10",
+                       "--trials", "4", "--seed", "1", *run_args, "--out", str(out)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("run_args", [
         ("--snr-db", "nan"),

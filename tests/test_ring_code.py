@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tbmpsk.ring_code import (
+    CASES,
     RingMatrix,
     TensorShape,
     build_generator,
@@ -59,10 +60,9 @@ class TestTensorShape:
     def test_counts(self):
         sh = TensorShape((4, 2, 2), 4)
         assert sh.blocklength == 16
-        assert sh.k_full == 8
+        assert sh.info_length(2) == 8
         assert sh.info_length(3) == 6
         assert sh.info_length(1) == 5
-        assert sh.mode_offsets == (0, 4, 6)
 
     def test_info_lengths(self):
         sh = TensorShape((10, 20, 16), 4)
@@ -82,6 +82,19 @@ class TestTensorShape:
     def test_rejects_bad_case(self):
         with pytest.raises(ValueError):
             TensorShape((2, 2), 4).info_length(4)
+
+    def test_entry_rows_match_index_arithmetic(self):
+        # [i, p]: the case's row of the entry position p reads in mode i
+        for dims in [(5,), (4, 2, 2), (3, 2, 2, 2)]:
+            sh = TensorShape(dims, 4)
+            for case in CASES:
+                row_of = {entry: r for r, entry in enumerate(sh.free_entries(case))}
+                table = sh.entry_rows(case)
+                assert table.shape == (sh.num_modes, sh.blocklength)
+                for p in range(sh.blocklength):
+                    idx = index_to_tuple(p, sh.dims)
+                    for i in range(sh.num_modes):
+                        assert table[i, p] == row_of.get((i, idx[i]), -1), (dims, case, i, p)
 
 
 class TestIndexMaps:
@@ -176,17 +189,18 @@ class TestDerivedMatrices:
     def test_systematic_form(self):
         sh = TensorShape((4, 2, 2), 4)
         gs = case_matrix(sh, 1)
-        gsys, perm = systematic_form(gs)
+        gsys, perm = systematic_form(sh)
         k = gs.rows
         assert np.array_equal(gsys.entries[:, :k], np.eye(k, dtype=int))
         assert sorted(perm.tolist()) == list(range(gs.cols))
         assert np.array_equal(gsys.entries, gs.entries[:, perm])
 
     def test_systematic_exists_for_many_shapes(self):
-        for dims in [(3, 2), (4, 4, 2), (6, 5, 4), (3, 2, 2, 2)]:
+        shapes = [(5,), (3, 2), (4, 4, 2), (6, 5, 4), (3, 2, 2, 2), (10, 20, 16), (2, 2, 2, 2, 2)]
+        for dims in shapes:
             sh = TensorShape(dims, 4)
             gs = case_matrix(sh, 1)
-            gsys, _ = systematic_form(gs)
+            gsys, _ = systematic_form(sh)
             assert np.array_equal(gsys.entries[:, : gs.rows], np.eye(gs.rows, dtype=int))
 
     def test_parity_check_annihilates(self):
@@ -194,7 +208,7 @@ class TestDerivedMatrices:
         for dims, m in [((4, 2, 2), 4), ((5, 4, 3), 8), ((3, 2, 2), 2)]:
             sh = TensorShape(dims, m)
             gr = case_matrix(sh, 3)
-            h = generalized_parity_check(gr, sh)
+            h = generalized_parity_check(sh)
             assert h.rows == sh.blocklength
             assert h.cols == sh.info_length(3) + sh.blocklength
             for _ in range(25):

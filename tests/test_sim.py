@@ -210,6 +210,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             min_snr_sweep(self._cfg(), 0.05, lo_db, hi_db)
 
+    @pytest.mark.parametrize("resolution_db", [0.0, -1.0, float("nan"), np.inf])
+    def test_rejects_resolution_not_finite_and_positive(self, resolution_db):
+        with pytest.raises(ValueError, match="resolution"):
+            min_snr_sweep(self._cfg(), 0.05, -2.0, 6.0, resolution_db=resolution_db)
+
     def test_rejects_grid_whose_linear_value_underflows(self):
         with pytest.raises(ValueError):
             min_snr_sweep(self._cfg(), 0.05, -4000.0, -3990.0, resolution_db=5.0)
