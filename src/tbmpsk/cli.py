@@ -114,6 +114,8 @@ def decode_text(doc: dict) -> str:
     if y.size != shape.blocklength:
         raise ValueError(f"expected {shape.blocklength} samples, got {y.size}")
     check_bp_params(doc["max_iters"], doc["damping"])
+    if not 0 <= doc["noise_var"] < np.inf:
+        raise ValueError(f"noise variance must be finite and non-negative, got {doc['noise_var']}")
     decided = SINGLE_USER_DECODERS[doc["decoder"]](
         y[None], doc["noise_var"], shape, doc["case"], doc["max_iters"], doc["damping"]
     )[0]

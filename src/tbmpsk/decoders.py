@@ -10,8 +10,11 @@ degree in the hundreds cannot underflow.
 BP runs on the code's tensor layout rather than on an edge list: position
 (j_1, ..., j_d) checks factor entry j_i of every mode i, so the messages of
 mode i are one array indexed by position, and all d modes stack into one
-array of shape (d, B, T_1, ..., T_d, M).  A pinned reference entry's slots
-hold the all-ones DFT of a delta at 0, an absent participant.
+array.  The layout is planar: the pmf (or spectrum) axis comes before the
+positions, (d, B, M, T_1, ..., T_d), so each symbol of a (mode, trial) is one
+contiguous plane and the short per-symbol arithmetic runs as whole-array
+ufuncs on those planes.  A pinned reference entry's slots hold the all-ones
+DFT of a delta at 0, an absent participant.
 
 The ML oracle enumerates the whole codebook; it refuses codebooks whose
 signals would take more than ``ML_SIGNAL_BYTES`` (M^K * T * 16 bytes).
@@ -29,8 +32,8 @@ from .modulation import encode, mls_encode, psk_map, transmit_signal
 from .ring_code import TensorShape
 
 PMF_FLOOR = 1e-30
-# Largest M whose half-spectrum DFTs (rfft/irfft) and left-to-right sums over
-# the last axis were measured bit-identical to fft/ifft(...).real and np.sum
+# Largest M whose half-spectrum DFTs (rfft/irfft) were measured bit-identical
+# to fft/ifft(...).real in BP
 HALF_SPECTRUM_M = 4
 ML_SIGNAL_BYTES = 2**30
 CODEBOOK_CHUNK = 2**18
@@ -75,41 +78,165 @@ def _max_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _sum_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.sum(x, axis=-1)``.  For M <= ``HALF_SPECTRUM_M`` it is the slice
-    adds ((x_0 + x_1) + x_2) + x_3, which numpy's sum of so short an axis
-    equals bit for bit; longer axes keep ``np.sum`` and its pairwise order,
-    which slice adds would not reproduce."""
-    m = x.shape[-1]
-    if m > HALF_SPECTRUM_M:
-        return np.sum(x, axis=-1, out=out)
+def _sum_last(
+    x: np.ndarray, out: np.ndarray | None = None, temps: tuple | None = None
+) -> np.ndarray:
+    """``np.sum(x, axis=-1)`` of a contiguous ``x``, as adds of the last
+    axis's slices in numpy's pairwise order, so every layout of ``x`` gives
+    the bits numpy gives its contiguous copy (up to the sign of a sum of
+    negative zeros, which numpy starts from +0.0).  Below 8 terms the adds
+    run left to right; up to 128, eight running sums r_j over the terms
+    j, j + 8, ... of the whole blocks combine as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before the tail is
+    added; longer axes split in two where numpy splits them.
+
+    From 8 terms on, the partial sums go to ``temps``, three arrays shaped
+    like ``out``, or to three made per call without them; above 128 terms
+    each split also makes one array for its second half."""
     if out is None:
         out = np.empty(x.shape[:-1])
-    np.add(x[..., 0], x[..., 1], out=out)
-    for j in range(2, m):
-        np.add(out, x[..., j], out=out)
+    return _pairwise_sum(x, 0, x.shape[-1], out, temps)
+
+
+def _pairwise_sum(x: np.ndarray, a: int, n: int, out: np.ndarray, temps) -> np.ndarray:
+    """Sum of the last-axis slices a, ..., a + n - 1 of ``x`` into ``out``,
+    in the order of numpy's ``pairwise_sum``."""
+    if n < 8:
+        np.add(x[..., a], x[..., a + 1], out=out)
+        for j in range(a + 2, a + n):
+            np.add(out, x[..., j], out=out)
+        return out
+    if temps is None:
+        temps = tuple(np.empty_like(out) for _ in range(3))
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum(x, a, half, out, temps)
+        return np.add(out, _pairwise_sum(x, a + half, n - half, np.empty_like(out), temps), out=out)
+    whole = a + n - n % 8
+
+    def running(j, buf):  # r_j, the running sum of terms j, j + 8, ... of the whole blocks
+        if whole - a == 8:
+            return x[..., a + j]
+        np.add(x[..., a + j], x[..., a + j + 8], out=buf)
+        for i in range(a + j + 16, whole, 8):
+            np.add(buf, x[..., i], out=buf)
+        return buf
+
+    def pair(j, buf, other):  # r_j + r_{j+1} into buf
+        return np.add(running(j, buf), running(j + 1, other), out=buf)
+
+    t1, t2, t3 = temps
+    pair(0, out, t1)
+    np.add(out, pair(2, t1, t2), out=out)
+    np.add(pair(4, t1, t2), pair(6, t2, t3), out=t1)
+    np.add(out, t1, out=out)
+    for i in range(whole, a + n):
+        np.add(out, x[..., i], out=out)
     return out
 
 
 def _softmax(
-    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    x: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+    temps: tuple | None = None,
 ) -> np.ndarray:
     """``scipy.special.softmax(x, axis=-1)``: exp(x - max) / sum, in
     scipy's three operations.  ``out`` may be ``x``; ``scratch`` (shape
-    ``x.shape[:-1]``) holds the per-row max and then the sum."""
+    ``x.shape[:-1]``) holds the per-row max and then the sum, and ``temps``
+    serve the sum as in :func:`_sum_last`."""
     s = _max_last(x, scratch)
     e = np.subtract(x, s[..., None], out=out)
     np.exp(e, out=e)
-    return np.divide(e, _sum_last(e, s)[..., None], out=e)
+    return np.divide(e, _sum_last(e, s, temps)[..., None], out=e)
 
 
 def _clean(
-    pmfs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    pmfs: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+    temps: tuple | None = None,
 ) -> np.ndarray:
-    """Floor at ``PMF_FLOOR`` and renormalize over the last axis; ``out``
-    and ``scratch`` as for :func:`_softmax`."""
+    """Floor at ``PMF_FLOOR`` and renormalize over the last axis; ``out``,
+    ``scratch`` and ``temps`` as for :func:`_softmax`."""
     p = np.maximum(pmfs, PMF_FLOOR, out=out)
-    return np.divide(p, _sum_last(p, scratch)[..., None], out=p)
+    return np.divide(p, _sum_last(p, scratch, temps)[..., None], out=p)
+
+
+def _spent_planes(w: np.ndarray) -> tuple:
+    """Three planes, shaped like ``w[:, :, 0]``, of spectra ``w``
+    (participants, B, bins) + positions that nothing reads any more: the
+    partial sums of a clean or softmax over ``w``'s rows can go there."""
+    return w[:, :, 0].real, w[:, :, 0].imag, w[:, :, 1].real
+
+
+def _plane(x: np.ndarray, axis: int, j) -> np.ndarray:
+    """``x``'s slice j (an index or a slice) along ``axis``."""
+    return x[(slice(None),) * axis + (j,)]
+
+
+def _dft(x: np.ndarray, out: np.ndarray, axis: int, conj: bool = False) -> np.ndarray:
+    """DFT of real ``x`` along ``axis`` into complex ``out``, conjugated if
+    ``conj``: bit for bit ``np.fft.rfft`` (M <= ``HALF_SPECTRUM_M``, M // 2 + 1
+    bins) or ``np.fft.fft`` (larger M), and ``np.conj`` of it.
+
+    For M = 4 the transform is pocketfft's radf4 butterfly as whole-array
+    ufuncs on the four planes of ``x``, one call per operation instead of one
+    per row: X0 = (x0 + x2) + (x3 + x1), X1 = (x0 - x2) + i (x3 - x1) and
+    X2 = (x0 + x2) - (x3 + x1).  The two sums wait in the imaginary parts of
+    X0 and X2, which then take the zero that pocketfft writes there (-0.0
+    once conjugated)."""
+    m = x.shape[axis]
+    if m != 4:
+        if m <= HALF_SPECTRUM_M:
+            np.fft.rfft(x, axis=axis, out=out)
+        else:
+            np.fft.fft(x, axis=axis, out=out)
+        return np.conjugate(out, out=out) if conj else out
+    x0, x1, x2, x3 = (_plane(x, axis, j) for j in range(4))
+    y0, y1, y2 = (_plane(out, axis, j) for j in range(3))
+    even, odd = y0.imag, y2.imag
+    np.add(x0, x2, out=even)
+    np.add(x3, x1, out=odd)
+    np.add(even, odd, out=y0.real)
+    np.subtract(even, odd, out=y2.real)
+    np.subtract(x0, x2, out=y1.real)
+    np.subtract(x3, x1, out=y1.imag)
+    if conj:
+        np.negative(y1.imag, out=y1.imag)
+    # the zero imaginary parts: bins 0 and 2
+    _plane(out.imag, axis, slice(None, None, 2))[...] = -0.0 if conj else 0.0
+    return out
+
+
+def _idft(f: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """Inverse DFT along ``axis`` of the spectra ``f``, whose M is
+    ``out.shape[axis]``: bit for bit ``np.fft.irfft`` into ``out`` for
+    M <= ``HALF_SPECTRUM_M``, and for larger M ``np.fft.ifft(f).real``,
+    computed in ``f`` and returned as its real view.
+
+    For M = 4 it is pocketfft's radb4 butterfly, then the scaling by 1/4.
+    From r0, r1 + i i1, r2: tr1 = r0 - r2, tr2 = r0 + r2, tr3 = 2 r1,
+    tr4 = 2 i1, and y = (tr2 + tr3, tr1 - tr4, tr2 - tr3, tr1 + tr4).  tr1 and
+    tr2 wait in the imaginary parts of bins 0 and 2, which irfft ignores, and
+    tr3 and tr4 in the outputs they feed."""
+    m = out.shape[axis]
+    if m != 4:
+        if m <= HALF_SPECTRUM_M:
+            return np.fft.irfft(f, n=m, axis=axis, out=out)
+        return np.fft.ifft(f, axis=axis, out=f).real
+    f0, f1, f2 = (_plane(f, axis, j) for j in range(3))
+    y0, y1, y2, y3 = (_plane(out, axis, j) for j in range(4))
+    tr2, tr1 = f0.imag, f2.imag
+    np.add(f0.real, f2.real, out=tr2)
+    np.subtract(f0.real, f2.real, out=tr1)
+    np.multiply(f1.real, 2.0, out=y2)
+    np.add(tr2, y2, out=y0)
+    np.subtract(tr2, y2, out=y2)
+    np.multiply(f1.imag, 2.0, out=y3)
+    np.subtract(tr1, y3, out=y1)
+    np.add(tr1, y3, out=y3)
+    return np.multiply(out, 0.25, out=out)
 
 
 def check_extrinsics(
@@ -122,18 +249,21 @@ def check_extrinsics(
     one per participant: the pmf of t minus the other participants.
 
     ``w[k]`` is the conjugated DFT of participant k's pmf (conjugation
-    negates, and the DFT of a sum's pmf is the product of the DFTs), and
-    ``target_f`` is the DFT of t's pmf, broadcast against ``w[0]``.  The
-    products over the others run as a prefix/suffix product in participant
-    order; the running suffix is kept in ``w``, which is overwritten.  A
-    participant whose ``w`` is exactly 1 (a delta at 0) is absent:
-    multiplying by 1+0j is exact, so it changes no other output.
+    negates, and the DFT of a sum's pmf is the product of the DFTs), in
+    BP's planar layout: ``w`` is (participants, B, bins) + positions, the
+    spectrum on axis 2.  ``target_f`` is the DFT of t's pmf, broadcast
+    against ``w[0]``.  The products over the others run as a prefix/suffix
+    product in participant order; the running suffix is kept in ``w``,
+    which is overwritten, and three of its planes then hold the clean's
+    partial sums (:func:`_spent_planes`).  A participant whose ``w`` is
+    exactly 1 (a delta at 0) is absent: multiplying by 1+0j is exact, so it
+    changes no other output.
 
-    The cleaned pmfs go to ``out``, shape ``w.shape[:-1] + (M,)``; without
-    ``out``, ``w`` holds full DFTs and M is its last length.  For
-    M <= ``HALF_SPECTRUM_M`` the inverse is ``irfft``, which reads only the
-    first M // 2 + 1 bins, so ``w`` and ``target_f`` may hold just those;
-    larger M uses ``ifft(...).real`` on the full spectrum.
+    The cleaned pmfs go to ``out``, shape (participants, B, M) + positions;
+    without ``out``, ``w`` holds full DFTs and M is their length.  For
+    M <= ``HALF_SPECTRUM_M`` the inverse (:func:`_idft`) reads only the first
+    M // 2 + 1 bins, so ``w`` and ``target_f`` may hold just those.
+    ``scratch``, shape (participants, B) + positions, serves the clean.
     """
     n = w.shape[0]
     f = np.empty_like(w)
@@ -144,11 +274,12 @@ def check_extrinsics(
         np.multiply(f[k], w[k + 1], out=f[k])
         if k:
             np.multiply(w[k + 1], w[k], out=w[k])
-    m = w.shape[-1] if out is None else out.shape[-1]
-    if m <= HALF_SPECTRUM_M:
-        out = np.fft.irfft(f, n=m, axis=-1, out=out)
-        return _clean(out, out=out, scratch=scratch)
-    return _clean(np.fft.ifft(f, axis=-1, out=f).real, out=out, scratch=scratch)
+    if out is None:
+        out = np.empty(w.shape)
+    last = (0, 1, *range(3, out.ndim), 2)  # the pmf axis last, as _clean reads it
+    _clean(_idft(f, out, 2).transpose(last), out=out.transpose(last), scratch=scratch,
+           temps=_spent_planes(w))
+    return out
 
 
 def check_bp_params(max_iters: int, damping: float) -> None:
@@ -183,25 +314,26 @@ def bp_decode_batch(
     arrays, so later iterations run on the live trials only, and the loop
     ends when none is left.
 
-    Messages use the tensor layout of the module docstring.  Entry 0 of a
-    mode absent from ``graph.var_labels`` holds the reference symbol:
+    Messages use the planar tensor layout of the module docstring.  Entry 0
+    of a mode absent from ``graph.var_labels`` holds the reference symbol:
     slicing sets its slots to all ones, which leaves the check extrinsics
     bit-identical to a product over the participating entries only.  Mode
-    i's variable sums are one ``np.add.reduceat`` over its slab with axis i
-    moved to the front: the order of a sum over an edge list sorted by
-    variable (``np.sum`` over the entry axis adds in another order and
-    moves the last bit).
+    i's variable sums are one ``np.add.reduceat`` over its slab, transposed
+    so that axis i leads the positions and flattened: the order of a sum
+    over an edge list sorted by variable (``np.sum`` over the entry axis
+    adds in another order and moves the last bit).  The transposes, the
+    segment starts and the broadcast shapes are made once per call.
 
     An iteration allocates almost nothing: the DFTs, the check extrinsics
     and their inverse transform write into per-call buffers, whose first
     rows hold the live trials; log, extrinsic subtraction, softmax and
-    damping then run in place in the inverse transform's output.  For
-    M <= ``HALF_SPECTRUM_M`` the messages go through ``rfft``/``irfft`` and
-    keep M // 2 + 1 bins, and the short pmf axis is summed slice by slice;
-    only at those orders were both measured bit-identical to ``fft``,
-    ``ifft(...).real`` and ``np.sum``, so larger M keeps the full spectrum
-    and ``np.sum``.  Maxima run slice by slice at every M, as any order of
-    a maximum is exact.
+    damping then run in place in the inverse transform's output.  Softmax
+    and clean read the pmf axis through a transposed view, so each of their
+    per-symbol slices is one contiguous plane per (mode, trial); from M = 8
+    on, their partial sums go to planes of the spent spectra.  For
+    M <= ``HALF_SPECTRUM_M`` the messages keep M // 2 + 1 DFT bins, and at
+    M = 4 the transforms are pocketfft's butterflies on those planes
+    (:func:`_dft`, :func:`_idft`); larger M keeps the full spectrum.
     """
     check_bp_params(max_iters, damping)
     obs = np.asarray(observation_pmfs, dtype=float)
@@ -214,17 +346,25 @@ def bp_decode_batch(
     # each mode's first info entry: 1 where entry 0 holds the reference symbol
     first = [int((i, 0) not in graph.var_labels) for i in range(d)]
 
-    # the transform pair follows M; an M <= 4 message keeps only its first
-    # M // 2 + 1 DFT bins, the others being their conjugates
-    half = m <= HALF_SPECTRUM_M
-    dft = np.fft.rfft if half else np.fft.fft
-    bins = m // 2 + 1 if half else m
-    obs_f = dft(_clean(obs), axis=-1).reshape((nb,) + dims + (bins,))
-    v2c = np.full((d, nb) + dims + (m,), 1.0 / m)
+    # an M <= 4 message keeps only its first M // 2 + 1 DFT bins, the others
+    # being their conjugates
+    bins = m // 2 + 1 if m <= HALF_SPECTRUM_M else m
+    obs_f = np.empty((nb, bins) + dims, dtype=complex)
+    _dft(_clean(obs).transpose(0, 2, 1).reshape((nb, m) + dims), obs_f, 1)
+    v2c = np.full((d, nb, m) + dims, 1.0 / m)
     # made once per call; an iteration uses the first n rows, one per live trial
-    spectra = np.empty((d, nb) + dims + (bins,), dtype=complex)
+    spectra = np.empty((d, nb, bins) + dims, dtype=complex)
     messages = np.empty_like(v2c)
     row_scratch = np.empty((d, nb) + dims)
+    # views and shapes made once per call: the pmf axis moved last, each
+    # mode's slab with its entry axis leading the positions, the starts of
+    # its entries' segments, and the broadcast shape of its entry sums
+    last = (0, 1, *range(3, d + 3), 2)
+    slab = [(0, 1, i + 2, *(a + 2 for a in range(d) if a != i)) for i in range(d)]
+    starts = [np.arange(0, t_len, t_len // t) for t in dims]
+    entry = [(-1, m) + tuple(t if a == i else 1 for a in range(d)) for i, t in enumerate(dims)]
+    pinned = [(i, slice(None), slice(None)) + (slice(None),) * i + (0,)
+              for i in range(d) if first[i]]
 
     # working row r is batch row live[r]; rows leave once recorded
     live = np.arange(nb)
@@ -241,35 +381,34 @@ def bp_decode_batch(
             break
         scratch = row_scratch[:, :n]
         # check side, DFT domain
-        w = dft(v2c, axis=-1, out=spectra[:, :n])
-        np.conjugate(w, out=w)
-        for i in range(d):
-            if first[i]:
-                w[(i, slice(None)) + (slice(None),) * i + (0,)] = 1.0
+        w = _dft(v2c, spectra[:, :n], 2, conj=True)
+        for index in pinned:
+            w[index] = 1.0
         logs = check_extrinsics(obs_f, w, messages[:, :n], scratch)
         np.log(logs, out=logs)
 
-        # variable side, log domain
+        # variable side, log domain; posteriors are (n, M, K)
         sums = [
-            np.add.reduceat(np.moveaxis(logs[i], i + 1, 1).reshape(n, t_len, m),
-                            np.arange(0, t_len, t_len // t), axis=1)
-            for i, t in enumerate(dims)
+            np.add.reduceat(logs[i].transpose(p).reshape(n, m, t_len), s, axis=2)
+            for i, (p, s) in enumerate(zip(slab, starts))
         ]
-        posteriors = np.concatenate([s[:, e:] for s, e in zip(sums, first)], axis=1)
-        _softmax(posteriors, out=posteriors)
-        for i, t in enumerate(dims):
-            entry_shape = (n,) + tuple(t if a == i else 1 for a in range(d)) + (m,)
-            np.subtract(sums[i].reshape(entry_shape), logs[i], out=logs[i])
-        fresh = _softmax(logs, out=logs, scratch=scratch)
+        posteriors = np.concatenate([s[:, :, e:] for s, e in zip(sums, first)], axis=2)
+        by_word = posteriors.transpose(0, 2, 1)
+        _softmax(by_word, out=by_word)
+        for i in range(d):
+            np.subtract(sums[i].reshape(entry[i]), logs[i], out=logs[i])
+        temps = _spent_planes(w)
+        _softmax(logs.transpose(last), out=logs.transpose(last), scratch=scratch, temps=temps)
         if damping == 0.0:
-            v2c = fresh  # a view of ``messages``, read before the next kernel call
+            v2c = logs  # a view of ``messages``, read before the next kernel call
         else:
-            # (1 - damping) * fresh + damping * v2c, in v2c's own memory
-            np.multiply(fresh, 1.0 - damping, out=fresh)
+            # (1 - damping) * logs + damping * v2c, in v2c's own memory
+            np.multiply(logs, 1.0 - damping, out=logs)
             np.multiply(v2c, damping, out=v2c)
-            _clean(np.add(fresh, v2c, out=v2c), out=v2c, scratch=scratch)
+            np.add(logs, v2c, out=v2c)
+            _clean(v2c.transpose(last), out=v2c.transpose(last), scratch=scratch, temps=temps)
 
-        decisions = np.argmax(posteriors, axis=-1)  # ties: smallest symbol
+        decisions = np.argmax(posteriors, axis=1)  # ties: smallest symbol
         streak = np.where((decisions == prev).all(axis=1), streak + 1, 0)
         prev = decisions
         settled = streak >= 3
@@ -278,7 +417,7 @@ def bp_decode_batch(
             continue
         rows = live[leaving]
         final[rows] = decisions[leaving]
-        final_post[rows] = posteriors[leaving]
+        final_post[rows] = by_word[leaving]
         iters_used[rows] = it + 1
         done[rows] = settled[leaving]
         keep = ~leaving

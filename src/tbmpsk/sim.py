@@ -266,7 +266,10 @@ def min_snr_sweep(
 
     Bisects the [lo_db, hi_db] grid at ``resolution_db`` spacing, assuming
     the error rate is non-increasing in SNR.  Returns None when even the
-    top of the bracket misses the target.
+    top of the bracket misses the target.  Grid point i is lo_db + i *
+    resolution_db, the top one capped at hi_db; points are made as the
+    bisection reads them, so only about log2 of the grid is ever built, and
+    the noise variance, monotone in SNR, is checked at the two ends.
     """
     if not (np.isfinite(lo_db) and np.isfinite(hi_db)):
         raise ValueError(f"bracket ends must be finite, got {lo_db}, {hi_db}")
@@ -274,23 +277,28 @@ def min_snr_sweep(
         raise ValueError("need lo_db < hi_db")
     if not (np.isfinite(resolution_db) and resolution_db > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution_db}")
-    steps = int(np.ceil((hi_db - lo_db) / resolution_db))
-    grid = [lo_db + i * resolution_db for i in range(steps + 1)]
-    grid[-1] = min(grid[-1], hi_db)
-    check_snrs_db(grid)
+    steps = np.ceil((hi_db - lo_db) / resolution_db)
+    if not np.isfinite(steps):
+        raise ValueError(
+            f"resolution {resolution_db} gives no finite number of steps over [{lo_db}, {hi_db}]"
+        )
+    top = int(steps)
 
+    def grid(i: int) -> float:
+        return lo_db + i * resolution_db if i < top else min(lo_db + top * resolution_db, hi_db)
+
+    check_snrs_db([grid(0), grid(top)])
     measured: dict[int, float] = {}
 
     def per(i: int) -> float:
         if i not in measured:
-            measured[i] = run_point(config, grid[i]).value
+            measured[i] = run_point(config, grid(i)).value
         return measured[i]
 
-    top = len(grid) - 1
     if per(top) > target_error:
         return None
     if per(0) <= target_error:
-        return float(grid[0])
+        return float(grid(0))
     lo_i, hi_i = 0, top
     while hi_i - lo_i > 1:
         mid = (lo_i + hi_i) // 2
@@ -298,7 +306,7 @@ def min_snr_sweep(
             hi_i = mid
         else:
             lo_i = mid
-    return float(grid[hi_i])
+    return float(grid(hi_i))
 
 
 def sweep_table(

@@ -176,11 +176,11 @@ def check_update_fft(incoming: list[np.ndarray], target: np.ndarray | None = Non
     m = mats[0].shape[-1] if mats else np.asarray(target).shape[-1]
     if any(q.shape != (m,) for q in mats):
         raise ValueError("pmf lengths differ")
-    w = np.ones((len(mats) + 1, m), dtype=complex)
+    w = np.ones((len(mats) + 1, 1, m), dtype=complex)  # (participants, B, bins)
     if mats:
-        w[:-1] = np.conj(np.fft.fft(np.stack(mats), axis=-1))
+        w[:-1, 0] = np.conj(np.fft.fft(np.stack(mats), axis=-1))
     f = np.ones(m, dtype=complex) if target is None else np.fft.fft(np.asarray(target, dtype=float))
-    return check_extrinsics(f, w)[-1]
+    return check_extrinsics(f, w)[-1, 0]
 
 
 def check_update_direct(incoming: list[np.ndarray], target: np.ndarray | None = None) -> np.ndarray:

@@ -1,10 +1,13 @@
 """BP's in-place arithmetic against literal formulas and the edge-list oracle.
 
-``bp_decode_batch`` runs its softmax and clean in place, reduces the short
-pmf axis slice by slice, and for M <= 4 transforms only the half spectrum.
-The edge oracle shares ``_clean`` with it, so the helpers are pinned here to
-the formulas they replace, and the oracle runs at the orders that
-``tests/test_bp_oracle.py`` does not: M = 2 and 4 (half spectrum) and 16.
+``bp_decode_batch`` keeps its messages planar (the pmf axis before the
+positions), runs its softmax and clean in place on a view with the pmf axis
+last, sums that short axis slice by slice in numpy's pairwise order, and for
+M <= 4 transforms only the half spectrum, at M = 4 with pocketfft's
+butterflies.  The edge oracle shares ``_clean`` with it, so the helpers are
+pinned here to the formulas and numpy routines they replace, and the oracle
+runs at the orders that ``tests/test_bp_oracle.py`` does not: M = 2, 3, 4, 8
+and 16.
 """
 
 import tracemalloc
@@ -14,7 +17,16 @@ import pytest
 from scipy.special import softmax
 
 from tbmpsk.channels import awgn
-from tbmpsk.decoders import PMF_FLOOR, _clean, _softmax, bp_decode_batch, channel_pmfs
+from tbmpsk.decoders import (
+    PMF_FLOOR,
+    _clean,
+    _dft,
+    _idft,
+    _softmax,
+    _sum_last,
+    bp_decode_batch,
+    channel_pmfs,
+)
 from tbmpsk.factor_graph import build_graph
 from tbmpsk.modulation import encode, transmit_signal
 from tbmpsk.ring_code import TensorShape
@@ -25,6 +37,18 @@ from test_bp_oracle import edge_bp_decode_batch
 def literal_clean(x):
     p = np.maximum(x, PMF_FLOOR)
     return p / p.sum(-1, keepdims=True)
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes: unlike ``np.array_equal``, tells -0.0 from 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def planar(x):
+    """``x`` (..., M) rewritten with the pmf axis first, viewed back as (..., M):
+    the same values, each slice x[..., j] one contiguous plane."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
 
 
 def _bp_shaped(rng, m, scale):
@@ -63,8 +87,63 @@ class TestHelpersMatchLiteralFormulas:
         assert np.array_equal(_clean(x, out=x, scratch=scratch), want)
 
 
+@pytest.mark.parametrize("m", [*range(2, 18), 32, 129, 200])
+def test_sum_last_is_np_sum_in_every_layout(m):
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((6, 5, m)) * np.exp(5.0 * rng.standard_normal((6, 5, m)))
+    want = np.sum(x, axis=-1)
+    assert np.array_equal(_sum_last(x), want)
+    assert np.array_equal(_sum_last(planar(x)), want)
+    out = np.empty((6, 5))[:, 1:4]  # BP's row scratch is a strided slice too
+    spent = np.empty((2, 6, 5), complex)[:, :, 1:4]  # partial sums in spent spectra
+    temps = (spent[0].real, spent[0].imag, spent[1].real)
+    assert _sum_last(planar(x)[:, 1:4], out=out, temps=temps) is out
+    assert np.array_equal(out, want[:, 1:4])
+
+
+def _transform_planes(rng, m):
+    """Real (7, M, 5, 3) planes mixing exact zeros, values near 1e-300, ordinary
+    values and values near 1e300 (sums of four stay finite)."""
+    scale = rng.choice([0.0, 1e-300, 1.0, 1e300], size=(7, m, 5, 3))
+    return scale * rng.uniform(-1.0, 1.0, scale.shape)
+
+
+def _layouts(x, axis):
+    """``x`` itself and a view of the same values whose planes are strided."""
+    return x, np.moveaxis(np.ascontiguousarray(np.moveaxis(x, axis, -1)), -1, axis)
+
+
+@pytest.mark.parametrize("conj", [False, True])
+def test_forward_butterflies_are_rfft(conj):
+    rng = np.random.default_rng(40 + conj)
+    x = _transform_planes(rng, 4)
+    x[:3, 3] = x[:3, 1]  # Im X1 = x3 - x1 is an exact zero
+    want = np.fft.rfft(x, axis=1)
+    if conj:
+        want = np.conj(want)
+    for view in _layouts(x, 1):
+        for out in (np.empty((7, 3, 5, 3), complex),
+                    np.empty((14, 4, 5, 3), complex)[::2, 1:]):
+            got = _dft(view, out, 1, conj=conj)
+            assert got is out and same_bits(got, want), conj
+
+
+def test_inverse_butterflies_are_irfft():
+    rng = np.random.default_rng(4)
+    f = _transform_planes(rng, 3) + 1j * _transform_planes(rng, 3)
+    want = np.fft.irfft(f, n=4, axis=1)
+    for view in _layouts(f, 1):
+        for out in (np.empty((7, 4, 5, 3)), np.empty((7, 6, 5, 3))[:, 1:-1]):
+            spectrum = view.copy(order="K")
+            got = _idft(spectrum, out, 1)
+            assert got is out and same_bits(got, want)
+            # only the parts irfft ignores served as scratch
+            assert same_bits(spectrum.real, view.real)
+            assert same_bits(spectrum[:, 1].imag, view[:, 1].imag)
+
+
 # M: channel noise variance that leaves some trials of every M unconverged
-ORACLE_NOISE = {2: 3.0, 4: 1.0, 16: 0.1}
+ORACLE_NOISE = {2: 3.0, 3: 1.5, 4: 1.0, 8: 0.3, 16: 0.1}
 
 
 @pytest.mark.parametrize("m", sorted(ORACLE_NOISE))
@@ -89,18 +168,20 @@ def test_tensor_bp_bit_identical_to_edge_oracle_at_more_orders(m):
 
 
 def test_bp_peak_memory_within_eight_message_arrays():
-    # (6,5,4), M=4, 32 trials: the messages are d*B*T*M float64
-    sh = TensorShape((6, 5, 4), 4)
-    g = build_graph(sh, 1)
-    rng = np.random.default_rng(3)
-    u = rng.integers(0, 4, (32, sh.info_length(1)))
-    pmfs = channel_pmfs(awgn(transmit_signal(encode(u, sh, 1), 4), 1.0, rng), 1.0, 4)
-    bp_decode_batch(g, pmfs, 5)
-    tracemalloc.start()
-    try:
+    # (6,5,4), 32 trials: the messages are d*B*T*M float64; from M = 8 on the
+    # softmax and clean sums also need partial-sum planes
+    for m in (4, 8):
+        sh = TensorShape((6, 5, 4), m)
+        g = build_graph(sh, 1)
+        rng = np.random.default_rng(3)
+        u = rng.integers(0, m, (32, sh.info_length(1)))
+        pmfs = channel_pmfs(awgn(transmit_signal(encode(u, sh, 1), m), 1.0, rng), 1.0, m)
         bp_decode_batch(g, pmfs, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    message_bytes = sh.num_modes * 32 * sh.blocklength * 4 * 8
-    assert peak <= 8 * message_bytes
+        tracemalloc.start()
+        try:
+            bp_decode_batch(g, pmfs, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        message_bytes = sh.num_modes * 32 * sh.blocklength * m * 8
+        assert peak <= 8 * message_bytes, m

@@ -109,6 +109,18 @@ class TestEncodeDecode:
                        "--noise-var", "nan", "--decoder", "bp") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("decoder", ["bp", "ml"])
+    def test_infinite_noise_variance_exits_2(self, decoder, tmp_path, capsys):
+        # an infinite variance makes every channel pmf uniform, so BP would
+        # print the all-zero word whatever was received
+        enc = tmp_path / "s.txt"
+        run_cli("encode", "--shape", "4,2,2", "--mod", "4", "--info", "3,1,0,2,1",
+                "--out", str(enc))
+        assert run_cli("decode", "--shape", "4,2,2", "--mod", "4", "--in", str(enc),
+                       "--noise-var", "inf", "--decoder", decoder) == 2
+        captured = capsys.readouterr()
+        assert "error: noise variance" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("bad", [("--max-iters", "0"), ("--damping", "7")])
     @pytest.mark.parametrize("decoder", ["bp", "ml"])
     def test_bad_bp_settings_exit_2_under_every_decoder(self, decoder, bad, tmp_path, capsys):
@@ -267,6 +279,13 @@ class TestSimulateReplay:
                        "--snr-lo", "3990", "--snr-hi", "4000", "--trials", "4",
                        "--seed", "3") == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[5] == "3990.0"
+
+    def test_sweep_resolution_without_finite_step_count_exits_2(self, capsys):
+        # 4 / 5e-324 overflows to inf steps
+        assert run_cli("sweep", "--shapes", "2,2", "--mods", "4", "--target-per", "0.2",
+                       "--snr-lo", "0", "--snr-hi", "4", "--trials", "4", "--seed", "1",
+                       "--resolution", "5e-324") == 2
+        assert "error: resolution" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bracket", [("--snr-lo", "0", "--snr-hi", "inf"),
                                          ("--snr-lo=-inf", "--snr-hi", "4"),

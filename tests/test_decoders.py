@@ -107,11 +107,11 @@ class TestCheckUpdate:
             for n in (2, 3, 5):
                 pmfs = [rng.dirichlet(np.ones(m)) for _ in range(n)]
                 target = rng.dirichlet(np.ones(m))
-                w = np.conj(np.fft.fft(np.stack(pmfs), axis=-1))
+                w = np.conj(np.fft.fft(np.stack(pmfs), axis=-1))[:, None]  # (n, B=1, M)
                 out = check_extrinsics(np.fft.fft(target), w)
                 for k in range(n):
                     want = check_update_direct(pmfs[:k] + pmfs[k + 1 :], target)
-                    assert np.allclose(out[k], want, atol=1e-12)
+                    assert np.allclose(out[k, 0], want, atol=1e-12)
 
     def test_single_input_negates(self):
         q = np.array([0.1, 0.2, 0.3, 0.4])

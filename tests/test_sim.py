@@ -3,10 +3,12 @@ semantics, metric accounting, and persistence formats."""
 
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import tbmpsk.sim as sim
 from tbmpsk.bounds import linear_to_db, min_snr_for_rate, tbm_rate
 from tbmpsk.sim import (
     SimConfig,
@@ -214,6 +216,27 @@ class TestSweep:
     def test_rejects_resolution_not_finite_and_positive(self, resolution_db):
         with pytest.raises(ValueError, match="resolution"):
             min_snr_sweep(self._cfg(), 0.05, -2.0, 6.0, resolution_db=resolution_db)
+
+    def test_grid_is_made_as_bisection_reads_it(self, monkeypatch):
+        # 4,001 grid points: bisection reads the two ends and 12 more, and only the ends
+        # are checked, so no per-point list is ever built
+        cfg, checked, read = self._cfg(), [], []
+        monkeypatch.setattr(sim, "check_snrs_db", lambda snrs: checked.append(list(snrs)))
+        monkeypatch.setattr(sim, "run_point",
+                            lambda cfg, snr: read.append(snr) or SimpleNamespace(value=-snr))
+        got = min_snr_sweep(cfg, -1.2345, 0.0, 4.0, resolution_db=0.001)
+        assert checked == [[0.0, 4.0]]
+        assert len(read) == 14 and got == 0.001 * 1235
+        assert read[0] == 4.0 and read[1] == 0.0
+
+    def test_top_grid_point_is_capped_at_the_bracket_end(self, monkeypatch):
+        monkeypatch.setattr(sim, "run_point", lambda cfg, snr: SimpleNamespace(value=-snr))
+        assert min_snr_sweep(self._cfg(), -6.5, -2.0, 6.5, resolution_db=2.0) == 6.5
+
+    @pytest.mark.parametrize("resolution_db", [5e-324, 1e-310])
+    def test_rejects_resolution_without_finite_step_count(self, resolution_db):
+        with pytest.raises(ValueError, match="resolution"):
+            min_snr_sweep(self._cfg(), 0.05, 0.0, 4.0, resolution_db=resolution_db)
 
     def test_rejects_grid_whose_linear_value_underflows(self):
         with pytest.raises(ValueError):
