@@ -78,9 +78,7 @@ def _max_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _sum_last(
-    x: np.ndarray, out: np.ndarray | None = None, temps: tuple | None = None
-) -> np.ndarray:
+def _sum_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.sum(x, axis=-1)`` of a contiguous ``x``, as adds of the last
     axis's slices in numpy's pairwise order, so every layout of ``x`` gives
     the bits numpy gives its contiguous copy (up to the sign of a sum of
@@ -90,15 +88,15 @@ def _sum_last(
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before the tail is
     added; longer axes split in two where numpy splits them.
 
-    From 8 terms on, the partial sums go to ``temps``, three arrays shaped
-    like ``out``, or to three made per call without them; above 128 terms
-    each split also makes one array for its second half."""
+    From 8 terms on, each block of up to 128 terms makes three arrays shaped
+    like ``out`` for its partial sums, and each split one for its second
+    half."""
     if out is None:
         out = np.empty(x.shape[:-1])
-    return _pairwise_sum(x, 0, x.shape[-1], out, temps)
+    return _pairwise_sum(x, 0, x.shape[-1], out)
 
 
-def _pairwise_sum(x: np.ndarray, a: int, n: int, out: np.ndarray, temps) -> np.ndarray:
+def _pairwise_sum(x: np.ndarray, a: int, n: int, out: np.ndarray) -> np.ndarray:
     """Sum of the last-axis slices a, ..., a + n - 1 of ``x`` into ``out``,
     in the order of numpy's ``pairwise_sum``."""
     if n < 8:
@@ -106,12 +104,10 @@ def _pairwise_sum(x: np.ndarray, a: int, n: int, out: np.ndarray, temps) -> np.n
         for j in range(a + 2, a + n):
             np.add(out, x[..., j], out=out)
         return out
-    if temps is None:
-        temps = tuple(np.empty_like(out) for _ in range(3))
     if n > 128:
         half = n // 2 - n // 2 % 8
-        _pairwise_sum(x, a, half, out, temps)
-        return np.add(out, _pairwise_sum(x, a + half, n - half, np.empty_like(out), temps), out=out)
+        _pairwise_sum(x, a, half, out)
+        return np.add(out, _pairwise_sum(x, a + half, n - half, np.empty_like(out)), out=out)
     whole = a + n - n % 8
 
     def running(j, buf):  # r_j, the running sum of terms j, j + 8, ... of the whole blocks
@@ -125,7 +121,7 @@ def _pairwise_sum(x: np.ndarray, a: int, n: int, out: np.ndarray, temps) -> np.n
     def pair(j, buf, other):  # r_j + r_{j+1} into buf
         return np.add(running(j, buf), running(j + 1, other), out=buf)
 
-    t1, t2, t3 = temps
+    t1, t2, t3 = (np.empty_like(out) for _ in range(3))
     pair(0, out, t1)
     np.add(out, pair(2, t1, t2), out=out)
     np.add(pair(4, t1, t2), pair(6, t2, t3), out=t1)
@@ -136,38 +132,25 @@ def _pairwise_sum(x: np.ndarray, a: int, n: int, out: np.ndarray, temps) -> np.n
 
 
 def _softmax(
-    x: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-    temps: tuple | None = None,
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """``scipy.special.softmax(x, axis=-1)``: exp(x - max) / sum, in
     scipy's three operations.  ``out`` may be ``x``; ``scratch`` (shape
-    ``x.shape[:-1]``) holds the per-row max and then the sum, and ``temps``
-    serve the sum as in :func:`_sum_last`."""
+    ``x.shape[:-1]``) holds the per-row max and then the sum
+    (:func:`_sum_last`)."""
     s = _max_last(x, scratch)
     e = np.subtract(x, s[..., None], out=out)
     np.exp(e, out=e)
-    return np.divide(e, _sum_last(e, s, temps)[..., None], out=e)
+    return np.divide(e, _sum_last(e, s)[..., None], out=e)
 
 
 def _clean(
-    pmfs: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-    temps: tuple | None = None,
+    pmfs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """Floor at ``PMF_FLOOR`` and renormalize over the last axis; ``out``,
-    ``scratch`` and ``temps`` as for :func:`_softmax`."""
+    """Floor at ``PMF_FLOOR`` and renormalize over the last axis; ``out``
+    and ``scratch`` as for :func:`_softmax`."""
     p = np.maximum(pmfs, PMF_FLOOR, out=out)
-    return np.divide(p, _sum_last(p, scratch, temps)[..., None], out=p)
-
-
-def _spent_planes(w: np.ndarray) -> tuple:
-    """Three planes, shaped like ``w[:, :, 0]``, of spectra ``w``
-    (participants, B, bins) + positions that nothing reads any more: the
-    partial sums of a clean or softmax over ``w``'s rows can go there."""
-    return w[:, :, 0].real, w[:, :, 0].imag, w[:, :, 1].real
+    return np.divide(p, _sum_last(p, scratch)[..., None], out=p)
 
 
 def _plane(x: np.ndarray, axis: int, j) -> np.ndarray:
@@ -240,10 +223,7 @@ def _idft(f: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
 
 
 def check_extrinsics(
-    target_f: np.ndarray,
-    w: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    target_f: np.ndarray, w: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """Extrinsic pmfs at sum constraints (sum of participants = t mod M),
     one per participant: the pmf of t minus the other participants.
@@ -254,16 +234,15 @@ def check_extrinsics(
     spectrum on axis 2.  ``target_f`` is the DFT of t's pmf, broadcast
     against ``w[0]``.  The products over the others run as a prefix/suffix
     product in participant order; the running suffix is kept in ``w``,
-    which is overwritten, and three of its planes then hold the clean's
-    partial sums (:func:`_spent_planes`).  A participant whose ``w`` is
-    exactly 1 (a delta at 0) is absent: multiplying by 1+0j is exact, so it
-    changes no other output.
+    which is overwritten.  A participant whose ``w`` is exactly 1 (a delta
+    at 0) is absent: multiplying by 1+0j is exact, so it changes no other
+    output.
 
-    The cleaned pmfs go to ``out``, shape (participants, B, M) + positions;
-    without ``out``, ``w`` holds full DFTs and M is their length.  For
-    M <= ``HALF_SPECTRUM_M`` the inverse (:func:`_idft`) reads only the first
-    M // 2 + 1 bins, so ``w`` and ``target_f`` may hold just those.
-    ``scratch``, shape (participants, B) + positions, serves the clean.
+    The cleaned pmfs go to ``out``, shape (participants, B, M) + positions,
+    which sets M.  For M <= ``HALF_SPECTRUM_M`` the inverse (:func:`_idft`)
+    reads only the first M // 2 + 1 bins, so ``w`` and ``target_f`` may hold
+    just those; larger M needs all M.  ``scratch``, shape
+    (participants, B) + positions, serves the clean.
     """
     n = w.shape[0]
     f = np.empty_like(w)
@@ -274,11 +253,8 @@ def check_extrinsics(
         np.multiply(f[k], w[k + 1], out=f[k])
         if k:
             np.multiply(w[k + 1], w[k], out=w[k])
-    if out is None:
-        out = np.empty(w.shape)
     last = (0, 1, *range(3, out.ndim), 2)  # the pmf axis last, as _clean reads it
-    _clean(_idft(f, out, 2).transpose(last), out=out.transpose(last), scratch=scratch,
-           temps=_spent_planes(w))
+    _clean(_idft(f, out, 2).transpose(last), out=out.transpose(last), scratch=scratch)
     return out
 
 
@@ -324,16 +300,18 @@ def bp_decode_batch(
     adds in another order and moves the last bit).  The transposes, the
     segment starts and the broadcast shapes are made once per call.
 
-    An iteration allocates almost nothing: the DFTs, the check extrinsics
+    For M < 8 an iteration allocates little beyond the spectra-shaped prefix
+    products of :func:`check_extrinsics`: the DFTs, the check extrinsics
     and their inverse transform write into per-call buffers, whose first
     rows hold the live trials; log, extrinsic subtraction, softmax and
     damping then run in place in the inverse transform's output.  Softmax
     and clean read the pmf axis through a transposed view, so each of their
     per-symbol slices is one contiguous plane per (mode, trial); from M = 8
-    on, their partial sums go to planes of the spent spectra.  For
-    M <= ``HALF_SPECTRUM_M`` the messages keep M // 2 + 1 DFT bins, and at
-    M = 4 the transforms are pocketfft's butterflies on those planes
-    (:func:`_dft`, :func:`_idft`); larger M keeps the full spectrum.
+    on, each of their sums makes its three partial-sum arrays
+    (:func:`_sum_last`).  For M <= ``HALF_SPECTRUM_M`` the messages keep
+    M // 2 + 1 DFT bins, and at M = 4 the transforms are pocketfft's
+    butterflies on those planes (:func:`_dft`, :func:`_idft`); larger M
+    keeps the full spectrum.
     """
     check_bp_params(max_iters, damping)
     obs = np.asarray(observation_pmfs, dtype=float)
@@ -397,8 +375,7 @@ def bp_decode_batch(
         _softmax(by_word, out=by_word)
         for i in range(d):
             np.subtract(sums[i].reshape(entry[i]), logs[i], out=logs[i])
-        temps = _spent_planes(w)
-        _softmax(logs.transpose(last), out=logs.transpose(last), scratch=scratch, temps=temps)
+        _softmax(logs.transpose(last), out=logs.transpose(last), scratch=scratch)
         if damping == 0.0:
             v2c = logs  # a view of ``messages``, read before the next kernel call
         else:
@@ -406,7 +383,7 @@ def bp_decode_batch(
             np.multiply(logs, 1.0 - damping, out=logs)
             np.multiply(v2c, damping, out=v2c)
             np.add(logs, v2c, out=v2c)
-            _clean(v2c.transpose(last), out=v2c.transpose(last), scratch=scratch, temps=temps)
+            _clean(v2c.transpose(last), out=v2c.transpose(last), scratch=scratch)
 
         decisions = np.argmax(posteriors, axis=1)  # ties: smallest symbol
         streak = np.where((decisions == prev).all(axis=1), streak + 1, 0)
@@ -487,7 +464,6 @@ class CpFactors:
     """Rank-R factors of a complex tensor, last mode treated as gains."""
 
     factors: list[np.ndarray]
-    rank: int
     residual: float
     residual_history: np.ndarray
     converged: bool
@@ -564,43 +540,33 @@ def cp_als(
                 converged = True
                 break
             prev_res = res
-        cand = CpFactors(factors, rank, history[-1], np.array(history), converged)
+        cand = CpFactors(factors, history[-1], np.array(history), converged)
         if best is None or cand.residual < best.residual:
             best = cand
     return best
 
 
-def normalize_factors(
-    cp: CpFactors, modulation_order: int
-) -> tuple[CpFactors, list[np.ndarray], np.ndarray]:
+def normalize_factors(cp: CpFactors) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Resolve the per-user scaling ambiguity against the reference entries.
 
-    Divides each signal-mode column by its first entry (the position whose
-    transmitted symbol is the constellation's 1) and absorbs the product of
-    those entries into the gain column.  Users with any reference entry of
-    magnitude below 1e-6 are flagged undecodable.  Also returns hard
-    projections round(angle * M / 2pi) mod M per signal-mode entry.
+    Returns (modes, gains, undecodable): each signal-mode column divided by
+    its first entry (the position whose transmitted symbol is the
+    constellation's 1), the gain columns times the product of those entries,
+    and a mask of the users with a reference entry of magnitude below
+    ``REFERENCE_TOL``, whose columns are left unscaled.
+
+    Every user gets the bits of the per-user division and ``np.prod``: the
+    product runs along the last axis of the C-contiguous (1, R, d) array of
+    reference rows (a product over the first axis of a (d, R) array differs
+    once d >= 2), and the kept row axis spares a lone (1, 1) gain the
+    broadcast loop, whose complex multiply differs in the last bit.
     """
-    modes = [f.copy() for f in cp.factors[:-1]]
-    gains = cp.factors[-1].copy()
-    rank = cp.rank
-    undecodable = np.zeros(rank, dtype=bool)
-    for r in range(rank):
-        refs = np.array([f[0, r] for f in modes])
-        if np.any(np.abs(refs) < REFERENCE_TOL):
-            undecodable[r] = True
-            continue
-        for f, a in zip(modes, refs):
-            f[:, r] = f[:, r] / a
-        gains[:, r] = gains[:, r] * np.prod(refs)
-    hard = [
-        np.mod(np.rint(np.angle(f) * modulation_order / (2 * np.pi)), modulation_order).astype(
-            np.int64
-        )
-        for f in modes
-    ]
-    out = CpFactors(modes + [gains], rank, cp.residual, cp.residual_history, cp.converged)
-    return out, hard, undecodable
+    *modes, gains = cp.factors
+    refs = np.stack([f[:1] for f in modes], axis=-1)
+    undecodable = (np.abs(refs[0]) < REFERENCE_TOL).any(axis=-1)
+    refs[:, undecodable] = 1.0
+    modes = [f / refs[..., i] for i, f in enumerate(modes)]
+    return modes, gains * np.prod(refs, axis=-1), undecodable
 
 
 def multiuser_decode(
@@ -626,13 +592,12 @@ def multiuser_decode(
             f"tensor signal modes {tensor.shape[: shape.num_modes]} do not match {shape.dims}"
         )
     cp = cp_als(tensor, num_users, rng)
-    ncp, _, undecodable = normalize_factors(cp, shape.modulation_order)
+    modes, gains, undecodable = normalize_factors(cp)
     users = [r for r in range(num_users) if not undecodable[r]]
     pmfs = []
     for r in users:
-        cols = [f[:, r] for f in ncp.factors[:-1]]
-        signal = mls_encode(cols)
-        gain_energy = float(np.linalg.norm(ncp.factors[-1][:, r]) ** 2)
+        signal = mls_encode([f[:, r] for f in modes])
+        gain_energy = float(np.linalg.norm(gains[:, r]) ** 2)
         eff_var = max(noise_var / max(gain_energy, 1e-300), 1e-12)
         pmfs.append(channel_pmfs(signal, eff_var, shape.modulation_order))
     out: list[np.ndarray | None] = [None] * num_users

@@ -95,6 +95,8 @@ class SimConfig:
         if self.scenario == "awgn":
             if self.decoder == "bp" and self.case == 2:
                 raise ValueError("case 2 has no factor graph; use the ml decoder")
+            if self.num_users != 1 or self.num_antennas != 1:
+                raise ValueError("awgn has one user and one antenna")
         else:
             if self.decoder != "bp":
                 raise ValueError(f"simo-mac decodes with CP+BP, got decoder {self.decoder!r}")
@@ -207,11 +209,12 @@ def _stop_index(outcomes: np.ndarray, stop_errors: int) -> int | None:
 
 def _collect_outcomes(config: SimConfig, snr_db: float) -> np.ndarray:
     """Outcomes in trial order, run in waves of ``threads`` batches (in
-    worker processes when threads > 1) until the stop budget is reached."""
+    worker processes when threads > 1, one per batch at most) until the stop
+    budget is reached."""
     starts = range(0, config.trials, config.batch_size)
     stops = [min(a + config.batch_size, config.trials) for a in starts]
     collected: list[np.ndarray] = []
-    n = config.threads
+    n = min(config.threads, len(starts))
     with ProcessPoolExecutor(max_workers=n) if n > 1 else nullcontext() as pool:
         run_batches = pool.map if pool else map
         for w in range(0, len(starts), n):
@@ -269,7 +272,8 @@ def min_snr_sweep(
     top of the bracket misses the target.  Grid point i is lo_db + i *
     resolution_db, the top one capped at hi_db; points are made as the
     bisection reads them, so only about log2 of the grid is ever built, and
-    the noise variance, monotone in SNR, is checked at the two ends.
+    the noise variance, monotone in SNR, is checked at the two ends.  Grid
+    points that round to the same float SNR run once.
     """
     if not (np.isfinite(lo_db) and np.isfinite(hi_db)):
         raise ValueError(f"bracket ends must be finite, got {lo_db}, {hi_db}")
@@ -291,9 +295,10 @@ def min_snr_sweep(
     measured: dict[int, float] = {}
 
     def per(i: int) -> float:
-        if i not in measured:
-            measured[i] = run_point(config, grid(i)).value
-        return measured[i]
+        key = _snr_key(grid(i))
+        if key not in measured:
+            measured[key] = run_point(config, grid(i)).value
+        return measured[key]
 
     if per(top) > target_error:
         return None

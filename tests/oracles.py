@@ -1,8 +1,8 @@
 """Independent routes that only the tests call: a second generator
 construction, the paper's step-by-step derivation of the case generators,
 row-sum witnesses, index arithmetic, the single-constraint FFT check update
-and its direct-convolution reference, and the per-mode and systematic
-encoders.  Each must agree
+and its direct-convolution reference, the per-mode and systematic
+encoders, and the per-user CP factor normalization.  Each must agree
 with the production route it checks; none of them runs in a simulation.
 """
 
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from tbmpsk.decoders import _clean, check_extrinsics
+from tbmpsk.decoders import REFERENCE_TOL, CpFactors, _clean, check_extrinsics
 from tbmpsk.modulation import validate_symbols
 from tbmpsk.ring_code import RingMatrix, TensorShape, systematic_form
 
@@ -180,7 +180,7 @@ def check_update_fft(incoming: list[np.ndarray], target: np.ndarray | None = Non
     if mats:
         w[:-1, 0] = np.conj(np.fft.fft(np.stack(mats), axis=-1))
     f = np.ones(m, dtype=complex) if target is None else np.fft.fft(np.asarray(target, dtype=float))
-    return check_extrinsics(f, w)[-1, 0]
+    return check_extrinsics(f, w, np.empty(w.shape))[-1, 0]
 
 
 def check_update_direct(incoming: list[np.ndarray], target: np.ndarray | None = None) -> np.ndarray:
@@ -199,3 +199,21 @@ def check_update_direct(incoming: list[np.ndarray], target: np.ndarray | None = 
                 nxt[(t - v) % m] += out[t] * q[v]
         out = nxt
     return _clean(out)
+
+
+def normalize_factors_per_user(cp: CpFactors) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """:func:`tbmpsk.decoders.normalize_factors` one user at a time: each
+    decodable user's signal-mode columns divided by their first entries,
+    its gain column times ``np.prod`` of those entries."""
+    *modes, gains = [f.copy() for f in cp.factors]
+    rank = gains.shape[1]
+    undecodable = np.zeros(rank, dtype=bool)
+    for r in range(rank):
+        refs = np.array([f[0, r] for f in modes])
+        if np.any(np.abs(refs) < REFERENCE_TOL):
+            undecodable[r] = True
+            continue
+        for f, a in zip(modes, refs):
+            f[:, r] = f[:, r] / a
+        gains[:, r] = gains[:, r] * np.prod(refs)
+    return modes, gains, undecodable

@@ -95,9 +95,7 @@ def test_sum_last_is_np_sum_in_every_layout(m):
     assert np.array_equal(_sum_last(x), want)
     assert np.array_equal(_sum_last(planar(x)), want)
     out = np.empty((6, 5))[:, 1:4]  # BP's row scratch is a strided slice too
-    spent = np.empty((2, 6, 5), complex)[:, :, 1:4]  # partial sums in spent spectra
-    temps = (spent[0].real, spent[0].imag, spent[1].real)
-    assert _sum_last(planar(x)[:, 1:4], out=out, temps=temps) is out
+    assert _sum_last(planar(x)[:, 1:4], out=out) is out
     assert np.array_equal(out, want[:, 1:4])
 
 

@@ -240,6 +240,9 @@ class TestSimulateReplay:
         ("--scenario", "simo-mac", "--decoder", "ml", "--antennas", "2"),
         ("--decoder", "ml", "--max-iters", "0"),
         ("--decoder", "ml", "--damping", "7"),
+        ("--users", "3", "--antennas", "7"),
+        ("--users", "0"),
+        ("--antennas", "2"),
     ])
     def test_settings_the_run_would_ignore_exit_2(self, run_args, tmp_path, capsys):
         out = tmp_path / "s.csv"

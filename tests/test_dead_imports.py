@@ -1,5 +1,6 @@
 """Every name a package module, or the test oracles module, imports is
-used in that module."""
+used in that module, and every module-level private name of the package is
+read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,45 @@ def test_package_modules_use_every_import():
     modules.append(ORACLES)
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level functions, classes and assignment targets whose names
+    start with one underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    """Names the source reads: loaded ``Name`` ids, ``Attribute`` attrs and
+    the names that imports bring in."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(a.name.split(".")[-1] for a in node.names)
+    return read
+
+
+def test_detects_a_dead_private_helper():
+    source = (
+        "from .a import _imported\n_used = 1\n_dead = 2\n_spent: int = 3\n"
+        "def _f():\n    return _used\nclass _C:\n    pass\ndef _g():\n    pass\n"
+        "_f()\nmodule._g()\n"
+    )
+    assert private_definitions(source) - read_names(source) == {"_dead", "_spent", "_C"}
+
+
+def test_package_reads_every_private_helper():
+    sources = [p.read_text() for p in PACKAGE.glob("*.py")]
+    defined = set().union(*map(private_definitions, sources))
+    assert defined - set().union(*map(read_names, sources)) == set()

@@ -27,7 +27,7 @@ from tbmpsk.factor_graph import build_graph
 from tbmpsk.modulation import encode, mls_encode, psk_map, transmit_signal
 from tbmpsk.ring_code import TensorShape
 
-from oracles import check_update_direct, check_update_fft
+from oracles import check_update_direct, check_update_fft, normalize_factors_per_user
 
 
 class TestChannelPmfs:
@@ -108,7 +108,7 @@ class TestCheckUpdate:
                 pmfs = [rng.dirichlet(np.ones(m)) for _ in range(n)]
                 target = rng.dirichlet(np.ones(m))
                 w = np.conj(np.fft.fft(np.stack(pmfs), axis=-1))[:, None]  # (n, B=1, M)
-                out = check_extrinsics(np.fft.fft(target), w)
+                out = check_extrinsics(np.fft.fft(target), w, np.empty(w.shape))
                 for k in range(n):
                     want = check_update_direct(pmfs[:k] + pmfs[k + 1 :], target)
                     assert np.allclose(out[k, 0], want, atol=1e-12)
@@ -416,9 +416,8 @@ class TestCpAls:
             factor_vectors = {tuple(row[(0,) * i + (slice(None),) + (0,) * (2 - i)]) for row in c}
             assert len(factor_vectors) == 3
         tensor, true_gains = simo_mac(transmit_signal(encode(u, sh, 1), 4), sh, 5, 1e-4, rng)
-        ncp, _, bad = normalize_factors(cp_als(tensor, 3, rng), 4)
+        _, gains, bad = normalize_factors(cp_als(tensor, 3, rng))
         assert not bad.any()
-        gains = ncp.factors[-1]
         err = min(
             max(np.linalg.norm(gains[:, r] - h) / np.linalg.norm(h) for r, h in zip(p, true_gains))
             for p in itertools.permutations(range(3))
@@ -441,9 +440,9 @@ class TestNormalizeFactors:
         s = transmit_signal(encode(u, sh, 1), 4)
         tensor, _ = simo_mac(s, sh, 4, 0.0, rng)
         cp = cp_als(tensor, 2, rng)
-        ncp, hard, bad = normalize_factors(cp, 4)
+        modes, _, bad = normalize_factors(cp)
         assert not bad.any()
-        for f in ncp.factors[:-1]:
+        for f in modes:
             assert np.allclose(f[0, :], 1.0, atol=1e-6)
 
     def test_reconstruction_invariant(self):
@@ -453,7 +452,7 @@ class TestNormalizeFactors:
         s = transmit_signal(encode(u, sh, 1), 4)
         tensor, _ = simo_mac(s, sh, 4, 0.0, rng)
         cp = cp_als(tensor, 2, rng)
-        ncp, _, _ = normalize_factors(cp, 4)
+        modes, gains, _ = normalize_factors(cp)
 
         def rebuild(f):
             full = f[0]
@@ -461,7 +460,7 @@ class TestNormalizeFactors:
                 full = (full[:, None, :] * a[None, :, :]).reshape(-1, f[0].shape[1])
             return full.sum(axis=1)
 
-        assert np.allclose(rebuild(cp.factors), rebuild(ncp.factors), atol=1e-8)
+        assert np.allclose(rebuild(cp.factors), rebuild(modes + [gains]), atol=1e-8)
 
     def test_hard_projection_recovers_symbols(self):
         rng = np.random.default_rng(14)
@@ -470,8 +469,9 @@ class TestNormalizeFactors:
         s = transmit_signal(encode(u, sh, 1), 4)
         tensor, _ = simo_mac(s, sh, 4, 0.0, rng)
         cp = cp_als(tensor, 1, rng)
-        ncp, hard, bad = normalize_factors(cp, 4)
+        modes, _, bad = normalize_factors(cp)
         assert not bad.any()
+        hard = [np.mod(np.rint(np.angle(f) * 4 / (2 * np.pi)), 4).astype(np.int64) for f in modes]
         # per-mode hard symbols are the factor vectors of the codeword
         c = encode(u[0], sh, 1).reshape(sh.dims)
         assert np.array_equal(hard[0][:, 0], c[:, 0, 0])
@@ -483,9 +483,31 @@ class TestNormalizeFactors:
             np.array([[1.0 + 0j], [1.0 + 0j]]),
             np.array([[1.0 + 0j], [1.0 + 0j]]),
         ]
-        cp = CpFactors(factors, 1, 0.0, np.array([0.0]), True)
-        _, _, bad = normalize_factors(cp, 4)
+        cp = CpFactors(factors, 0.0, np.array([0.0]), True)
+        _, _, bad = normalize_factors(cp)
         assert bad.all()
+
+    def test_matches_the_per_user_loop(self):
+        # whole-array division and product give every decodable user the bits
+        # of its own loop, for factors in C and in Fortran order (cp_als
+        # returns the latter); vanishing references flag some users
+        rng = np.random.default_rng(22)
+        flagged = 0
+        for d, rank, order in itertools.product(range(1, 5), range(1, 7), "CF"):
+            for _ in range(5):
+                factors = [np.asarray(rng.standard_normal((t, rank))
+                                      + 1j * rng.standard_normal((t, rank)), order=order)
+                           for t in rng.integers(1, 6, d + 1)]
+                for f in factors[:-1]:
+                    f[0, rng.random(rank) < 0.1] *= 1e-7
+                cp = CpFactors(factors, 0.0, np.array([0.0]), True)
+                modes, gains, bad = normalize_factors(cp)
+                want_modes, want_gains, want_bad = normalize_factors_per_user(cp)
+                assert np.array_equal(bad, want_bad)
+                for got, want in zip(modes + [gains], want_modes + [want_gains]):
+                    assert np.array_equal(got[:, ~bad], want[:, ~bad])
+                flagged += bad.sum()
+        assert 0 < flagged
 
 
 class TestMultiuserDecode:

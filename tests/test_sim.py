@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(**{**BASE, "scenario": "simo-mac", "case": 3})
 
+    @pytest.mark.parametrize("field, value", [("num_users", 3), ("num_users", 0),
+                                              ("num_antennas", 7), ("num_antennas", 0)])
+    def test_awgn_rejects_users_and_antennas_other_than_one(self, field, value):
+        with pytest.raises(ValueError, match="awgn"):
+            SimConfig(**{**BASE, field: value})
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             SimConfig(**{**BASE, "seed": -1})
@@ -106,6 +112,28 @@ class TestDeterminism:
         p1 = run_point(SimConfig(**{**BASE, "threads": 1}), 2.0)
         p2 = run_point(SimConfig(**{**BASE, "threads": 2, "batch_size": 16}), 2.0)
         assert p1 == p2
+
+    def test_one_worker_per_batch_at_most(self, monkeypatch):
+        # 4 threads start 2 workers for 2 batches, and none for 1 batch
+        made = []
+
+        class Pool:
+            map = staticmethod(map)
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", Pool)
+        want = run_point(SimConfig(**BASE), 2.0)
+        assert run_point(SimConfig(**{**BASE, "threads": 4, "batch_size": 30}), 2.0) == want
+        assert run_point(SimConfig(**{**BASE, "threads": 4, "batch_size": 60}), 2.0) == want
+        assert made == [2]
 
     def test_snr_grid_order_irrelevant(self):
         cfg_a = SimConfig(**{**BASE, "snrs_db": (0.0, 2.0)})
@@ -228,6 +256,15 @@ class TestSweep:
         assert checked == [[0.0, 4.0]]
         assert len(read) == 14 and got == 0.001 * 1235
         assert read[0] == 4.0 and read[1] == 0.0
+
+    def test_each_snr_runs_once(self, monkeypatch):
+        # at 1e-300 dB most grid points round to the same float SNR: the
+        # bisection reads about 1,000 points, but only 54 distinct SNRs
+        cfg = SimConfig(dims=(2, 2), modulation_order=4, snrs_db=(-10.0, 4.0), trials=4, seed=1)
+        ran, run_one = [], sim.run_point
+        monkeypatch.setattr(sim, "run_point", lambda c, snr: ran.append(snr) or run_one(c, snr))
+        assert min_snr_sweep(cfg, 0.2, -10.0, 4.0, resolution_db=1e-300) == 1.7818584942470963
+        assert len(ran) == len(set(ran)) == 54
 
     def test_top_grid_point_is_capped_at_the_bracket_end(self, monkeypatch):
         monkeypatch.setattr(sim, "run_point", lambda cfg, snr: SimpleNamespace(value=-snr))
