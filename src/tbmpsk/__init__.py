@@ -7,12 +7,11 @@ from .ring_code import (
     CASES,
     RingMatrix,
     TensorShape,
-    build_generator,
     case_matrix,
     generalized_parity_check,
     systematic_form,
 )
-from .modulation import encode, mls_encode, psk_map, transmit_signal
+from .modulation import encode, mls_encode, transmit_signal
 from .factor_graph import FactorGraph, build_graph, degree_distribution
 from .decoders import (
     channel_pmfs,
@@ -30,13 +29,11 @@ __all__ = [
     "CASES",
     "RingMatrix",
     "TensorShape",
-    "build_generator",
     "case_matrix",
     "generalized_parity_check",
     "systematic_form",
     "encode",
     "mls_encode",
-    "psk_map",
     "transmit_signal",
     "FactorGraph",
     "build_graph",

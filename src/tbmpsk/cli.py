@@ -4,8 +4,10 @@ Every file-producing command writes a JSON manifest next to its output;
 ``replay`` re-runs a manifest and must reproduce the output byte-for-byte
 (the manifest's own timestamp is the only thing allowed to differ).
 
-Exit codes: 0 success, 2 configuration/validation error, 3 runtime guard
-(enumeration limit, unreachable bound target).
+Exit codes: 0 success, 2 configuration/validation error (among them an empty
+SNR, shape or order list and more than ``sim.MAX_THREADS`` workers), 3 runtime
+guard (enumeration limit, unreachable bound target) or an input or output file
+that cannot be opened.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .factor_graph import FactorGraph, build_graph
-from .modulation import encode, mls_encode, psk_map, transmit_signal
+from .modulation import encode, mls_encode, transmit_signal
 from .ring_code import TensorShape
 
 PMF_FLOOR = 1e-30
@@ -58,7 +58,7 @@ def channel_pmfs(received: np.ndarray, noise_var: float, modulation_order: int) 
     if not noise_var >= 0:
         raise ValueError(f"noise variance must be non-negative, got {noise_var}")
     y = np.asarray(received, dtype=complex)
-    points = psk_map(np.arange(modulation_order), modulation_order)
+    points = transmit_signal(np.arange(modulation_order), modulation_order)
     d2 = np.abs(y[..., None] - points) ** 2
     if noise_var == 0:
         return (np.argmin(d2, axis=-1)[..., None] == np.arange(modulation_order)).astype(float)
@@ -153,15 +153,11 @@ def _clean(
     return np.divide(p, _sum_last(p, scratch)[..., None], out=p)
 
 
-def _plane(x: np.ndarray, axis: int, j) -> np.ndarray:
-    """``x``'s slice j (an index or a slice) along ``axis``."""
-    return x[(slice(None),) * axis + (j,)]
-
-
-def _dft(x: np.ndarray, out: np.ndarray, axis: int, conj: bool = False) -> np.ndarray:
-    """DFT of real ``x`` along ``axis`` into complex ``out``, conjugated if
-    ``conj``: bit for bit ``np.fft.rfft`` (M <= ``HALF_SPECTRUM_M``, M // 2 + 1
-    bins) or ``np.fft.fft`` (larger M), and ``np.conj`` of it.
+def _dft(x: np.ndarray, out: np.ndarray, conj: bool = False) -> np.ndarray:
+    """DFT of real ``x`` along axis 2, the spectrum axis of BP's layout
+    (d, B, M) + positions, into complex ``out``, conjugated if ``conj``:
+    bit for bit ``np.fft.rfft`` (M <= ``HALF_SPECTRUM_M``, M // 2 + 1 bins)
+    or ``np.fft.fft`` (larger M), and ``np.conj`` of it.
 
     For M = 4 the transform is pocketfft's radf4 butterfly as whole-array
     ufuncs on the four planes of ``x``, one call per operation instead of one
@@ -169,15 +165,15 @@ def _dft(x: np.ndarray, out: np.ndarray, axis: int, conj: bool = False) -> np.nd
     X2 = (x0 + x2) - (x3 + x1).  The two sums wait in the imaginary parts of
     X0 and X2, which then take the zero that pocketfft writes there (-0.0
     once conjugated)."""
-    m = x.shape[axis]
+    m = x.shape[2]
     if m != 4:
         if m <= HALF_SPECTRUM_M:
-            np.fft.rfft(x, axis=axis, out=out)
+            np.fft.rfft(x, axis=2, out=out)
         else:
-            np.fft.fft(x, axis=axis, out=out)
+            np.fft.fft(x, axis=2, out=out)
         return np.conjugate(out, out=out) if conj else out
-    x0, x1, x2, x3 = (_plane(x, axis, j) for j in range(4))
-    y0, y1, y2 = (_plane(out, axis, j) for j in range(3))
+    x0, x1, x2, x3 = (x[:, :, j] for j in range(4))
+    y0, y1, y2 = (out[:, :, j] for j in range(3))
     even, odd = y0.imag, y2.imag
     np.add(x0, x2, out=even)
     np.add(x3, x1, out=odd)
@@ -188,13 +184,13 @@ def _dft(x: np.ndarray, out: np.ndarray, axis: int, conj: bool = False) -> np.nd
     if conj:
         np.negative(y1.imag, out=y1.imag)
     # the zero imaginary parts: bins 0 and 2
-    _plane(out.imag, axis, slice(None, None, 2))[...] = -0.0 if conj else 0.0
+    out.imag[:, :, ::2] = -0.0 if conj else 0.0
     return out
 
 
-def _idft(f: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
-    """Inverse DFT along ``axis`` of the spectra ``f``, whose M is
-    ``out.shape[axis]``: bit for bit ``np.fft.irfft`` into ``out`` for
+def _idft(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse DFT along axis 2 of the spectra ``f``, whose M is
+    ``out.shape[2]``: bit for bit ``np.fft.irfft`` into ``out`` for
     M <= ``HALF_SPECTRUM_M``, and for larger M ``np.fft.ifft(f).real``,
     computed in ``f`` and returned as its real view.
 
@@ -203,13 +199,13 @@ def _idft(f: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     tr4 = 2 i1, and y = (tr2 + tr3, tr1 - tr4, tr2 - tr3, tr1 + tr4).  tr1 and
     tr2 wait in the imaginary parts of bins 0 and 2, which irfft ignores, and
     tr3 and tr4 in the outputs they feed."""
-    m = out.shape[axis]
+    m = out.shape[2]
     if m != 4:
         if m <= HALF_SPECTRUM_M:
-            return np.fft.irfft(f, n=m, axis=axis, out=out)
-        return np.fft.ifft(f, axis=axis, out=f).real
-    f0, f1, f2 = (_plane(f, axis, j) for j in range(3))
-    y0, y1, y2, y3 = (_plane(out, axis, j) for j in range(4))
+            return np.fft.irfft(f, n=m, axis=2, out=out)
+        return np.fft.ifft(f, axis=2, out=f).real
+    f0, f1, f2 = (f[:, :, j] for j in range(3))
+    y0, y1, y2, y3 = (out[:, :, j] for j in range(4))
     tr2, tr1 = f0.imag, f2.imag
     np.add(f0.real, f2.real, out=tr2)
     np.subtract(f0.real, f2.real, out=tr1)
@@ -254,7 +250,7 @@ def check_extrinsics(
         if k:
             np.multiply(w[k + 1], w[k], out=w[k])
     last = (0, 1, *range(3, out.ndim), 2)  # the pmf axis last, as _clean reads it
-    _clean(_idft(f, out, 2).transpose(last), out=out.transpose(last), scratch=scratch)
+    _clean(_idft(f, out).transpose(last), out=out.transpose(last), scratch=scratch)
     return out
 
 
@@ -328,7 +324,7 @@ def bp_decode_batch(
     # being their conjugates
     bins = m // 2 + 1 if m <= HALF_SPECTRUM_M else m
     obs_f = np.empty((nb, bins) + dims, dtype=complex)
-    _dft(_clean(obs).transpose(0, 2, 1).reshape((nb, m) + dims), obs_f, 1)
+    _dft(_clean(obs).transpose(0, 2, 1).reshape((1, nb, m) + dims), obs_f[None])
     v2c = np.full((d, nb, m) + dims, 1.0 / m)
     # made once per call; an iteration uses the first n rows, one per live trial
     spectra = np.empty((d, nb, bins) + dims, dtype=complex)
@@ -359,7 +355,7 @@ def bp_decode_batch(
             break
         scratch = row_scratch[:, :n]
         # check side, DFT domain
-        w = _dft(v2c, spectra[:, :n], 2, conj=True)
+        w = _dft(v2c, spectra[:, :n], conj=True)
         for index in pinned:
             w[index] = 1.0
         logs = check_extrinsics(obs_f, w, messages[:, :n], scratch)

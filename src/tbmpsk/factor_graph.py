@@ -27,12 +27,10 @@ class FactorGraph:
     """
 
     shape: TensorShape
-    case: int
     num_checks: int
     var_labels: tuple[tuple[int, int], ...]
     edge_check: np.ndarray
     edge_var: np.ndarray
-    pilot_check: int | None
 
     @property
     def num_vars(self) -> int:
@@ -41,9 +39,6 @@ class FactorGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edge_check)
-
-    def var_degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_var, minlength=self.num_vars)
 
     def check_degrees(self) -> np.ndarray:
         return np.bincount(self.edge_check, minlength=self.num_checks)
@@ -62,12 +57,10 @@ def build_graph(shape: TensorShape, case: int) -> FactorGraph:
     edge_check, mode = np.nonzero(var >= 0)  # sorted by position, then variable
     return FactorGraph(
         shape=shape,
-        case=case,
         num_checks=shape.blocklength,
         var_labels=shape.free_entries(case),
         edge_check=edge_check.astype(np.int64),
         edge_var=var[edge_check, mode],
-        pilot_check=0 if case == 1 else None,
     )
 
 

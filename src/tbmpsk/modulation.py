@@ -26,12 +26,6 @@ def validate_symbols(symbols: np.ndarray, modulation_order: int) -> np.ndarray:
     return u
 
 
-def psk_map(symbols: np.ndarray, modulation_order: int) -> np.ndarray:
-    """phi(v) = exp(j 2 pi v / M), elementwise."""
-    u = validate_symbols(symbols, modulation_order)
-    return np.exp(2j * np.pi * u / modulation_order)
-
-
 def mls_encode(factors: list[np.ndarray]) -> np.ndarray:
     """Flattened rank-1 tensor of the given complex factor vectors,
     lexicographic (C) order: x_1 (x) x_2 (x) ... (x) x_d."""
@@ -77,5 +71,6 @@ def encode(info: np.ndarray, shape: TensorShape, case: int) -> np.ndarray:
 
 
 def transmit_signal(codeword: np.ndarray, modulation_order: int) -> np.ndarray:
-    """Baseband samples phi(c) for a ring codeword."""
-    return psk_map(codeword, modulation_order)
+    """Baseband samples phi(c) = exp(j 2 pi c / M) of ring symbols, elementwise."""
+    u = validate_symbols(codeword, modulation_order)
+    return np.exp(2j * np.pi * u / modulation_order)

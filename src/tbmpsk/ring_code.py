@@ -131,23 +131,6 @@ class RingMatrix:
             lines.append(" ".join(str(int(v)) for v in row))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "RingMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty matrix text")
-        header = lines[0].split()
-        if len(header) != 3:
-            raise ValueError(f"matrix header must be 'rows cols modulus', got {lines[0]!r}")
-        r, c, m = (int(v) for v in header)
-        if len(lines) - 1 != r:
-            raise ValueError(f"expected {r} matrix rows, got {len(lines) - 1}")
-        body = [[int(v) for v in ln.split()] for ln in lines[1:]]
-        a = np.array(body, dtype=np.int64).reshape(r, c if r else 0)
-        if r and a.shape != (r, c):
-            raise ValueError(f"row width mismatch: header says {c} columns")
-        return cls(a, m)
-
 
 def case_matrix(shape: TensorShape, case: int) -> RingMatrix:
     """Generator of a reference-symbol case, G (2), G_r (3) or G_s (1): a 1
@@ -158,11 +141,6 @@ def case_matrix(shape: TensorShape, case: int) -> RingMatrix:
     mode, pos = np.nonzero(rows >= 0)
     g[rows[mode, pos], pos] = 1
     return RingMatrix(g[:, 1:] if case == 1 else g, shape.modulation_order)
-
-
-def build_generator(shape: TensorShape) -> RingMatrix:
-    """Full K x T generator G: the case with no pinned entry."""
-    return case_matrix(shape, 2)
 
 
 def systematic_form(shape: TensorShape) -> tuple[RingMatrix, np.ndarray]:

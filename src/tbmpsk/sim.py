@@ -37,6 +37,9 @@ SWEEP_COLUMNS = (
     "shape", "M", "case", "rate", "target_per",
     "min_snr_db", "bound_snr_db", "trials", "seed",
 )
+# Most worker processes a run may ask for; a fixed number rather than the
+# host's CPU count, so a manifest recorded on one host replays on any other
+MAX_THREADS = 64
 
 
 def check_snrs_db(snrs_db) -> None:
@@ -77,6 +80,8 @@ class SimConfig:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case}")
+        if not self.snrs_db:
+            raise ValueError("need at least one SNR")
         check_snrs_db(self.snrs_db)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -86,6 +91,8 @@ class SimConfig:
             raise ValueError(f"stop_errors must be >= 0, got {self.stop_errors}")
         if self.threads < 1 or self.batch_size < 1:
             raise ValueError("threads and batch_size must be >= 1")
+        if self.threads > MAX_THREADS:
+            raise ValueError(f"threads must be <= {MAX_THREADS}, got {self.threads}")
         if self.decoder not in SINGLE_USER_DECODERS:
             raise ValueError(
                 f"unknown decoder {self.decoder!r}; available: "
@@ -247,15 +254,11 @@ def run(config: SimConfig) -> SimResult:
 
 @dataclass(frozen=True)
 class SweepRow:
-    dims: tuple[int, ...]
-    modulation_order: int
-    case: int
+    config: SimConfig
     rate: float
     target_error: float
     min_snr_db: float | None
     bound_snr_db: float
-    trials: int
-    seed: int
 
 
 def min_snr_sweep(
@@ -323,6 +326,8 @@ def sweep_table(
 ) -> list[SweepRow]:
     """Rate versus measured minimum SNR for each configuration, with the
     normal-approximation benchmark SNR at the same blocklength and target."""
+    if not configs:
+        raise ValueError("need at least one configuration")
     rows = []
     for cfg in configs:
         shape = cfg.shape
@@ -331,19 +336,7 @@ def sweep_table(
             min_snr_for_rate(shape.blocklength, target_error, rate)
         )
         found = min_snr_sweep(cfg, target_error, lo_db, hi_db, resolution_db)
-        rows.append(
-            SweepRow(
-                dims=shape.dims,
-                modulation_order=shape.modulation_order,
-                case=cfg.case,
-                rate=rate,
-                target_error=target_error,
-                min_snr_db=found,
-                bound_snr_db=bound,
-                trials=cfg.trials,
-                seed=cfg.seed,
-            )
-        )
+        rows.append(SweepRow(cfg, rate, target_error, found, bound))
     return rows
 
 
@@ -361,32 +354,31 @@ def shape_label(dims: tuple[int, ...]) -> str:
     return "x".join(str(t) for t in dims)
 
 
-def result_csv(result: SimResult) -> str:
-    """CSV text for a simulation run; float cells use repr so a rerun is
+def _csv(columns: tuple[str, ...], rows) -> str:
+    """Header plus one line per row; float cells use repr so a rerun is
     byte-comparable."""
-    cfg = result.config
-    lines = [",".join(CSV_COLUMNS)]
-    for p in result.points:
-        row = (
-            cfg.scenario, shape_label(cfg.shape.dims), cfg.modulation_order,
-            cfg.case, cfg.decoder_label, p.snr_db, p.trials, p.errors,
-            p.value, p.stderr, cfg.seed,
-        )
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def result_csv(result: SimResult) -> str:
+    """CSV text for a simulation run."""
+    cfg = result.config
+    return _csv(CSV_COLUMNS, (
+        (cfg.scenario, shape_label(cfg.shape.dims), cfg.modulation_order,
+         cfg.case, cfg.decoder_label, p.snr_db, p.trials, p.errors,
+         p.value, p.stderr, cfg.seed)
+        for p in result.points
+    ))
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for r in rows:
-        cells = (
-            shape_label(r.dims), r.modulation_order, r.case, r.rate,
-            r.target_error,
-            "" if r.min_snr_db is None else r.min_snr_db,
-            r.bound_snr_db, r.trials, r.seed,
-        )
-        lines.append(",".join(_fmt(v) for v in cells))
-    return "\n".join(lines) + "\n"
+    return _csv(SWEEP_COLUMNS, (
+        (shape_label(r.config.shape.dims), r.config.modulation_order, r.config.case,
+         r.rate, r.target_error, "" if r.min_snr_db is None else r.min_snr_db,
+         r.bound_snr_db, r.config.trials, r.config.seed)
+        for r in rows
+    ))
 
 
 def write_manifest(output_path: str, command: str, config_doc: dict, extras: dict | None = None):

@@ -37,7 +37,7 @@ def tuple_to_index(idx: tuple[int, ...], dims: tuple[int, ...]) -> int:
 
 def build_generator_kronecker(shape: TensorShape) -> RingMatrix:
     """Full generator via the Kronecker recursion (independent of
-    :func:`tbmpsk.ring_code.build_generator`; the two must agree entrywise).
+    :func:`tbmpsk.ring_code.case_matrix` at case 2; the two must agree entrywise).
 
     Start from the identity on the last mode and grow leftwards: adding a
     mode of size t to a suffix generator g with w columns gives

@@ -22,7 +22,7 @@ from tbmpsk.bounds import (
 from tbmpsk.cli import main as cli_main
 from tbmpsk.factor_graph import build_graph, degree_distribution
 from tbmpsk.modulation import encode
-from tbmpsk.ring_code import TensorShape, build_generator, case_matrix
+from tbmpsk.ring_code import TensorShape, case_matrix
 from tbmpsk.sim import SimConfig, run_point, sweep_table
 
 from oracles import (
@@ -108,7 +108,7 @@ def all_words(m: int, k: int) -> np.ndarray:
 def test_criterion_01_printed_422_matrices():
     t0 = time.perf_counter()
     sh = TensorShape((4, 2, 2), 4)
-    g = build_generator(sh)
+    g = case_matrix(sh, 2)
     gr = case_matrix(sh, 3)
     gs = case_matrix(sh, 1)
     w1 = [q + 1 for q in range(gs.cols) if np.count_nonzero(gs.entries[:, q]) == 1]
@@ -129,7 +129,7 @@ def test_criterion_02_construction_routes_agree():
     ok = True
     for dims in TWENTY_SHAPES:
         sh = TensorShape(dims, 4)
-        ok &= build_generator(sh) == build_generator_kronecker(sh)
+        ok &= case_matrix(sh, 2) == build_generator_kronecker(sh)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
     _report(2, "direct and Kronecker-recursion generators agree on 20 shapes",
@@ -163,7 +163,7 @@ def test_criterion_04_row_sums_and_codeword_counts():
     ok = True
     for dims in TWENTY_SHAPES:
         sh = TensorShape(dims, 4)
-        g = build_generator(sh)
+        g = case_matrix(sh, 2)
         for i in range(sh.num_modes):
             ok &= bool((mode_row_sum(g, i, sh) == 1).all())
         ok &= not reference_row_residuals(g, sh).any()

@@ -10,12 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tbmpsk.sim as sim
 from tbmpsk.cli import main, parse_shape
 from tbmpsk.ring_code import TensorShape, case_matrix
 
 
 # outputs and manifests written by an earlier build of the package
 REPLAY_FIXTURES = Path(__file__).parent / "replay_fixtures"
+
+
+# a sweep's target and bracket, for runs that stop before any point
+SWEEP_BRACKET = ("--target-per", "0.2", "--snr-lo", "0", "--snr-hi", "4")
 
 
 def run_cli(*argv):
@@ -224,6 +229,50 @@ class TestSimulateReplay:
         assert run_cli("replay", "--manifest", str(out) + ".manifest.json",
                        "--out", str(out2)) == 0
         assert out2.read_bytes() == first
+
+    @pytest.mark.parametrize("run_args", [
+        ("simulate", "--shape", "2,2", "--mod", "4", "--snr-db", ","),
+        ("sweep", "--shapes", ";", "--mods", "4", *SWEEP_BRACKET),
+        ("sweep", "--shapes", "2,2", "--mods", ",", *SWEEP_BRACKET),
+    ])
+    def test_empty_run_list_exits_2(self, run_args, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli(*run_args, "--trials", "4", "--seed", "1", "--out", str(out)) == 2
+        assert "error: need at least one" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fixture, emptied", [("simulate-awgn-bp", "snrs_db"),
+                                                  ("sweep", "configs")])
+    def test_replay_of_empty_run_list_exits_2(self, fixture, emptied, tmp_path):
+        doc = json.loads((REPLAY_FIXTURES / f"{fixture}.csv.manifest.json").read_text())
+        doc["config"][emptied] = []
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "r.csv"
+        assert run_cli("replay", "--manifest", str(manifest), "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run_args", [
+        ("simulate", "--shape", "2,2", "--mod", "4", "--snr-db", "2"),
+        ("sweep", "--shapes", "2,2", "--mods", "4", *SWEEP_BRACKET),
+    ])
+    def test_threads_above_cap_exit_2(self, run_args, tmp_path, capsys):
+        # --trials 4 is one batch, which would run in-process: no worker starts
+        out = tmp_path / "r.csv"
+        assert run_cli(*run_args, "--trials", "4", "--seed", "1",
+                       "--threads", str(sim.MAX_THREADS + 1), "--out", str(out)) == 2
+        assert "error: threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_threads_above_cap_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--shape", "2,2", "--mod", "4", "--snr-db", "2",
+                       "--trials", "4", "--seed", "1", "--out", str(out)) == 0
+        again = tmp_path / "again.csv"
+        assert run_cli("replay", "--manifest", f"{out}.manifest.json", "--out", str(again),
+                       "--threads", str(sim.MAX_THREADS + 1)) == 2
+        assert "error: threads" in capsys.readouterr().err
+        assert not again.exists()
 
     @pytest.mark.parametrize("run_args", [
         ("--decoder", "bp"),

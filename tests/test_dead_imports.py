@@ -1,6 +1,7 @@
 """Every name a package module, or the test oracles module, imports is
-used in that module, and every module-level private name of the package is
-read somewhere in it."""
+used in that module, every module-level private name of the package is
+read somewhere in it, and ``__all__`` names exactly the public imports of
+``__init__``."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,16 @@ def test_package_reads_every_private_helper():
     sources = [p.read_text() for p in PACKAGE.glob("*.py")]
     defined = set().union(*map(private_definitions, sources))
     assert defined - set().union(*map(read_names, sources)) == set()
+
+
+def test_all_lists_exactly_the_imported_public_names():
+    import tbmpsk
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert len(tbmpsk.__all__) == len(set(tbmpsk.__all__))
+    assert set(tbmpsk.__all__) == {n for n in imported if not n.startswith("_")} | {"__version__"}
+    namespace = {}
+    exec("from tbmpsk import *", namespace)
+    assert set(tbmpsk.__all__) <= set(namespace)

