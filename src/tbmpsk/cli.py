@@ -119,7 +119,7 @@ def decode_text(doc: dict) -> str:
     if not 0 <= doc["noise_var"] < np.inf:
         raise ValueError(f"noise variance must be finite and non-negative, got {doc['noise_var']}")
     decided = SINGLE_USER_DECODERS[doc["decoder"]](
-        y[None], doc["noise_var"], shape, doc["case"], doc["max_iters"], doc["damping"]
+        [y[None]], doc["noise_var"], shape, doc["case"], doc["max_iters"], doc["damping"], 1
     )[0]
     return " ".join(str(int(v)) for v in decided) + "\n"
 
@@ -269,7 +269,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--damping", type=float, default=0.0)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=int, default=32,
+                   help="most trials BP holds at once (results unchanged)")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
 
 

@@ -22,6 +22,7 @@ signals would take more than ``ML_SIGNAL_BYTES`` (M^K * T * 16 bytes).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -169,8 +170,9 @@ def _dft(x: np.ndarray, out: np.ndarray, conj: bool = False) -> np.ndarray:
     if m != 4:
         if m <= HALF_SPECTRUM_M:
             np.fft.rfft(x, axis=2, out=out)
-        else:
-            np.fft.fft(x, axis=2, out=out)
+        else:  # fft casts real input to a complex copy; make that copy in out
+            out[...] = x
+            np.fft.fft(out, axis=2, out=out)
         return np.conjugate(out, out=out) if conj else out
     x0, x1, x2, x3 = (x[:, :, j] for j in range(4))
     y0, y1, y2 = (out[:, :, j] for j in range(3))
@@ -219,7 +221,11 @@ def _idft(f: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def check_extrinsics(
-    target_f: np.ndarray, w: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None
+    target_f: np.ndarray,
+    w: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray | None = None,
+    prefix: np.ndarray | None = None,
 ) -> np.ndarray:
     """Extrinsic pmfs at sum constraints (sum of participants = t mod M),
     one per participant: the pmf of t minus the other participants.
@@ -238,10 +244,11 @@ def check_extrinsics(
     which sets M.  For M <= ``HALF_SPECTRUM_M`` the inverse (:func:`_idft`)
     reads only the first M // 2 + 1 bins, so ``w`` and ``target_f`` may hold
     just those; larger M needs all M.  ``scratch``, shape
-    (participants, B) + positions, serves the clean.
+    (participants, B) + positions, serves the clean, and ``prefix``, shaped
+    like ``w``, holds the prefix products (made per call when omitted).
     """
     n = w.shape[0]
-    f = np.empty_like(w)
+    f = np.empty_like(w) if prefix is None else prefix
     f[0] = target_f
     for k in range(1, n):
         np.multiply(f[k - 1], w[k - 1], out=f[k])
@@ -267,24 +274,40 @@ def _graph_context(shape: TensorShape, case: int) -> FactorGraph:
     return build_graph(shape, case)
 
 
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a`` itself when it has ``rows`` rows, else a copy with at least twice
+    as many (the new rows uninitialized)."""
+    if len(a) >= rows:
+        return a
+    out = np.empty((max(rows, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
 def bp_decode_batch(
     graph: FactorGraph,
-    observation_pmfs: np.ndarray,
+    observation_pmfs: np.ndarray | Iterator[np.ndarray],
     max_iters: int = 50,
     damping: float = 0.0,
+    capacity: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flooding BP over a batch of independent trials.
+    """Flooding BP over independent trials, at most ``capacity`` at once.
 
-    ``observation_pmfs`` has shape (B, T, M): one channel pmf per position.
-    Per trial, stops once hard decisions survive 3 consecutive iterations;
-    each trial's outcome depends only on its own row, so results are
-    identical under any batching.  Returns (decisions, posteriors,
-    iterations, converged).
+    ``observation_pmfs`` is a (B, T, M) array, one channel pmf per position
+    and trial, or an iterator of such chunks, read lazily one chunk at a
+    time; an iterator needs a ``capacity``, and an array defaults to all of
+    its rows.  Per trial, stops once hard decisions survive 3 consecutive
+    iterations or after ``max_iters``; each trial's outcome depends only on
+    its own row, so results are identical under any batching and capacity.
+    Returns (decisions, posteriors, iterations, converged), one row per
+    trial in input order.
 
-    Settled trials leave the batch: on the iteration a trial settles, its
-    outputs are recorded and its rows are compacted out of the working
-    arrays, so later iterations run on the live trials only, and the loop
-    ends when none is left.
+    Trials leave as they finish: on a trial's last iteration its outputs are
+    recorded and the live rows are packed to the front of the working
+    arrays, the last ones moving into the holes, and the next pending
+    trials move into the freed rows, so every iteration runs on
+    min(capacity, live + pending) trials and the loop ends when both are
+    exhausted.  Each row counts its own iterations.
 
     Messages use the planar tensor layout of the module docstring.  Entry 0
     of a mode absent from ``graph.var_labels`` holds the reference symbol:
@@ -296,12 +319,13 @@ def bp_decode_batch(
     adds in another order and moves the last bit).  The transposes, the
     segment starts and the broadcast shapes are made once per call.
 
-    For M < 8 an iteration allocates little beyond the spectra-shaped prefix
-    products of :func:`check_extrinsics`: the DFTs, the check extrinsics
-    and their inverse transform write into per-call buffers, whose first
-    rows hold the live trials; log, extrinsic subtraction, softmax and
-    damping then run in place in the inverse transform's output.  Softmax
-    and clean read the pmf axis through a transposed view, so each of their
+    For M < 8 an iteration allocates almost nothing: the DFTs, the prefix
+    products and check extrinsics of :func:`check_extrinsics` and their
+    inverse transform write into capacity-sized per-call buffers, whose
+    first rows hold the live trials; log, extrinsic subtraction, softmax and
+    damping then run in place in the inverse transform's output, and an
+    iteration that some trials leave moves at most as many rows.  Softmax and
+    clean read the pmf axis through a transposed view, so each of their
     per-symbol slices is one contiguous plane per (mode, trial); from M = 8
     on, each of their sums makes its three partial-sum arrays
     (:func:`_sum_last`).  For M <= ``HALF_SPECTRUM_M`` the messages keep
@@ -310,26 +334,47 @@ def bp_decode_batch(
     keeps the full spectrum.
     """
     check_bp_params(max_iters, damping)
-    obs = np.asarray(observation_pmfs, dtype=float)
-    if obs.ndim != 3 or obs.shape[1] != graph.num_checks:
-        raise ValueError(f"observation pmfs must be (B, {graph.num_checks}, M)")
-    nb, t_len, m = obs.shape
     dims = graph.shape.dims
     d = len(dims)
-    nv = graph.num_vars
+    nv, t_len, m = graph.num_vars, graph.num_checks, graph.shape.modulation_order
+    if isinstance(observation_pmfs, Iterator):
+        if capacity is None:
+            raise ValueError("an iterator of observation chunks needs a capacity")
+        chunks = observation_pmfs
+    else:
+        chunks = iter([observation_pmfs])
+        if capacity is None:
+            capacity = max(1, len(observation_pmfs))
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
+
     # each mode's first info entry: 1 where entry 0 holds the reference symbol
     first = [int((i, 0) not in graph.var_labels) for i in range(d)]
-
     # an M <= 4 message keeps only its first M // 2 + 1 DFT bins, the others
     # being their conjugates
     bins = m // 2 + 1 if m <= HALF_SPECTRUM_M else m
-    obs_f = np.empty((nb, bins) + dims, dtype=complex)
-    _dft(_clean(obs).transpose(0, 2, 1).reshape((1, nb, m) + dims), obs_f[None])
-    v2c = np.full((d, nb, m) + dims, 1.0 / m)
-    # made once per call; an iteration uses the first n rows, one per live trial
-    spectra = np.empty((d, nb, bins) + dims, dtype=complex)
-    messages = np.empty_like(v2c)
-    row_scratch = np.empty((d, nb) + dims)
+
+    def pull() -> np.ndarray | None:
+        """The spectra of the next chunk's cleaned pmfs, (b, bins) + dims, or
+        None once the iterator is spent."""
+        for chunk in chunks:
+            obs = np.asarray(chunk, dtype=float)
+            if obs.ndim != 3 or obs.shape[1:] != (t_len, m):
+                raise ValueError(f"observation pmfs must be (B, {t_len}, {m})")
+            b = len(obs)
+            out = np.empty((1, b, bins) + dims, dtype=complex)
+            return _dft(_clean(obs).transpose(0, 2, 1).reshape((1, b, m) + dims), out)[0]
+        return None
+
+    pending = pull()  # before the buffers, so that its temporaries come and go first
+    # made once per call; an iteration uses the first n rows, one per live
+    # trial.  Undamped, the check extrinsics become the next messages in place
+    v2c = np.empty((d, capacity, m) + dims)
+    messages = v2c if damping == 0.0 else np.empty_like(v2c)
+    obs_f = np.empty((capacity, bins) + dims, dtype=complex)
+    spectra = np.empty((d, capacity, bins) + dims, dtype=complex)
+    prefix = np.empty_like(spectra)
+    row_scratch = np.empty((d, capacity) + dims)
     # views and shapes made once per call: the pmf axis moved last, each
     # mode's slab with its entry axis leading the positions, the starts of
     # its entries' segments, and the broadcast shape of its entry sums
@@ -340,25 +385,47 @@ def bp_decode_batch(
     pinned = [(i, slice(None), slice(None)) + (slice(None),) * i + (0,)
               for i in range(d) if first[i]]
 
-    # working row r is batch row live[r]; rows leave once recorded
-    live = np.arange(nb)
-    prev = np.full((nb, nv), -1, dtype=np.int64)
-    streak = np.zeros(nb, dtype=np.int64)
-    iters_used = np.zeros(nb, dtype=np.int64)
-    done = np.zeros(nb, dtype=bool)
-    final = np.zeros((nb, nv), dtype=np.int64)
-    final_post = np.zeros((nb, nv, m))
+    # working row r holds trial ``trial[r]``, in its ``age[r]``-th iteration
+    trial = np.empty(capacity, dtype=np.int64)
+    age = np.empty(capacity, dtype=np.int64)
+    streak = np.empty(capacity, dtype=np.int64)
+    prev = np.empty((capacity, nv), dtype=np.int64)
+    final = np.empty((capacity, nv), dtype=np.int64)
+    final_post = np.empty((capacity, nv, m))
+    iters_used = np.empty(capacity, dtype=np.int64)
+    done = np.empty(capacity, dtype=bool)
+    n = admitted = taken = 0
+    spent = pending is None
 
-    for it in range(max_iters):
-        n = len(live)
+    while True:
+        # pending trials move into the free rows; a chunk is dropped once all
+        # of its trials are in, and the next one is read when rows are free
+        while n < capacity and not spent:
+            if pending is None:
+                pending, taken = pull(), 0
+                spent = pending is None
+                continue
+            a = min(capacity - n, len(pending) - taken)
+            obs_f[n : n + a] = pending[taken : taken + a]
+            v2c[:, n : n + a] = 1.0 / m
+            trial[n : n + a] = np.arange(admitted, admitted + a)
+            age[n : n + a] = 0
+            streak[n : n + a] = 0
+            prev[n : n + a] = -1
+            taken, n, admitted = taken + a, n + a, admitted + a
+            final, final_post, iters_used, done = (
+                _grown(x, admitted) for x in (final, final_post, iters_used, done))
+            if taken == len(pending):
+                pending = None
         if n == 0:
             break
+
         scratch = row_scratch[:, :n]
         # check side, DFT domain
-        w = _dft(v2c, spectra[:, :n], conj=True)
+        w = _dft(v2c[:, :n], spectra[:, :n], conj=True)
         for index in pinned:
             w[index] = 1.0
-        logs = check_extrinsics(obs_f, w, messages[:, :n], scratch)
+        logs = check_extrinsics(obs_f[:n], w, messages[:, :n], scratch, prefix[:, :n])
         np.log(logs, out=logs)
 
         # variable side, log domain; posteriors are (n, M, K)
@@ -372,32 +439,39 @@ def bp_decode_batch(
         for i in range(d):
             np.subtract(sums[i].reshape(entry[i]), logs[i], out=logs[i])
         _softmax(logs.transpose(last), out=logs.transpose(last), scratch=scratch)
-        if damping == 0.0:
-            v2c = logs  # a view of ``messages``, read before the next kernel call
-        else:
+        if damping != 0.0:
             # (1 - damping) * logs + damping * v2c, in v2c's own memory
+            live = v2c[:, :n]
             np.multiply(logs, 1.0 - damping, out=logs)
-            np.multiply(v2c, damping, out=v2c)
-            np.add(logs, v2c, out=v2c)
-            _clean(v2c.transpose(last), out=v2c.transpose(last), scratch=scratch)
+            np.multiply(live, damping, out=live)
+            np.add(logs, live, out=live)
+            _clean(live.transpose(last), out=live.transpose(last), scratch=scratch)
 
         decisions = np.argmax(posteriors, axis=1)  # ties: smallest symbol
-        streak = np.where((decisions == prev).all(axis=1), streak + 1, 0)
-        prev = decisions
-        settled = streak >= 3
-        leaving = settled if it + 1 < max_iters else np.ones(n, dtype=bool)
+        age[:n] += 1
+        streak[:n] = np.where((decisions == prev[:n]).all(axis=1), streak[:n] + 1, 0)
+        prev[:n] = decisions
+        settled = streak[:n] >= 3
+        leaving = settled | (age[:n] >= max_iters)
         if not leaving.any():
             continue
-        rows = live[leaving]
+        rows = trial[:n][leaving]
         final[rows] = decisions[leaving]
         final_post[rows] = by_word[leaving]
-        iters_used[rows] = it + 1
+        iters_used[rows] = age[:n][leaving]
         done[rows] = settled[leaving]
-        keep = ~leaving
-        v2c, obs_f = v2c[:, keep], obs_f[keep]
-        live, prev, streak = live[keep], prev[keep], streak[keep]
+        # the kept rows past the first n - leaving.sum() fill the holes the
+        # leaving rows made before them, so no more rows move than leave
+        n_kept = n - int(leaving.sum())
+        holes = np.flatnonzero(leaving[:n_kept])
+        if holes.size:
+            movers = n_kept + np.flatnonzero(~leaving[n_kept:])
+            v2c[:, holes] = v2c[:, movers]
+            for x in (obs_f, trial, age, streak, prev):
+                x[holes] = x[movers]
+        n = n_kept
 
-    return final, final_post, iters_used, done
+    return final[:admitted], final_post[:admitted], iters_used[:admitted], done[:admitted]
 
 
 @lru_cache(maxsize=1)
@@ -607,19 +681,23 @@ def multiuser_decode(
 
 
 # --- single-user decoder registry -------------------------------------------
-# Uniform signature: (received (B, T), noise_var, shape, case, max_iters,
-# damping) -> decisions (B, K_case).  A von Mises phase-domain message-passing
-# decoder would slot in here; only FFT-BP and the ML oracle ship.
+# Uniform signature: (received chunks, an iterable of (b, T) arrays;
+# noise_var, shape, case, max_iters, damping, capacity) -> decisions
+# (sum of b, K_case) in chunk order, reading the chunks as it decodes and
+# holding at most ``capacity`` trials in BP at once.  A von Mises
+# phase-domain message-passing decoder would slot in here; only FFT-BP and
+# the ML oracle ship.
 
 
-def _decode_trials_bp(received, noise_var, shape, case, max_iters, damping):
-    pmfs = channel_pmfs(received, noise_var, shape.modulation_order)
-    dec, _, _, _ = bp_decode_batch(_graph_context(shape, case), pmfs, max_iters, damping)
+def _decode_trials_bp(chunks, noise_var, shape, case, max_iters, damping, capacity):
+    pmfs = (channel_pmfs(y, noise_var, shape.modulation_order) for y in chunks)
+    dec, _, _, _ = bp_decode_batch(_graph_context(shape, case), pmfs, max_iters, damping,
+                                   capacity)
     return dec
 
 
-def _decode_trials_ml(received, noise_var, shape, case, max_iters, damping):
-    return ml_oracle_decode(received, shape, case)
+def _decode_trials_ml(chunks, noise_var, shape, case, max_iters, damping, capacity):
+    return np.concatenate([ml_oracle_decode(y, shape, case) for y in chunks])
 
 
 SINGLE_USER_DECODERS = {

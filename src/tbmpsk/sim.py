@@ -40,6 +40,8 @@ SWEEP_COLUMNS = (
 # Most worker processes a run may ask for; a fixed number rather than the
 # host's CPU count, so a manifest recorded on one host replays on any other
 MAX_THREADS = 64
+# Most batches one wave of trials gives each worker (see _wave_size)
+WAVE_BATCHES = 16
 
 
 def check_snrs_db(snrs_db) -> None:
@@ -167,21 +169,36 @@ def _encode_batch(info: np.ndarray, shape: TensorShape, case: int) -> np.ndarray
     return encode_case2(info, g)
 
 
-def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int) -> np.ndarray:
-    """Per-trial error counts for trials [start, stop), in trial order."""
+def _received_chunks(config: SimConfig, snr_db: float, noise_var: float, start: int,
+                     stop: int, sent: list[np.ndarray]):
+    """Received signals of trials [start, stop), ``batch_size`` trials a
+    chunk, drawn only as the decoder reads them; each chunk's info words
+    are appended to ``sent``."""
     shape = config.shape
     m = shape.modulation_order
     k = shape.info_length(config.case)
+    for a in range(start, stop, config.batch_size):
+        rngs = [trial_rng(config.seed, snr_db, t)
+                for t in range(a, min(a + config.batch_size, stop))]
+        info = np.stack([rng.integers(0, m, k) for rng in rngs])
+        sent.append(info)
+        signal = transmit_signal(_encode_batch(info, shape, config.case), m)
+        yield np.stack([awgn(signal[i], noise_var, rng) for i, rng in enumerate(rngs)])
+
+
+def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int) -> np.ndarray:
+    """Per-trial error counts for trials [start, stop), in trial order."""
+    shape = config.shape
     noise_var = 1.0 / db_to_linear(snr_db)
     if config.scenario == "awgn":
-        rngs = [trial_rng(config.seed, snr_db, t) for t in range(start, stop)]
-        info = np.stack([rng.integers(0, m, k) for rng in rngs])
-        signal = transmit_signal(_encode_batch(info, shape, config.case), m)
-        received = np.stack([awgn(signal[i], noise_var, rng) for i, rng in enumerate(rngs)])
+        sent: list[np.ndarray] = []
         decode = SINGLE_USER_DECODERS[config.decoder]
-        decided = decode(received, noise_var, shape, config.case,
-                         config.max_iters, config.damping)
-        return (decided != info).any(axis=1).astype(np.int64)
+        decided = decode(_received_chunks(config, snr_db, noise_var, start, stop, sent),
+                         noise_var, shape, config.case, config.max_iters, config.damping,
+                         min(config.batch_size, stop - start))
+        return (decided != np.concatenate(sent)).any(axis=1).astype(np.int64)
+    m = shape.modulation_order
+    k = shape.info_length(config.case)
     out = np.zeros(stop - start, dtype=np.int64)
     for i, t in enumerate(range(start, stop)):
         rng = trial_rng(config.seed, snr_db, t)
@@ -214,23 +231,49 @@ def _stop_index(outcomes: np.ndarray, stop_errors: int) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def _wave_size(config: SimConfig, done: int, errors: int) -> int:
+    """Trials of the next wave, after ``done`` trials with ``errors`` errors.
+
+    Without a stop budget, all that are left; else first ``stop_errors``
+    trials (fewer cannot reach the budget), then the trials the budget is
+    expected to need at the error rate seen so far, at least ``batch_size``
+    and at most 4x those done.  Never more than ``WAVE_BATCHES`` batches per
+    worker, so what a wave holds per trial stays bounded."""
+    bs = config.batch_size
+    if config.stop_errors == 0:
+        want = config.trials
+    elif done == 0:
+        want = config.stop_errors
+    else:
+        need = -(-(config.stop_errors - errors) * done // errors) if errors else 4 * done
+        want = max(min(need, 4 * done), bs)
+    return min(want, WAVE_BATCHES * bs * config.threads, config.trials - done)
+
+
 def _collect_outcomes(config: SimConfig, snr_db: float) -> np.ndarray:
-    """Outcomes in trial order, run in waves of ``threads`` batches (in
-    worker processes when threads > 1, one per batch at most) until the stop
-    budget is reached."""
-    starts = range(0, config.trials, config.batch_size)
-    stops = [min(a + config.batch_size, config.trials) for a in starts]
+    """Outcomes in trial order, run in waves (:func:`_wave_size`) until the
+    stop budget is reached.  A wave splits into min(threads, its batches)
+    contiguous parts of near-equal size, run in worker processes when there
+    are several; each part streams its trials through the decoder
+    ``batch_size`` at a time."""
+    bs = config.batch_size
+    most = min(config.trials, WAVE_BATCHES * bs * config.threads)
+    workers = min(config.threads, -(-most // bs))
     collected: list[np.ndarray] = []
-    n = min(config.threads, len(starts))
-    with ProcessPoolExecutor(max_workers=n) if n > 1 else nullcontext() as pool:
-        run_batches = pool.map if pool else map
-        for w in range(0, len(starts), n):
-            collected.extend(run_batches(_trial_outcomes, repeat(config), repeat(snr_db),
-                                         starts[w : w + n], stops[w : w + n]))
+    done = errors = 0
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        while done < config.trials:
+            size = _wave_size(config, done, errors)
+            parts = min(config.threads, -(-size // bs))
+            cuts = [done + size * i // parts for i in range(parts + 1)]
+            run_parts = pool.map if parts > 1 else map
+            collected.extend(run_parts(_trial_outcomes, repeat(config), repeat(snr_db),
+                                       cuts[:-1], cuts[1:]))
             arr = np.concatenate(collected)
             idx = _stop_index(arr, config.stop_errors)
             if idx is not None:
                 return arr[: idx + 1]
+            done, errors = arr.size, int(arr.sum())
     return np.concatenate(collected)
 
 

@@ -268,6 +268,80 @@ class TestActiveSet:
                 assert one.shape[0] == 1 and np.array_equal(got[i], one[0])
 
 
+# rows of the uneven chunks a stream of _mixed_batch() comes in
+CHUNK_ROWS = (1, 4, 0, 7)
+
+
+def _chunks(pmfs):
+    """``pmfs`` as an iterator of chunks of ``CHUNK_ROWS`` rows."""
+    ends = np.cumsum(CHUNK_ROWS)
+    for a, b in zip(ends - CHUNK_ROWS, ends):
+        yield pmfs[a:b]
+
+
+class TestRefill:
+    @pytest.mark.parametrize("kwargs", [{}, {"damping": 0.3}, {"max_iters": 2},
+                                        {"max_iters": 7}])
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 5, 12])
+    def test_stream_matches_whole_batch(self, capacity, kwargs):
+        g, pmfs = _mixed_batch()
+        want = bp_decode_batch(g, pmfs, **kwargs)
+        for got in (bp_decode_batch(g, _chunks(pmfs), capacity=capacity, **kwargs),
+                    bp_decode_batch(g, pmfs, capacity=capacity, **kwargs)):
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b), capacity
+
+    @pytest.mark.parametrize("capacity", [1, 3, 5])
+    def test_freed_rows_take_pending_trials(self, monkeypatch, capacity):
+        g, pmfs = _mixed_batch()
+        _, _, iters, _ = bp_decode_batch(g, pmfs)
+        rows, reads = [], []
+        kernel = decoders.check_extrinsics
+
+        def spy(target_f, w, *args):
+            rows.append(w.shape[1])
+            return kernel(target_f, w, *args)
+
+        def chunk_reads():  # (chunk, iterations run before it was read)
+            for i, chunk in enumerate(_chunks(pmfs)):
+                reads.append((i, len(rows)))
+                yield chunk
+
+        monkeypatch.setattr(decoders, "check_extrinsics", spy)
+        bp_decode_batch(g, chunk_reads(), capacity=capacity)
+        # every iteration runs min(capacity, live + not yet admitted) trials,
+        # and a chunk is read when its first trial gets a row
+        firsts = np.cumsum(CHUNK_ROWS) - CHUNK_ROWS
+        want, want_reads, live, waiting = [], [], [], list(iters)
+        while live or waiting:
+            while len(live) < capacity and waiting:
+                trial = len(iters) - len(waiting)
+                want_reads += [(i, len(want)) for i, a in enumerate(firsts) if a == trial]
+                live.append(waiting.pop(0))
+            want.append(len(live))
+            live = [k - 1 for k in live if k > 1]
+        assert rows == want
+        assert reads == want_reads and reads[-1][1] > 0
+
+    def test_stream_needs_a_capacity(self):
+        g, pmfs = _mixed_batch()
+        with pytest.raises(ValueError, match="capacity"):
+            bp_decode_batch(g, _chunks(pmfs))
+        with pytest.raises(ValueError, match="capacity"):
+            bp_decode_batch(g, pmfs, capacity=0)
+
+    def test_empty_stream(self):
+        g, pmfs = _mixed_batch()
+        dec, post, iters, conv = bp_decode_batch(g, iter([]), capacity=4)
+        assert dec.shape == (0, g.num_vars) and post.shape == (0, g.num_vars, 4)
+        assert iters.shape == conv.shape == (0,)
+
+    def test_chunk_of_the_wrong_shape_is_rejected(self):
+        g, pmfs = _mixed_batch()
+        with pytest.raises(ValueError, match="observation pmfs"):
+            bp_decode_batch(g, iter([pmfs[:2], pmfs[:2, :, :3]]), capacity=4)
+
+
 class TestMlOracle:
     def test_clean_exhaustive(self):
         sh = TensorShape((2, 2), 4)
@@ -371,7 +445,7 @@ class TestMlOracle:
         rng = np.random.default_rng(8)
         y = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
         y[0] = 0  # every word scores 0: the tie goes to the all-zero word
-        got = SINGLE_USER_DECODERS["ml"](y, 1.0, sh, 1, 50, 0.0)
+        got = SINGLE_USER_DECODERS["ml"]([y[:1], y[1:4], y[4:]], 1.0, sh, 1, 50, 0.0, 2)
         assert np.array_equal(got, [ml_oracle_decode(row, sh, 1) for row in y])
         assert not got[0].any()
 

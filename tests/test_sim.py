@@ -2,6 +2,7 @@
 semantics, metric accounting, and persistence formats."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -173,10 +174,49 @@ class TestEarlyStop:
         b = _collect_outcomes(cfg_stop, -2.0)
         assert np.array_equal(a[: b.size], b)
 
+    def test_budget_reached_mid_wave(self, monkeypatch):
+        kw = {**BASE, "snrs_db": (-2.0,), "trials": 200, "stop_errors": 8}
+        full = sim._collect_outcomes(SimConfig(**{**kw, "stop_errors": 0}), -2.0)
+        points = set()
+        for bs in (1, 7, 32):
+            cfg = SimConfig(**{**kw, "batch_size": bs})
+            drawn, draw = [], sim.trial_rng
+            monkeypatch.setattr(sim, "trial_rng", lambda *a: drawn.append(a) or draw(*a))
+            p = run_point(cfg, -2.0)
+            monkeypatch.setattr(sim, "trial_rng", draw)
+            # the waves up to the one that holds the stop index
+            done = errors = 0
+            while full[: done + (size := sim._wave_size(cfg, done, errors))].sum() < 8:
+                done += size
+                errors = int(full[:done].sum())
+            assert done < p.trials < done + size  # the budget is met inside the wave
+            assert len(drawn) == done + size  # the rest of that wave is all that is wasted
+            points.add(p)
+            points.add(run_point(SimConfig(**{**kw, "batch_size": bs, "threads": 2}), -2.0))
+        assert len(points) == 1
+
     def test_budget_never_reached_runs_all(self):
         p = run_point(SimConfig(**{**BASE, "snrs_db": (20.0,), "stop_errors": 5}), 20.0)
         assert p.trials == 60
         assert p.errors == 0
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_trials(self):
+        # a wave holds at most WAVE_BATCHES batches per worker, and its trials
+        # are drawn only as BP has rows for them
+        def peak(trials):
+            cfg = SimConfig(dims=(4, 4, 2), modulation_order=4, snrs_db=(2.0,), trials=trials,
+                            seed=5, stop_errors=0, batch_size=32)
+            tracemalloc.start()
+            try:
+                run_point(cfg, 2.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # fills the caches
+        assert peak(4096) <= 1.5 * peak(64)
 
 
 class TestMetrics:
