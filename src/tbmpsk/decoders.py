@@ -37,6 +37,8 @@ PMF_FLOOR = 1e-30
 # to fft/ifft(...).real in BP
 HALF_SPECTRUM_M = 4
 ML_SIGNAL_BYTES = 2**30
+# Most bytes of BP working arrays one decode holds (see bp_budget_rows)
+BP_BYTES = 2**22
 CODEBOOK_CHUNK = 2**18
 ML_SCORE_CHUNK = 2**16
 REFERENCE_TOL = 1e-6
@@ -284,6 +286,36 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
+def _bp_arrays(shape: TensorShape, damping: float, rows: int) -> dict:
+    """Shape and dtype of each working array :func:`bp_decode_batch` holds for
+    ``rows`` trials: the messages (a second array when damped), the
+    observation spectra of the live trials and of the next chunk's pending
+    ones, the check side's spectra and prefix products, and the per-symbol
+    scratch."""
+    dims, d, m = shape.dims, shape.num_modes, shape.modulation_order
+    # an M <= 4 message keeps only its first M // 2 + 1 DFT bins, the others
+    # being their conjugates
+    bins = m // 2 + 1 if m <= HALF_SPECTRUM_M else m
+    arrays = {
+        "v2c": ((d, rows, m) + dims, float),
+        "obs_f": ((rows, bins) + dims, complex),
+        "pending": ((1, rows, bins) + dims, complex),
+        "spectra": ((d, rows, bins) + dims, complex),
+        "prefix": ((d, rows, bins) + dims, complex),
+        "row_scratch": ((d, rows) + dims, float),
+    }
+    if damping != 0.0:
+        arrays["messages"] = arrays["v2c"]
+    return arrays
+
+
+def bp_budget_rows(shape: TensorShape, damping: float = 0.0) -> int:
+    """Most trials whose BP working arrays (:func:`_bp_arrays`) fit in
+    ``BP_BYTES``; at least one."""
+    arrays = _bp_arrays(shape, damping, 1).values()
+    return max(1, BP_BYTES // int(sum(np.prod(s) * np.dtype(t).itemsize for s, t in arrays)))
+
+
 def bp_decode_batch(
     graph: FactorGraph,
     observation_pmfs: np.ndarray | Iterator[np.ndarray],
@@ -296,11 +328,14 @@ def bp_decode_batch(
     ``observation_pmfs`` is a (B, T, M) array, one channel pmf per position
     and trial, or an iterator of such chunks, read lazily one chunk at a
     time; an iterator needs a ``capacity``, and an array defaults to all of
-    its rows.  Per trial, stops once hard decisions survive 3 consecutive
-    iterations or after ``max_iters``; each trial's outcome depends only on
-    its own row, so results are identical under any batching and capacity.
-    Returns (decisions, posteriors, iterations, converged), one row per
-    trial in input order.
+    its rows.  The capacity is cut to :func:`bp_budget_rows`, the most
+    trials whose working arrays fit in ``BP_BYTES``, and chunks are taken
+    at most that many trials at a time, so a call's arrays stay within the
+    budget whatever the batch.  Per trial, stops once hard decisions
+    survive 3 consecutive iterations or after ``max_iters``; each trial's
+    outcome depends only on its own row, so results are identical under
+    any batching and capacity.  Returns (decisions, posteriors, iterations,
+    converged), one row per trial in input order.
 
     Trials leave as they finish: on a trial's last iteration its outputs are
     recorded and the live rows are packed to the front of the working
@@ -347,34 +382,39 @@ def bp_decode_batch(
             capacity = max(1, len(observation_pmfs))
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
+    capacity = min(capacity, bp_budget_rows(graph.shape, damping))
 
     # each mode's first info entry: 1 where entry 0 holds the reference symbol
     first = [int((i, 0) not in graph.var_labels) for i in range(d)]
-    # an M <= 4 message keeps only its first M // 2 + 1 DFT bins, the others
-    # being their conjugates
-    bins = m // 2 + 1 if m <= HALF_SPECTRUM_M else m
 
-    def pull() -> np.ndarray | None:
-        """The spectra of the next chunk's cleaned pmfs, (b, bins) + dims, or
-        None once the iterator is spent."""
+    def pieces() -> Iterator[np.ndarray]:
+        """The chunks, read as they are needed, cut into pieces of at most
+        ``capacity`` trials."""
         for chunk in chunks:
             obs = np.asarray(chunk, dtype=float)
             if obs.ndim != 3 or obs.shape[1:] != (t_len, m):
                 raise ValueError(f"observation pmfs must be (B, {t_len}, {m})")
+            for a in range(0, len(obs), capacity):
+                yield obs[a : a + capacity]
+
+    source = pieces()
+
+    def pull() -> np.ndarray | None:
+        """The spectra of the next piece's cleaned pmfs, (b, bins) + dims, or
+        None once the chunks are spent."""
+        for obs in source:
             b = len(obs)
-            out = np.empty((1, b, bins) + dims, dtype=complex)
+            out = np.empty(*_bp_arrays(graph.shape, damping, b)["pending"])
             return _dft(_clean(obs).transpose(0, 2, 1).reshape((1, b, m) + dims), out)[0]
         return None
 
     pending = pull()  # before the buffers, so that its temporaries come and go first
     # made once per call; an iteration uses the first n rows, one per live
     # trial.  Undamped, the check extrinsics become the next messages in place
-    v2c = np.empty((d, capacity, m) + dims)
-    messages = v2c if damping == 0.0 else np.empty_like(v2c)
-    obs_f = np.empty((capacity, bins) + dims, dtype=complex)
-    spectra = np.empty((d, capacity, bins) + dims, dtype=complex)
-    prefix = np.empty_like(spectra)
-    row_scratch = np.empty((d, capacity) + dims)
+    spec = _bp_arrays(graph.shape, damping, capacity)
+    v2c, obs_f, spectra, prefix, row_scratch = (
+        np.empty(*spec[name]) for name in ("v2c", "obs_f", "spectra", "prefix", "row_scratch"))
+    messages = np.empty(*spec["messages"]) if "messages" in spec else v2c
     # views and shapes made once per call: the pmf axis moved last, each
     # mode's slab with its entry axis leading the positions, the starts of
     # its entries' segments, and the broadcast shape of its entry sums
@@ -684,7 +724,9 @@ def multiuser_decode(
 # Uniform signature: (received chunks, an iterable of (b, T) arrays;
 # noise_var, shape, case, max_iters, damping, capacity) -> decisions
 # (sum of b, K_case) in chunk order, reading the chunks as it decodes and
-# holding at most ``capacity`` trials in BP at once.  A von Mises
+# holding at most ``capacity`` trials in BP at once, and no more than fit
+# in ``BP_BYTES`` (the engine draws its chunks that size, so each chunk's
+# channel pmfs are no larger than BP's rows for them).  A von Mises
 # phase-domain message-passing decoder would slot in here; only FFT-BP and
 # the ML oracle ship.
 

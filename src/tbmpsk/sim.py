@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bounds import db_to_linear, linear_to_db, min_snr_for_rate, tbm_rate
 from .channels import awgn, simo_mac
-from .decoders import SINGLE_USER_DECODERS, check_bp_params, multiuser_decode
+from .decoders import SINGLE_USER_DECODERS, bp_budget_rows, check_bp_params, multiuser_decode
 from .modulation import encode_case1, encode_case2, encode_case3, transmit_signal
 from .ring_code import CASES, TensorShape, case_matrix
 
@@ -170,16 +170,15 @@ def _encode_batch(info: np.ndarray, shape: TensorShape, case: int) -> np.ndarray
 
 
 def _received_chunks(config: SimConfig, snr_db: float, noise_var: float, start: int,
-                     stop: int, sent: list[np.ndarray]):
-    """Received signals of trials [start, stop), ``batch_size`` trials a
-    chunk, drawn only as the decoder reads them; each chunk's info words
-    are appended to ``sent``."""
+                     stop: int, sent: list[np.ndarray], rows: int):
+    """Received signals of trials [start, stop), ``rows`` trials a chunk,
+    drawn only as the decoder reads them; each chunk's info words are
+    appended to ``sent``."""
     shape = config.shape
     m = shape.modulation_order
     k = shape.info_length(config.case)
-    for a in range(start, stop, config.batch_size):
-        rngs = [trial_rng(config.seed, snr_db, t)
-                for t in range(a, min(a + config.batch_size, stop))]
+    for a in range(start, stop, rows):
+        rngs = [trial_rng(config.seed, snr_db, t) for t in range(a, min(a + rows, stop))]
         info = np.stack([rng.integers(0, m, k) for rng in rngs])
         sent.append(info)
         signal = transmit_signal(_encode_batch(info, shape, config.case), m)
@@ -187,15 +186,21 @@ def _received_chunks(config: SimConfig, snr_db: float, noise_var: float, start: 
 
 
 def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int) -> np.ndarray:
-    """Per-trial error counts for trials [start, stop), in trial order."""
+    """Per-trial error counts for trials [start, stop), in trial order.
+
+    AWGN trials are drawn and decoded at most ``batch_size`` at a time, and
+    under BP at most as many as fit in its byte budget (``bp_budget_rows``),
+    so the channel pmfs of a chunk are no larger than BP's rows for them."""
     shape = config.shape
     noise_var = 1.0 / db_to_linear(snr_db)
     if config.scenario == "awgn":
         sent: list[np.ndarray] = []
         decode = SINGLE_USER_DECODERS[config.decoder]
-        decided = decode(_received_chunks(config, snr_db, noise_var, start, stop, sent),
-                         noise_var, shape, config.case, config.max_iters, config.damping,
-                         min(config.batch_size, stop - start))
+        rows = min(config.batch_size, stop - start)
+        if config.decoder == "bp":
+            rows = min(rows, bp_budget_rows(shape, config.damping))
+        decided = decode(_received_chunks(config, snr_db, noise_var, start, stop, sent, rows),
+                         noise_var, shape, config.case, config.max_iters, config.damping, rows)
         return (decided != np.concatenate(sent)).any(axis=1).astype(np.int64)
     m = shape.modulation_order
     k = shape.info_length(config.case)

@@ -14,7 +14,9 @@ from tbmpsk.decoders import (
     SINGLE_USER_DECODERS,
     CpFactors,
     _codebook,
+    _bp_arrays,
     _softmax,
+    bp_budget_rows,
     bp_decode_batch,
     channel_pmfs,
     check_extrinsics,
@@ -340,6 +342,73 @@ class TestRefill:
         g, pmfs = _mixed_batch()
         with pytest.raises(ValueError, match="observation pmfs"):
             bp_decode_batch(g, iter([pmfs[:2], pmfs[:2, :, :3]]), capacity=4)
+
+
+def _noisy_pmfs(sh, trials, seed=0):
+    """Channel pmfs of random case-1 words at noise variances from 0.3 to 3."""
+    rng = np.random.default_rng(seed)
+    nvs = np.linspace(0.3, 3.0, trials)
+    s = transmit_signal(encode(rng.integers(0, sh.modulation_order,
+                                            (trials, sh.info_length(1))), sh, 1),
+                        sh.modulation_order)
+    return np.stack([channel_pmfs(awgn(row, v, rng), v, sh.modulation_order)
+                     for row, v in zip(s, nvs)])
+
+
+class TestByteBudget:
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_counted_bytes_match_traced_growth(self, damping):
+        # each extra trial grows the peak by the bytes _bp_arrays counts, up
+        # to its few per-trial index and output rows (about 1% here); the
+        # smallest counted array, the scratch (1.9%), left out of the count
+        # would push the growth past 2.5% of it
+        sh = TensorShape((6, 5, 4), 8)
+        g = build_graph(sh, 1)
+        pmfs = _noisy_pmfs(sh, 12)
+
+        def peak(b):
+            tracemalloc.start()
+            try:
+                bp_decode_batch(g, pmfs[:b], max_iters=2, damping=damping)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bp_decode_batch(g, pmfs[:1], max_iters=1)
+        counted = sum(np.prod(s) * np.dtype(t).itemsize
+                      for s, t in _bp_arrays(sh, damping, 1).values())
+        growth = (peak(12) - peak(4)) / 8
+        assert bp_budget_rows(sh, damping) >= 12
+        assert counted <= growth <= 1.025 * counted
+
+    @pytest.mark.parametrize("kwargs", [{}, {"damping": 0.3, "max_iters": 7}])
+    def test_capacity_above_the_budget_changes_no_output(self, kwargs):
+        sh = TensorShape((6, 5, 4), 16)
+        g = build_graph(sh, 1)
+        pmfs = _noisy_pmfs(sh, 20)
+        assert bp_budget_rows(sh, kwargs.get("damping", 0.0)) < 20
+        whole = bp_decode_batch(g, pmfs, **kwargs)
+        for capacity in (1, 100):
+            for a, b in zip(bp_decode_batch(g, pmfs, capacity=capacity, **kwargs), whole):
+                assert np.array_equal(a, b), capacity
+
+    def test_multiuser_decode_holds_budget_rows(self, monkeypatch):
+        # the paper's shape fits 2 trials' BP arrays; 3 users all decodable
+        rng = np.random.default_rng(3)
+        sh = TensorShape((10, 20, 16), 4)
+        u = rng.integers(0, 4, (3, sh.info_length(1)))
+        nv = 10 ** (-5 / 10)
+        tensor, _ = simo_mac(transmit_signal(encode(u, sh, 1), 4), sh, 4, nv, rng)
+        rows, kernel = [], decoders.check_extrinsics
+
+        def spy(target_f, w, *args):  # the rows of every BP iteration
+            rows.append(w.shape[1])
+            return kernel(target_f, w, *args)
+
+        monkeypatch.setattr(decoders, "check_extrinsics", spy)
+        decoded = multiuser_decode(tensor, 3, nv, sh, rng, max_bp_iters=2)
+        assert all(d is not None for d in decoded)
+        assert max(rows) == bp_budget_rows(sh) == 2
 
 
 class TestMlOracle:

@@ -9,8 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import tbmpsk.decoders as decoders
 import tbmpsk.sim as sim
 from tbmpsk.bounds import linear_to_db, min_snr_for_rate, tbm_rate
+from tbmpsk.ring_code import TensorShape
 from tbmpsk.sim import (
     SimConfig,
     _snr_key,
@@ -217,6 +219,52 @@ class TestMemory:
 
         peak(64)  # fills the caches
         assert peak(4096) <= 1.5 * peak(64)
+
+
+class TestByteBudget:
+    # (6,5,4) at M = 16 fits 14 trials' BP arrays, 12 when damped
+    KW = dict(dims=(6, 5, 4), modulation_order=16, snrs_db=(0.0,), seed=3, stop_errors=0)
+
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    def test_bp_holds_budget_rows(self, monkeypatch, damping):
+        rows, kernel = [], decoders.check_extrinsics
+
+        def spy(target_f, w, *args):
+            rows.append(w.shape[1])
+            return kernel(target_f, w, *args)
+
+        monkeypatch.setattr(decoders, "check_extrinsics", spy)
+        run(SimConfig(**self.KW, trials=64, batch_size=64, max_iters=2, damping=damping))
+        budget = decoders.bp_budget_rows(TensorShape((6, 5, 4), 16), damping)
+        assert max(rows) == budget == (12 if damping else 14)
+
+    def test_peak_does_not_grow_with_batch_size(self):
+        def peak(batch_size):
+            cfg = SimConfig(**self.KW, trials=1024, batch_size=batch_size, max_iters=1)
+            tracemalloc.start()
+            try:
+                run(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # fills the caches
+        assert peak(1024) <= 1.1 * peak(64)
+
+    def test_budget_chunks_match_batch_chunks(self):
+        cfg = SimConfig(**self.KW, trials=40, batch_size=32)
+        budget = decoders.bp_budget_rows(cfg.shape)
+        assert budget < cfg.batch_size
+        outs = []
+        for rows in (budget, cfg.batch_size):
+            sent = []
+            chunks = sim._received_chunks(cfg, 0.0, 1.0, 0, 40, sent, rows)
+            decided = decoders.SINGLE_USER_DECODERS["bp"](chunks, 1.0, cfg.shape, 1, 50,
+                                                          0.0, rows)
+            outs.append((np.concatenate(sent), decided))
+        (sent_a, dec_a), (sent_b, dec_b) = outs
+        assert np.array_equal(sent_a, sent_b) and np.array_equal(dec_a, dec_b)
+        assert (dec_a != sent_a).any(axis=1).sum() > 0  # some errors, so decisions matter
 
 
 class TestMetrics:
