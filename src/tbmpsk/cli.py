@@ -6,8 +6,8 @@ Every file-producing command writes a JSON manifest next to its output;
 
 Exit codes: 0 success, 2 configuration/validation error (among them an empty
 SNR, shape or order list and more than ``sim.MAX_THREADS`` workers), 3 runtime
-guard (enumeration limit, unreachable bound target) or an input or output file
-that cannot be opened.
+guard (enumeration limit, simo-mac byte limit, unreachable bound target) or an
+input or output file that cannot be opened.
 """
 
 from __future__ import annotations

@@ -37,6 +37,8 @@ PMF_FLOOR = 1e-30
 # to fft/ifft(...).real in BP
 HALF_SPECTRUM_M = 4
 ML_SIGNAL_BYTES = 2**30
+# Most bytes of channel and CP-ALS arrays one simo-mac trial may take (see check_cp_bytes)
+CP_BYTES = 2**30
 # Most bytes of BP working arrays one decode holds (see bp_budget_rows)
 BP_BYTES = 2**22
 CODEBOOK_CHUNK = 2**18
@@ -276,16 +278,6 @@ def _graph_context(shape: TensorShape, case: int) -> FactorGraph:
     return build_graph(shape, case)
 
 
-def _grown(a: np.ndarray, rows: int) -> np.ndarray:
-    """``a`` itself when it has ``rows`` rows, else a copy with at least twice
-    as many (the new rows uninitialized)."""
-    if len(a) >= rows:
-        return a
-    out = np.empty((max(rows, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
-    out[: len(a)] = a
-    return out
-
-
 def _bp_arrays(shape: TensorShape, damping: float, rows: int) -> dict:
     """Shape and dtype of each working array :func:`bp_decode_batch` holds for
     ``rows`` trials: the messages (a second array when damped), the
@@ -338,11 +330,12 @@ def bp_decode_batch(
     converged), one row per trial in input order.
 
     Trials leave as they finish: on a trial's last iteration its outputs are
-    recorded and the live rows are packed to the front of the working
-    arrays, the last ones moving into the holes, and the next pending
-    trials move into the freed rows, so every iteration runs on
+    kept with its trial index and the live rows are packed to the front of
+    the working arrays, the last ones moving into the holes, and the next
+    pending trials move into the freed rows, so every iteration runs on
     min(capacity, live + pending) trials and the loop ends when both are
-    exhausted.  Each row counts its own iterations.
+    exhausted.  Each row counts its own iterations.  The kept outputs are
+    put in input order once, at the end.
 
     Messages use the planar tensor layout of the module docstring.  Entry 0
     of a mode absent from ``graph.var_labels`` holds the reference symbol:
@@ -388,27 +381,20 @@ def bp_decode_batch(
     first = [int((i, 0) not in graph.var_labels) for i in range(d)]
 
     def pieces() -> Iterator[np.ndarray]:
-        """The chunks, read as they are needed, cut into pieces of at most
-        ``capacity`` trials."""
+        """The spectra of the chunks' cleaned pmfs, (b, bins) + dims, read as
+        they are needed, in pieces of b <= ``capacity`` trials."""
         for chunk in chunks:
             obs = np.asarray(chunk, dtype=float)
             if obs.ndim != 3 or obs.shape[1:] != (t_len, m):
                 raise ValueError(f"observation pmfs must be (B, {t_len}, {m})")
             for a in range(0, len(obs), capacity):
-                yield obs[a : a + capacity]
+                b = min(capacity, len(obs) - a)
+                # one expression, so that no transient outlives the yield
+                yield _dft(_clean(obs[a : a + b]).transpose(0, 2, 1).reshape((1, b, m) + dims),
+                           np.empty(*_bp_arrays(graph.shape, damping, b)["pending"]))[0]
 
     source = pieces()
-
-    def pull() -> np.ndarray | None:
-        """The spectra of the next piece's cleaned pmfs, (b, bins) + dims, or
-        None once the chunks are spent."""
-        for obs in source:
-            b = len(obs)
-            out = np.empty(*_bp_arrays(graph.shape, damping, b)["pending"])
-            return _dft(_clean(obs).transpose(0, 2, 1).reshape((1, b, m) + dims), out)[0]
-        return None
-
-    pending = pull()  # before the buffers, so that its temporaries come and go first
+    pending = next(source, None)  # before the buffers, so that its temporaries come and go first
     # made once per call; an iteration uses the first n rows, one per live
     # trial.  Undamped, the check extrinsics become the next messages in place
     spec = _bp_arrays(graph.shape, damping, capacity)
@@ -430,21 +416,20 @@ def bp_decode_batch(
     age = np.empty(capacity, dtype=np.int64)
     streak = np.empty(capacity, dtype=np.int64)
     prev = np.empty((capacity, nv), dtype=np.int64)
-    final = np.empty((capacity, nv), dtype=np.int64)
-    final_post = np.empty((capacity, nv, m))
-    iters_used = np.empty(capacity, dtype=np.int64)
-    done = np.empty(capacity, dtype=bool)
+    # each iteration's leaving (trial, decisions, posteriors, iterations,
+    # settled), after an empty entry that gives an empty stream its shapes
+    left = [(np.empty(0, np.int64), np.empty((0, nv), np.int64), np.empty((0, nv, m)),
+             np.empty(0, np.int64), np.empty(0, bool))]
     n = admitted = taken = 0
-    spent = pending is None
 
     while True:
-        # pending trials move into the free rows; a chunk is dropped once all
+        # pending trials move into the free rows; a piece is dropped once all
         # of its trials are in, and the next one is read when rows are free
-        while n < capacity and not spent:
+        while n < capacity:
             if pending is None:
-                pending, taken = pull(), 0
-                spent = pending is None
-                continue
+                pending, taken = next(source, None), 0
+                if pending is None:
+                    break
             a = min(capacity - n, len(pending) - taken)
             obs_f[n : n + a] = pending[taken : taken + a]
             v2c[:, n : n + a] = 1.0 / m
@@ -453,8 +438,6 @@ def bp_decode_batch(
             streak[n : n + a] = 0
             prev[n : n + a] = -1
             taken, n, admitted = taken + a, n + a, admitted + a
-            final, final_post, iters_used, done = (
-                _grown(x, admitted) for x in (final, final_post, iters_used, done))
             if taken == len(pending):
                 pending = None
         if n == 0:
@@ -495,11 +478,8 @@ def bp_decode_batch(
         leaving = settled | (age[:n] >= max_iters)
         if not leaving.any():
             continue
-        rows = trial[:n][leaving]
-        final[rows] = decisions[leaving]
-        final_post[rows] = by_word[leaving]
-        iters_used[rows] = age[:n][leaving]
-        done[rows] = settled[leaving]
+        left.append((trial[:n][leaving], decisions[leaving], by_word[leaving],
+                     age[:n][leaving], settled[leaving]))
         # the kept rows past the first n - leaving.sum() fill the holes the
         # leaving rows made before them, so no more rows move than leave
         n_kept = n - int(leaving.sum())
@@ -511,7 +491,10 @@ def bp_decode_batch(
                 x[holes] = x[movers]
         n = n_kept
 
-    return final[:admitted], final_post[:admitted], iters_used[:admitted], done[:admitted]
+    trials, *outputs = map(np.concatenate, zip(*left))
+    del left  # so that the entries and the ordered outputs are never all held at once
+    order = np.argsort(trials)
+    return tuple(x[order] for x in outputs)
 
 
 @lru_cache(maxsize=1)
@@ -594,6 +577,26 @@ def _unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
 def _reconstruct(factors: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     full = factors[0] @ _khatri_rao(factors[1:]).T
     return full.reshape(shape)
+
+
+def check_cp_bytes(shape: TensorShape, num_users: int, num_antennas: int) -> None:
+    """Refuse a multi-user trial whose arrays would take more than ``CP_BYTES``,
+    counted from the shapes :func:`~tbmpsk.channels.simo_mac` and
+    :func:`cp_als` allocate: the users' signals and channel pmfs, the T x N
+    observation and its noise, the unfoldings, the reconstruction and its
+    residual, a mode's Khatri-Rao product and its conjugate, and the factors,
+    Gram matrices and normal equations of rank ``num_users``."""
+    r, t, m = num_users, shape.blocklength, shape.modulation_order
+    dims = shape.dims + (num_antennas,)
+    cells = t * num_antennas
+    items = (r * t + (4 + len(dims)) * cells + 2 * r * max(cells // n for n in dims)
+             + 2 * r * sum(dims) + (5 + len(dims)) * r * r)
+    nbytes = 16 * items + 8 * r * t * m
+    if nbytes > CP_BYTES:
+        raise RuntimeError(
+            f"simo-mac with {r} users and {num_antennas} antennas at length {t} "
+            f"needs {nbytes} bytes of channel and CP-ALS arrays; limit is {CP_BYTES}"
+        )
 
 
 def cp_als(

@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from .bounds import db_to_linear, linear_to_db, min_snr_for_rate, tbm_rate
 from .channels import awgn, simo_mac
-from .decoders import SINGLE_USER_DECODERS, bp_budget_rows, check_bp_params, multiuser_decode
+from .decoders import (SINGLE_USER_DECODERS, bp_budget_rows, check_bp_params, check_cp_bytes,
+                       multiuser_decode)
 from .modulation import encode_case1, encode_case2, encode_case3, transmit_signal
 from .ring_code import CASES, TensorShape, case_matrix
 
@@ -261,6 +262,8 @@ def _collect_outcomes(config: SimConfig, snr_db: float) -> np.ndarray:
     contiguous parts of near-equal size, run in worker processes when there
     are several; each part streams its trials through the decoder
     ``batch_size`` at a time."""
+    if config.scenario == "simo-mac":
+        check_cp_bytes(config.shape, config.num_users, config.num_antennas)
     bs = config.batch_size
     most = min(config.trials, WAVE_BATCHES * bs * config.threads)
     workers = min(config.threads, -(-most // bs))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tbmpsk.decoders as decoders
 import tbmpsk.sim as sim
 from tbmpsk.cli import main, parse_shape
 from tbmpsk.ring_code import TensorShape, case_matrix
@@ -273,6 +274,17 @@ class TestSimulateReplay:
                        "--threads", str(sim.MAX_THREADS + 1)) == 2
         assert "error: threads" in capsys.readouterr().err
         assert not again.exists()
+
+    def test_simo_mac_byte_guard_exits_3_before_any_draw(self, monkeypatch, tmp_path, capsys):
+        drawn = []
+        monkeypatch.setattr(decoders, "CP_BYTES", 1000)
+        monkeypatch.setattr(sim, "trial_rng", lambda *key: drawn.append(key))
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--scenario", "simo-mac", "--shape", "4,2,2", "--mod", "4",
+                       "--users", "2", "--antennas", "2", "--snr-db", "10", "--trials", "4",
+                       "--seed", "1", "--out", str(out)) == 3
+        assert "CP-ALS arrays" in capsys.readouterr().err
+        assert not drawn and not out.exists()
 
     @pytest.mark.parametrize("run_args", [
         ("--decoder", "bp"),

@@ -19,6 +19,7 @@ from tbmpsk.decoders import (
     bp_budget_rows,
     bp_decode_batch,
     channel_pmfs,
+    check_cp_bytes,
     check_extrinsics,
     cp_als,
     ml_oracle_decode,
@@ -334,9 +335,10 @@ class TestRefill:
 
     def test_empty_stream(self):
         g, pmfs = _mixed_batch()
-        dec, post, iters, conv = bp_decode_batch(g, iter([]), capacity=4)
-        assert dec.shape == (0, g.num_vars) and post.shape == (0, g.num_vars, 4)
-        assert iters.shape == conv.shape == (0,)
+        for dec, post, iters, conv in (bp_decode_batch(g, iter([]), capacity=4),
+                                       bp_decode_batch(g, pmfs[:0])):
+            assert dec.shape == (0, g.num_vars) and post.shape == (0, g.num_vars, 4)
+            assert iters.shape == conv.shape == (0,)
 
     def test_chunk_of_the_wrong_shape_is_rejected(self):
         g, pmfs = _mixed_batch()
@@ -573,6 +575,34 @@ class TestCpAls:
             cp_als(np.zeros((2, 2)), 1, rng)
         with pytest.raises(ValueError):
             cp_als(np.ones((2, 2)), 0, rng)
+
+
+class TestCpBytes:
+    @pytest.mark.parametrize("users, antennas", [(3, 200), (60, 2)])
+    def test_counted_bytes_bound_the_traced_peak(self, monkeypatch, users, antennas):
+        # one trial's channel draw and CP-ALS, led by the antennas' T x N
+        # arrays, then by the users' R x R ones
+        sh = TensorShape((6, 5, 4), 4)
+        rng = np.random.default_rng(1)
+        s = transmit_signal(encode(rng.integers(0, 4, (users, sh.info_length(1))), sh, 1), 4)
+        tracemalloc.start()
+        try:
+            cp_als(simo_mac(s, sh, antennas, 0.1, rng)[0], users, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        check_cp_bytes(sh, users, antennas)
+        monkeypatch.setattr(decoders, "CP_BYTES", peak - 1)
+        with pytest.raises(RuntimeError, match="CP-ALS arrays"):
+            check_cp_bytes(sh, users, antennas)
+
+    def test_paper_runs_pass_and_huge_ones_do_not(self):
+        sh = TensorShape((10, 20, 16), 4)
+        for users in (1, 5):  # criterion 11b's and simo-mac-paper's users, 5 antennas
+            check_cp_bytes(sh, users, 5)
+        for users, antennas in ((5, 100_000), (100_000, 5)):  # counted, never drawn
+            with pytest.raises(RuntimeError, match="CP-ALS arrays"):
+                check_cp_bytes(sh, users, antennas)
 
 
 class TestNormalizeFactors:
