@@ -2,12 +2,14 @@
 
 Every file-producing command writes a JSON manifest next to its output;
 ``replay`` re-runs a manifest and must reproduce the output byte-for-byte
-(the manifest's own timestamp is the only thing allowed to differ).
+(the manifest's own timestamp is the only thing allowed to differ), and
+writes a manifest that keeps the recorded one's other keys.
 
 Exit codes: 0 success, 2 configuration/validation error (among them an empty
-SNR, shape or order list and more than ``sim.MAX_THREADS`` workers), 3 runtime
-guard (enumeration limit, simo-mac byte limit, unreachable bound target) or an
-input or output file that cannot be opened.
+SNR, shape or order list, more than ``sim.MAX_THREADS`` workers, and a
+replayed manifest with no config, a missing config field or an unknown
+simulation field), 3 runtime guard (enumeration limit, simo-mac byte limit,
+unreachable bound target) or an input or output file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -129,12 +131,21 @@ def graph_text(doc: dict) -> str:
     return export_edges(build_graph(shape, doc["case"]))
 
 
+def _sim_config_of(doc: dict) -> SimConfig:
+    """The SimConfig a config doc records; an unknown or missing field is a
+    configuration error."""
+    try:
+        return SimConfig(**doc)
+    except TypeError as exc:
+        raise ValueError(f"bad simulation config: {exc}") from None
+
+
 def simulate_text(doc: dict) -> str:
-    return result_csv(run(SimConfig(**doc)))
+    return result_csv(run(_sim_config_of(doc)))
 
 
 def sweep_text(doc: dict) -> str:
-    configs = [SimConfig(**c) for c in doc["configs"]]
+    configs = [_sim_config_of(c) for c in doc["configs"]]
     rows = sweep_table(
         configs, doc["target_error"], doc["lo_db"], doc["hi_db"], doc["resolution_db"]
     )
@@ -230,9 +241,17 @@ def cmd_sweep(args) -> int:
     return _produce(args, doc, shapes_given=args.shapes)
 
 
+class _ManifestDoc(dict):
+    """An object read from a manifest: a missing field is a configuration
+    error, not a program fault."""
+
+    def __missing__(self, key):
+        raise ValueError(f"manifest has no {key!r} field")
+
+
 def cmd_replay(args) -> int:
     with open(args.manifest) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_hook=_ManifestDoc)
     command = doc.get("command")
     if command not in REPLAYERS:
         raise ValueError(f"manifest command {command!r} is not replayable")
@@ -244,7 +263,7 @@ def cmd_replay(args) -> int:
     if not out_path:
         raise ValueError("manifest records no output path; pass --out")
     text = REPLAYERS[command](config_doc)
-    _emit(out_path, text, command, config_doc)
+    _emit(out_path, text, command, config_doc, doc)
     return 0
 
 

@@ -273,11 +273,6 @@ def check_bp_params(max_iters: int, damping: float) -> None:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
 
-@lru_cache(maxsize=32)
-def _graph_context(shape: TensorShape, case: int) -> FactorGraph:
-    return build_graph(shape, case)
-
-
 def _bp_arrays(shape: TensorShape, damping: float, rows: int) -> dict:
     """Shape and dtype of each working array :func:`bp_decode_batch` holds for
     ``rows`` trials: the messages (a second array when damped), the
@@ -716,7 +711,7 @@ def multiuser_decode(
     out: list[np.ndarray | None] = [None] * num_users
     if users:
         dec, _, _, _ = bp_decode_batch(
-            _graph_context(shape, 1), np.stack(pmfs), max_iters=max_bp_iters, damping=damping
+            build_graph(shape, 1), np.stack(pmfs), max_iters=max_bp_iters, damping=damping
         )
         for r, word in zip(users, dec):
             out[r] = word
@@ -736,7 +731,7 @@ def multiuser_decode(
 
 def _decode_trials_bp(chunks, noise_var, shape, case, max_iters, damping, capacity):
     pmfs = (channel_pmfs(y, noise_var, shape.modulation_order) for y in chunks)
-    dec, _, _, _ = bp_decode_batch(_graph_context(shape, case), pmfs, max_iters, damping,
+    dec, _, _, _ = bp_decode_batch(build_graph(shape, case), pmfs, max_iters, damping,
                                    capacity)
     return dec
 

@@ -11,6 +11,7 @@ stays isolated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +23,8 @@ class FactorGraph:
     """Bipartite info-symbol / position-constraint graph.
 
     ``edge_check`` and ``edge_var`` list endpoint ids per edge, sorted by
-    (check, var); ``var_labels`` is ``shape.free_entries(case)``, so
+    (check, var) and read-only, since ``build_graph`` hands one graph to
+    every caller; ``var_labels`` is ``shape.free_entries(case)``, so
     ``var_labels[v]`` is the (mode, entry) pair of info node v.
     """
 
@@ -31,6 +33,10 @@ class FactorGraph:
     var_labels: tuple[tuple[int, int], ...]
     edge_check: np.ndarray
     edge_var: np.ndarray
+
+    def __post_init__(self):
+        self.edge_check.setflags(write=False)
+        self.edge_var.setflags(write=False)
 
     @property
     def num_vars(self) -> int:
@@ -44,6 +50,7 @@ class FactorGraph:
         return np.bincount(self.edge_check, minlength=self.num_checks)
 
 
+@lru_cache(maxsize=32)
 def build_graph(shape: TensorShape, case: int) -> FactorGraph:
     """Graph of the case-1 or case-3 code: a pinned entry checks nothing,
     the shortening of the code by its row of G.

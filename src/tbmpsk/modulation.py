@@ -63,7 +63,7 @@ def encode_case1(info: np.ndarray, shortened: RingMatrix) -> np.ndarray:
 
 
 def encode(info: np.ndarray, shape: TensorShape, case: int) -> np.ndarray:
-    """Codeword for any case, building the case's generator on the fly."""
+    """Codeword for any case, over the case's generator (cached by ``case_matrix``)."""
     g = case_matrix(shape, case)
     if case == 1:
         return encode_case1(info, g)

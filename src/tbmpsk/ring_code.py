@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,6 +133,7 @@ class RingMatrix:
         return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=16)
 def case_matrix(shape: TensorShape, case: int) -> RingMatrix:
     """Generator of a reference-symbol case, G (2), G_r (3) or G_s (1): a 1
     in row r, column p wherever position p reads free entry r.  G_s also

@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -27,7 +26,7 @@ from .channels import awgn, simo_mac
 from .decoders import (SINGLE_USER_DECODERS, bp_budget_rows, check_bp_params, check_cp_bytes,
                        multiuser_decode)
 from .modulation import encode_case1, encode_case2, encode_case3, transmit_signal
-from .ring_code import CASES, TensorShape, case_matrix
+from .ring_code import CASES, TensorShape, case_matrix as _case_matrix
 
 SCENARIOS = ("awgn", "simo-mac")
 CSV_COLUMNS = (
@@ -146,9 +145,6 @@ class SimResult:
     points: tuple[PointRecord, ...]
 
 
-_case_matrix = lru_cache(maxsize=16)(case_matrix)
-
-
 def _snr_key(snr_db: float) -> int:
     """Bit pattern of the SNR value, used as a substream key; works for any
     float, not just members of some fixed grid."""
@@ -170,20 +166,17 @@ def _encode_batch(info: np.ndarray, shape: TensorShape, case: int) -> np.ndarray
     return encode_case2(info, g)
 
 
-def _received_chunks(config: SimConfig, snr_db: float, noise_var: float, start: int,
-                     stop: int, sent: list[np.ndarray], rows: int):
-    """Received signals of trials [start, stop), ``rows`` trials a chunk,
-    drawn only as the decoder reads them; each chunk's info words are
-    appended to ``sent``."""
+def _trial_chunks(config: SimConfig, snr_db: float, start: int, stop: int, rows: int):
+    """Trials [start, stop), ``rows`` a chunk, drawn only as they are read:
+    per chunk, each trial's RNG, the (b, num_users, K) info words and
+    their (b, num_users, T) transmit signals."""
     shape = config.shape
     m = shape.modulation_order
     k = shape.info_length(config.case)
     for a in range(start, stop, rows):
         rngs = [trial_rng(config.seed, snr_db, t) for t in range(a, min(a + rows, stop))]
-        info = np.stack([rng.integers(0, m, k) for rng in rngs])
-        sent.append(info)
-        signal = transmit_signal(_encode_batch(info, shape, config.case), m)
-        yield np.stack([awgn(signal[i], noise_var, rng) for i, rng in enumerate(rngs)])
+        info = np.stack([rng.integers(0, m, (config.num_users, k)) for rng in rngs])
+        yield rngs, info, transmit_signal(_encode_batch(info, shape, config.case), m)
 
 
 def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int) -> np.ndarray:
@@ -191,25 +184,26 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int) -> 
 
     AWGN trials are drawn and decoded at most ``batch_size`` at a time, and
     under BP at most as many as fit in its byte budget (``bp_budget_rows``),
-    so the channel pmfs of a chunk are no larger than BP's rows for them."""
+    so the channel pmfs of a chunk are no larger than BP's rows for them.
+    ``simo-mac`` trials are drawn and decoded one at a time."""
     shape = config.shape
     noise_var = 1.0 / db_to_linear(snr_db)
     if config.scenario == "awgn":
-        sent: list[np.ndarray] = []
-        decode = SINGLE_USER_DECODERS[config.decoder]
         rows = min(config.batch_size, stop - start)
         if config.decoder == "bp":
             rows = min(rows, bp_budget_rows(shape, config.damping))
-        decided = decode(_received_chunks(config, snr_db, noise_var, start, stop, sent, rows),
-                         noise_var, shape, config.case, config.max_iters, config.damping, rows)
+        sent: list[np.ndarray] = []
+
+        def received():
+            for rngs, info, signal in _trial_chunks(config, snr_db, start, stop, rows):
+                sent.append(info[:, 0])
+                yield np.concatenate([awgn(s, noise_var, rng) for s, rng in zip(signal, rngs)])
+
+        decided = SINGLE_USER_DECODERS[config.decoder](
+            received(), noise_var, shape, config.case, config.max_iters, config.damping, rows)
         return (decided != np.concatenate(sent)).any(axis=1).astype(np.int64)
-    m = shape.modulation_order
-    k = shape.info_length(config.case)
     out = np.zeros(stop - start, dtype=np.int64)
-    for i, t in enumerate(range(start, stop)):
-        rng = trial_rng(config.seed, snr_db, t)
-        info = rng.integers(0, m, (config.num_users, k))
-        signal = transmit_signal(_encode_batch(info, shape, 1), m)
+    for i, ([rng], [info], [signal]) in enumerate(_trial_chunks(config, snr_db, start, stop, 1)):
         tensor, _ = simo_mac(signal, shape, config.num_antennas, noise_var, rng)
         decoded = multiuser_decode(
             tensor, config.num_users, noise_var, shape, rng,
@@ -435,16 +429,17 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 def write_manifest(output_path: str, command: str, config_doc: dict, extras: dict | None = None):
     """Sidecar JSON describing how an output file was produced.  The output
     itself must reproduce byte-for-byte; the manifest carries the one
-    allowed non-reproducible field (its timestamp)."""
+    allowed non-reproducible field (its timestamp).  ``extras`` add
+    top-level keys but never replace the five written here, so a replay
+    can pass the recorded manifest whole to keep its other keys."""
     doc = {
+        **(extras or {}),
         "command": command,
         "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
         "output": output_path,
         "config": config_doc,
     }
-    if extras:
-        doc.update(extras)
     path = output_path + ".manifest.json"
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

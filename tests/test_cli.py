@@ -253,6 +253,21 @@ class TestSimulateReplay:
         assert run_cli("replay", "--manifest", str(manifest), "--out", str(out)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("fixture, edit", [
+        ("simulate-awgn-bp.csv", lambda doc: doc.pop("config")),
+        ("matrix-case1.txt", lambda doc: doc["config"].pop("modulation_order")),
+        ("simulate-awgn-bp.csv", lambda doc: doc["config"].update(bogus=1)),
+    ], ids=["no-config", "no-modulation-order", "unknown-sim-field"])
+    def test_replay_of_malformed_manifest_exits_2(self, fixture, edit, tmp_path, capsys):
+        doc = json.loads((REPLAY_FIXTURES / f"{fixture}.manifest.json").read_text())
+        edit(doc)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "r"
+        assert run_cli("replay", "--manifest", str(manifest), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("run_args", [
         ("simulate", "--shape", "2,2", "--mod", "4", "--snr-db", "2"),
         ("sweep", "--shapes", "2,2", "--mods", "4", *SWEEP_BRACKET),
@@ -412,3 +427,9 @@ def test_replays_stored_manifest_byte_for_byte(manifest, tmp_path):
     out = tmp_path / "replayed"
     assert run_cli("replay", "--manifest", str(manifest), "--out", str(out)) == 0
     assert out.read_bytes() == manifest.with_name(manifest.name[:-14]).read_bytes()
+    # the new manifest keeps every recorded key, shape_given or shapes_given too
+    recorded = json.loads(manifest.read_text())
+    replayed = json.loads(Path(f"{out}.manifest.json").read_text())
+    for key in ("version", "created", "output"):
+        del recorded[key], replayed[key]
+    assert replayed == recorded

@@ -36,6 +36,12 @@ class TestCase1Graph:
         key = g.edge_check * g.num_vars + g.edge_var
         assert (np.diff(key) > 0).all()
 
+    def test_repeat_call_shares_one_read_only_graph(self):
+        g = build_graph(TensorShape((4, 2, 2), 4), 1)
+        assert build_graph(TensorShape((4, 2, 2), 4), 1) is g
+        with pytest.raises(ValueError, match="read-only"):
+            g.edge_check[0] = 1
+
     def test_edge_count_matches_generator_support(self):
         sh = TensorShape((10, 20, 16), 4)
         g = build_graph(sh, 1)

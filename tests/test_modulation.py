@@ -1,6 +1,8 @@
 """Encoders checked against an index-arithmetic oracle that never touches
 the generator matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,17 @@ class TestValidation:
     def test_mls_needs_factors(self):
         with pytest.raises(ValueError):
             mls_encode([])
+
+
+def test_warm_encode_does_not_rebuild_the_generator():
+    # building the (43, 3200) generator of this code alone peaks at 2.4 MB
+    shape = TensorShape((10, 20, 16), 4)
+    info = np.ones(shape.info_length(1), dtype=np.int64)
+    encode(info, shape, 1)
+    tracemalloc.start()
+    try:
+        encode(info, shape, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000

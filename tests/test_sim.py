@@ -12,6 +12,7 @@ import pytest
 import tbmpsk.decoders as decoders
 import tbmpsk.sim as sim
 from tbmpsk.bounds import linear_to_db, min_snr_for_rate, tbm_rate
+from tbmpsk.channels import awgn
 from tbmpsk.ring_code import TensorShape
 from tbmpsk.sim import (
     SimConfig,
@@ -257,11 +258,12 @@ class TestByteBudget:
         assert budget < cfg.batch_size
         outs = []
         for rows in (budget, cfg.batch_size):
-            sent = []
-            chunks = sim._received_chunks(cfg, 0.0, 1.0, 0, 40, sent, rows)
-            decided = decoders.SINGLE_USER_DECODERS["bp"](chunks, 1.0, cfg.shape, 1, 50,
-                                                          0.0, rows)
-            outs.append((np.concatenate(sent), decided))
+            chunks = list(sim._trial_chunks(cfg, 0.0, 0, 40, rows))
+            received = [np.concatenate([awgn(s, 1.0, rng) for s, rng in zip(signal, rngs)])
+                        for rngs, _, signal in chunks]
+            decided = decoders.SINGLE_USER_DECODERS["bp"](iter(received), 1.0, cfg.shape, 1,
+                                                          50, 0.0, rows)
+            outs.append((np.concatenate([info[:, 0] for _, info, _ in chunks]), decided))
         (sent_a, dec_a), (sent_b, dec_b) = outs
         assert np.array_equal(sent_a, sent_b) and np.array_equal(dec_a, dec_b)
         assert (dec_a != sent_a).any(axis=1).sum() > 0  # some errors, so decisions matter
