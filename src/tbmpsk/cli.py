@@ -7,9 +7,10 @@ writes a manifest that keeps the recorded one's other keys.
 
 Exit codes: 0 success, 2 configuration/validation error (among them an empty
 SNR, shape or order list, more than ``sim.MAX_THREADS`` workers, and a
-replayed manifest with no config, a missing config field or an unknown
-simulation field), 3 runtime guard (enumeration limit, simo-mac byte limit,
-unreachable bound target) or an input or output file that cannot be opened.
+replayed manifest that is not a JSON object or has no config, a missing,
+unknown or wrongly typed config field, or an unknown decoder), 3 runtime
+guard (enumeration limit, simo-mac byte limit, unreachable bound target) or
+an input or output file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -96,8 +97,23 @@ def _parse_list(text: str, kind=int) -> list:
 # --- per-command text producers (shared by the commands and replay) ----------
 
 
+def _list(doc: dict, key: str) -> list:
+    """``doc[key]``, which must be a list."""
+    if not isinstance(value := doc[key], list):
+        raise ValueError(f"config field {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _doc_shape(doc: dict) -> TensorShape:
+    """The TensorShape of a config doc's integer ``dims`` and ``modulation_order``."""
+    dims, m = _list(doc, "dims"), doc["modulation_order"]
+    if not all(isinstance(v, int) for v in (*dims, m)):
+        raise ValueError(f"dims and modulation order must be integers, got {dims!r} and {m!r}")
+    return TensorShape(tuple(dims), m)
+
+
 def matrix_text(doc: dict) -> str:
-    shape = TensorShape(tuple(doc["dims"]), doc["modulation_order"])
+    shape = _doc_shape(doc)
     if not doc.get("systematic"):
         return case_matrix(shape, doc["case"]).to_text()
     if doc["case"] != 1:
@@ -106,29 +122,30 @@ def matrix_text(doc: dict) -> str:
 
 
 def encode_text(doc: dict) -> str:
-    shape = TensorShape(tuple(doc["dims"]), doc["modulation_order"])
-    codeword = encode(np.array(doc["info"]), shape, doc["case"])
+    shape = _doc_shape(doc)
+    codeword = encode(np.array(_list(doc, "info")), shape, doc["case"])
     samples = transmit_signal(codeword, shape.modulation_order)
     return "".join(f"{float(z.real)!r} {float(z.imag)!r}\n" for z in samples)
 
 
 def decode_text(doc: dict) -> str:
-    shape = TensorShape(tuple(doc["dims"]), doc["modulation_order"])
-    y = np.array([complex(re, im) for re, im in doc["received"]])
+    shape = _doc_shape(doc)
+    if (decoder := doc["decoder"]) not in SINGLE_USER_DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}; available: {sorted(SINGLE_USER_DECODERS)}")
+    y = np.array([complex(re, im) for re, im in _list(doc, "received")])
     if y.size != shape.blocklength:
         raise ValueError(f"expected {shape.blocklength} samples, got {y.size}")
     check_bp_params(doc["max_iters"], doc["damping"])
     if not 0 <= doc["noise_var"] < np.inf:
         raise ValueError(f"noise variance must be finite and non-negative, got {doc['noise_var']}")
-    decided = SINGLE_USER_DECODERS[doc["decoder"]](
-        [y[None]], doc["noise_var"], shape, doc["case"], doc["max_iters"], doc["damping"], 1
+    decided = SINGLE_USER_DECODERS[decoder](
+        [y[None]], doc["noise_var"], shape, doc["case"], doc["max_iters"], doc["damping"]
     )[0]
     return " ".join(str(int(v)) for v in decided) + "\n"
 
 
 def graph_text(doc: dict) -> str:
-    shape = TensorShape(tuple(doc["dims"]), doc["modulation_order"])
-    return export_edges(build_graph(shape, doc["case"]))
+    return export_edges(build_graph(_doc_shape(doc), doc["case"]))
 
 
 def _sim_config_of(doc: dict) -> SimConfig:
@@ -145,7 +162,7 @@ def simulate_text(doc: dict) -> str:
 
 
 def sweep_text(doc: dict) -> str:
-    configs = [_sim_config_of(c) for c in doc["configs"]]
+    configs = [_sim_config_of(c) for c in _list(doc, "configs")]
     rows = sweep_table(
         configs, doc["target_error"], doc["lo_db"], doc["hi_db"], doc["resolution_db"]
     )
@@ -252,12 +269,16 @@ class _ManifestDoc(dict):
 def cmd_replay(args) -> int:
     with open(args.manifest) as fh:
         doc = json.load(fh, object_hook=_ManifestDoc)
+    if not isinstance(doc, dict):
+        raise ValueError("manifest is not a JSON object")
     command = doc.get("command")
     if command not in REPLAYERS:
         raise ValueError(f"manifest command {command!r} is not replayable")
     config_doc = doc["config"]
+    if not isinstance(config_doc, dict):
+        raise ValueError("manifest config is not a JSON object")
     if args.threads is not None and command in ("simulate", "sweep"):
-        for c in config_doc.get("configs", [config_doc]):
+        for c in _list(config_doc, "configs") if command == "sweep" else [config_doc]:
             c["threads"] = args.threads
     out_path = args.out or doc.get("output")
     if not out_path:

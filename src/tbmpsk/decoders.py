@@ -308,21 +308,20 @@ def bp_decode_batch(
     observation_pmfs: np.ndarray | Iterator[np.ndarray],
     max_iters: int = 50,
     damping: float = 0.0,
-    capacity: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flooding BP over independent trials, at most ``capacity`` at once.
+    """Flooding BP over independent trials, as many at once as the first chunk has.
 
     ``observation_pmfs`` is a (B, T, M) array, one channel pmf per position
     and trial, or an iterator of such chunks, read lazily one chunk at a
-    time; an iterator needs a ``capacity``, and an array defaults to all of
-    its rows.  The capacity is cut to :func:`bp_budget_rows`, the most
-    trials whose working arrays fit in ``BP_BYTES``, and chunks are taken
-    at most that many trials at a time, so a call's arrays stay within the
-    budget whatever the batch.  Per trial, stops once hard decisions
-    survive 3 consecutive iterations or after ``max_iters``; each trial's
-    outcome depends only on its own row, so results are identical under
-    any batching and capacity.  Returns (decisions, posteriors, iterations,
-    converged), one row per trial in input order.
+    time; an array counts as one chunk.  The capacity is the first chunk's
+    trials, at least one, cut to :func:`bp_budget_rows`, the most trials
+    whose working arrays fit in ``BP_BYTES``; chunks are taken at most that
+    many trials at a time, so a call's arrays stay within the budget
+    whatever the batch.  Per trial, stops once hard decisions survive 3
+    consecutive iterations or after ``max_iters``; each trial's outcome
+    depends only on its own row, so results are identical under any
+    batching.  Returns (decisions, posteriors, iterations, converged), one
+    row per trial in input order.
 
     Trials leave as they finish: on a trial's last iteration its outputs are
     kept with its trial index and the live rows are packed to the front of
@@ -360,25 +359,18 @@ def bp_decode_batch(
     dims = graph.shape.dims
     d = len(dims)
     nv, t_len, m = graph.num_vars, graph.num_checks, graph.shape.modulation_order
-    if isinstance(observation_pmfs, Iterator):
-        if capacity is None:
-            raise ValueError("an iterator of observation chunks needs a capacity")
-        chunks = observation_pmfs
-    else:
-        chunks = iter([observation_pmfs])
-        if capacity is None:
-            capacity = max(1, len(observation_pmfs))
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    capacity = min(capacity, bp_budget_rows(graph.shape, damping))
+    chunks = (observation_pmfs if isinstance(observation_pmfs, Iterator)
+              else iter([observation_pmfs]))
+    head = next(chunks, None)  # read before the buffers, whose rows are its trials
+    capacity = min(max(1, 0 if head is None else len(head)), bp_budget_rows(graph.shape, damping))
 
     # each mode's first info entry: 1 where entry 0 holds the reference symbol
     first = [int((i, 0) not in graph.var_labels) for i in range(d)]
 
-    def pieces() -> Iterator[np.ndarray]:
-        """The spectra of the chunks' cleaned pmfs, (b, bins) + dims, read as
-        they are needed, in pieces of b <= ``capacity`` trials."""
-        for chunk in chunks:
+    def pieces(chunk) -> Iterator[np.ndarray]:
+        """The spectra of the cleaned pmfs of ``chunk`` and the later chunks,
+        (b, bins) + dims, read as needed, in pieces of b <= ``capacity``."""
+        while chunk is not None:
             obs = np.asarray(chunk, dtype=float)
             if obs.ndim != 3 or obs.shape[1:] != (t_len, m):
                 raise ValueError(f"observation pmfs must be (B, {t_len}, {m})")
@@ -387,8 +379,10 @@ def bp_decode_batch(
                 # one expression, so that no transient outlives the yield
                 yield _dft(_clean(obs[a : a + b]).transpose(0, 2, 1).reshape((1, b, m) + dims),
                            np.empty(*_bp_arrays(graph.shape, damping, b)["pending"]))[0]
+            chunk = next(chunks, None)
 
-    source = pieces()
+    source = pieces(head)
+    del head  # so that the first chunk goes once it is read, as the later ones do
     pending = next(source, None)  # before the buffers, so that its temporaries come and go first
     # made once per call; an iteration uses the first n rows, one per live
     # trial.  Undamped, the check extrinsics become the next messages in place
@@ -720,23 +714,22 @@ def multiuser_decode(
 
 # --- single-user decoder registry -------------------------------------------
 # Uniform signature: (received chunks, an iterable of (b, T) arrays;
-# noise_var, shape, case, max_iters, damping, capacity) -> decisions
-# (sum of b, K_case) in chunk order, reading the chunks as it decodes and
-# holding at most ``capacity`` trials in BP at once, and no more than fit
-# in ``BP_BYTES`` (the engine draws its chunks that size, so each chunk's
+# noise_var, shape, case, max_iters, damping) -> decisions (sum of b,
+# K_case) in chunk order, reading the chunks as it decodes.  BP holds as
+# many trials at once as the first chunk has, and no more than fit in
+# ``BP_BYTES`` (the engine draws its chunks no larger, so each chunk's
 # channel pmfs are no larger than BP's rows for them).  A von Mises
 # phase-domain message-passing decoder would slot in here; only FFT-BP and
 # the ML oracle ship.
 
 
-def _decode_trials_bp(chunks, noise_var, shape, case, max_iters, damping, capacity):
+def _decode_trials_bp(chunks, noise_var, shape, case, max_iters, damping):
     pmfs = (channel_pmfs(y, noise_var, shape.modulation_order) for y in chunks)
-    dec, _, _, _ = bp_decode_batch(build_graph(shape, case), pmfs, max_iters, damping,
-                                   capacity)
+    dec, _, _, _ = bp_decode_batch(build_graph(shape, case), pmfs, max_iters, damping)
     return dec
 
 
-def _decode_trials_ml(chunks, noise_var, shape, case, max_iters, damping, capacity):
+def _decode_trials_ml(chunks, noise_var, shape, case, max_iters, damping):
     return np.concatenate([ml_oracle_decode(y, shape, case) for y in chunks])
 
 

@@ -183,13 +183,13 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int) -> 
     """Per-trial error counts for trials [start, stop), in trial order.
 
     AWGN trials are drawn and decoded at most ``batch_size`` at a time, and
-    under BP at most as many as fit in its byte budget (``bp_budget_rows``),
-    so the channel pmfs of a chunk are no larger than BP's rows for them.
+    under BP at most as many as fit in its byte budget (``bp_budget_rows``):
+    the trials BP then holds at once, which are as many as its first chunk's.
     ``simo-mac`` trials are drawn and decoded one at a time."""
     shape = config.shape
     noise_var = 1.0 / db_to_linear(snr_db)
     if config.scenario == "awgn":
-        rows = min(config.batch_size, stop - start)
+        rows = config.batch_size
         if config.decoder == "bp":
             rows = min(rows, bp_budget_rows(shape, config.damping))
         sent: list[np.ndarray] = []
@@ -200,7 +200,7 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int) -> 
                 yield np.concatenate([awgn(s, noise_var, rng) for s, rng in zip(signal, rngs)])
 
         decided = SINGLE_USER_DECODERS[config.decoder](
-            received(), noise_var, shape, config.case, config.max_iters, config.damping, rows)
+            received(), noise_var, shape, config.case, config.max_iters, config.damping)
         return (decided != np.concatenate(sent)).any(axis=1).astype(np.int64)
     out = np.zeros(stop - start, dtype=np.int64)
     for i, ([rng], [info], [signal]) in enumerate(_trial_chunks(config, snr_db, start, stop, 1)):

@@ -257,10 +257,23 @@ class TestSimulateReplay:
         ("simulate-awgn-bp.csv", lambda doc: doc.pop("config")),
         ("matrix-case1.txt", lambda doc: doc["config"].pop("modulation_order")),
         ("simulate-awgn-bp.csv", lambda doc: doc["config"].update(bogus=1)),
-    ], ids=["no-config", "no-modulation-order", "unknown-sim-field"])
+        ("matrix-case1.txt", lambda doc: doc["config"].update(dims=None)),
+        ("sweep.csv", lambda doc: doc["config"].update(configs=None)),
+        ("decode-bp-case1.txt", lambda doc: doc["config"].update(decoder="foo")),
+        ("decode-bp-case1.txt", lambda doc: doc["config"].update(received=None)),
+        ("encode-case1.txt", lambda doc: doc["config"].update(info=None)),
+        ("export-graph.txt", lambda doc: doc["config"].update(modulation_order=None)),
+        ("matrix-case1.txt", lambda doc: doc.update(config=[doc["config"]])),
+        ("matrix-case1.txt", "list"),
+    ], ids=["no-config", "no-modulation-order", "unknown-sim-field", "null-dims",
+            "null-configs", "unknown-decoder", "null-received", "null-info",
+            "null-modulation-order", "list-config", "list-manifest"])
     def test_replay_of_malformed_manifest_exits_2(self, fixture, edit, tmp_path, capsys):
         doc = json.loads((REPLAY_FIXTURES / f"{fixture}.manifest.json").read_text())
-        edit(doc)
+        if edit == "list":  # the manifest becomes a JSON list
+            doc = [doc]
+        else:
+            edit(doc)
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(doc))
         out = tmp_path / "r"

@@ -155,6 +155,18 @@ def _assert_rows_decode_alone(g, pmfs, **kwargs):
     return batch
 
 
+def _spy_rows(monkeypatch):
+    """The trials of every BP iteration, as BP runs them."""
+    rows, kernel = [], decoders.check_extrinsics
+
+    def spy(target_f, w, *args):
+        rows.append(w.shape[1])
+        return kernel(target_f, w, *args)
+
+    monkeypatch.setattr(decoders, "check_extrinsics", spy)
+    return rows
+
+
 class TestBpDecode:
     def test_clean_round_trip(self):
         sh = TensorShape((4, 2, 2), 4)
@@ -223,14 +235,7 @@ class TestBpDecode:
 class TestActiveSet:
     def test_settled_trials_leave_the_batch(self, monkeypatch):
         g, pmfs = _mixed_batch()
-        rows = []
-        kernel = decoders.check_extrinsics
-
-        def spy(target_f, w, *args):
-            rows.append(w.shape[1])
-            return kernel(target_f, w, *args)
-
-        monkeypatch.setattr(decoders, "check_extrinsics", spy)
+        rows = _spy_rows(monkeypatch)
         _, _, iters, conv = bp_decode_batch(g, pmfs)
         assert 0 < conv.sum() < len(pmfs) and len(set(iters[conv])) > 2
         assert len(rows) == iters.max()
@@ -271,53 +276,57 @@ class TestActiveSet:
                 assert one.shape[0] == 1 and np.array_equal(got[i], one[0])
 
 
-# rows of the uneven chunks a stream of _mixed_batch() comes in
-CHUNK_ROWS = (1, 4, 0, 7)
+# rows of the uneven chunks that follow the first one of a stream
+LATER_ROWS = (4, 0, 7)
 
 
-def _chunks(pmfs):
-    """``pmfs`` as an iterator of chunks of ``CHUNK_ROWS`` rows."""
-    ends = np.cumsum(CHUNK_ROWS)
-    for a, b in zip(ends - CHUNK_ROWS, ends):
+def _chunk_rows(first, trials):
+    """Rows of a stream of ``trials`` whose first chunk has ``first`` rows,
+    the later ones cut from repeats of ``LATER_ROWS``."""
+    rows, later = [first], itertools.cycle(LATER_ROWS)
+    while sum(rows) < trials:
+        rows.append(min(next(later), trials - sum(rows)))
+    return rows
+
+
+def _chunks(pmfs, first=1):
+    """``pmfs`` as an iterator of chunks, the first of ``first`` rows."""
+    rows = _chunk_rows(first, len(pmfs))
+    ends = np.cumsum(rows)
+    for a, b in zip(ends - rows, ends):
         yield pmfs[a:b]
 
 
 class TestRefill:
     @pytest.mark.parametrize("kwargs", [{}, {"damping": 0.3}, {"max_iters": 2},
                                         {"max_iters": 7}])
-    @pytest.mark.parametrize("capacity", [1, 2, 3, 5, 12])
-    def test_stream_matches_whole_batch(self, capacity, kwargs):
+    @pytest.mark.parametrize("first", [1, 2, 3, 5, 12])
+    def test_stream_matches_whole_batch(self, first, kwargs):
         g, pmfs = _mixed_batch()
         want = bp_decode_batch(g, pmfs, **kwargs)
-        for got in (bp_decode_batch(g, _chunks(pmfs), capacity=capacity, **kwargs),
-                    bp_decode_batch(g, pmfs, capacity=capacity, **kwargs)):
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and np.array_equal(a, b), capacity
+        for a, b in zip(bp_decode_batch(g, _chunks(pmfs, first), **kwargs), want):
+            assert a.shape == b.shape and np.array_equal(a, b), first
 
-    @pytest.mark.parametrize("capacity", [1, 3, 5])
-    def test_freed_rows_take_pending_trials(self, monkeypatch, capacity):
+    @pytest.mark.parametrize("first", [1, 3, 5])
+    def test_freed_rows_take_pending_trials(self, monkeypatch, first):
         g, pmfs = _mixed_batch()
         _, _, iters, _ = bp_decode_batch(g, pmfs)
-        rows, reads = [], []
-        kernel = decoders.check_extrinsics
-
-        def spy(target_f, w, *args):
-            rows.append(w.shape[1])
-            return kernel(target_f, w, *args)
+        rows, reads = _spy_rows(monkeypatch), []
 
         def chunk_reads():  # (chunk, iterations run before it was read)
-            for i, chunk in enumerate(_chunks(pmfs)):
+            for i, chunk in enumerate(_chunks(pmfs, first)):
                 reads.append((i, len(rows)))
                 yield chunk
 
-        monkeypatch.setattr(decoders, "check_extrinsics", spy)
-        bp_decode_batch(g, chunk_reads(), capacity=capacity)
-        # every iteration runs min(capacity, live + not yet admitted) trials,
-        # and a chunk is read when its first trial gets a row
-        firsts = np.cumsum(CHUNK_ROWS) - CHUNK_ROWS
+        bp_decode_batch(g, chunk_reads())
+        # BP holds as many trials as the first chunk has: every iteration runs
+        # min(first, live + not yet admitted) trials, and a chunk is read when
+        # its first trial gets a row
+        chunk_rows = _chunk_rows(first, len(pmfs))
+        firsts = np.cumsum(chunk_rows) - chunk_rows
         want, want_reads, live, waiting = [], [], [], list(iters)
         while live or waiting:
-            while len(live) < capacity and waiting:
+            while len(live) < first and waiting:
                 trial = len(iters) - len(waiting)
                 want_reads += [(i, len(want)) for i, a in enumerate(firsts) if a == trial]
                 live.append(waiting.pop(0))
@@ -326,16 +335,9 @@ class TestRefill:
         assert rows == want
         assert reads == want_reads and reads[-1][1] > 0
 
-    def test_stream_needs_a_capacity(self):
-        g, pmfs = _mixed_batch()
-        with pytest.raises(ValueError, match="capacity"):
-            bp_decode_batch(g, _chunks(pmfs))
-        with pytest.raises(ValueError, match="capacity"):
-            bp_decode_batch(g, pmfs, capacity=0)
-
     def test_empty_stream(self):
         g, pmfs = _mixed_batch()
-        for dec, post, iters, conv in (bp_decode_batch(g, iter([]), capacity=4),
+        for dec, post, iters, conv in (bp_decode_batch(g, iter([])),
                                        bp_decode_batch(g, pmfs[:0])):
             assert dec.shape == (0, g.num_vars) and post.shape == (0, g.num_vars, 4)
             assert iters.shape == conv.shape == (0,)
@@ -343,7 +345,7 @@ class TestRefill:
     def test_chunk_of_the_wrong_shape_is_rejected(self):
         g, pmfs = _mixed_batch()
         with pytest.raises(ValueError, match="observation pmfs"):
-            bp_decode_batch(g, iter([pmfs[:2], pmfs[:2, :, :3]]), capacity=4)
+            bp_decode_batch(g, iter([pmfs[:2], pmfs[:2, :, :3]]))
 
 
 def _noisy_pmfs(sh, trials, seed=0):
@@ -385,14 +387,27 @@ class TestByteBudget:
 
     @pytest.mark.parametrize("kwargs", [{}, {"damping": 0.3, "max_iters": 7}])
     def test_capacity_above_the_budget_changes_no_output(self, kwargs):
+        # a first chunk of 1 row holds 1 trial; one past the budget, and the
+        # whole array, hold the budget's rows
         sh = TensorShape((6, 5, 4), 16)
         g = build_graph(sh, 1)
         pmfs = _noisy_pmfs(sh, 20)
-        assert bp_budget_rows(sh, kwargs.get("damping", 0.0)) < 20
-        whole = bp_decode_batch(g, pmfs, **kwargs)
-        for capacity in (1, 100):
-            for a, b in zip(bp_decode_batch(g, pmfs, capacity=capacity, **kwargs), whole):
-                assert np.array_equal(a, b), capacity
+        budget = bp_budget_rows(sh, kwargs.get("damping", 0.0))
+        assert budget < 19
+        alone = bp_decode_batch(g, _chunks(pmfs), **kwargs)
+        for got in (bp_decode_batch(g, _chunks(pmfs, budget + 1), **kwargs),
+                    bp_decode_batch(g, pmfs, **kwargs)):
+            for a, b in zip(got, alone):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_first_chunk_past_the_budget_holds_the_budget(self, monkeypatch, first):
+        sh = TensorShape((6, 5, 4), 16)
+        pmfs = _noisy_pmfs(sh, 20)
+        budget = bp_budget_rows(sh)
+        rows = _spy_rows(monkeypatch)
+        bp_decode_batch(build_graph(sh, 1), _chunks(pmfs, budget + first), max_iters=2)
+        assert rows[0] == max(rows) == budget
 
     def test_multiuser_decode_holds_budget_rows(self, monkeypatch):
         # the paper's shape fits 2 trials' BP arrays; 3 users all decodable
@@ -401,13 +416,7 @@ class TestByteBudget:
         u = rng.integers(0, 4, (3, sh.info_length(1)))
         nv = 10 ** (-5 / 10)
         tensor, _ = simo_mac(transmit_signal(encode(u, sh, 1), 4), sh, 4, nv, rng)
-        rows, kernel = [], decoders.check_extrinsics
-
-        def spy(target_f, w, *args):  # the rows of every BP iteration
-            rows.append(w.shape[1])
-            return kernel(target_f, w, *args)
-
-        monkeypatch.setattr(decoders, "check_extrinsics", spy)
+        rows = _spy_rows(monkeypatch)
         decoded = multiuser_decode(tensor, 3, nv, sh, rng, max_bp_iters=2)
         assert all(d is not None for d in decoded)
         assert max(rows) == bp_budget_rows(sh) == 2
@@ -516,7 +525,7 @@ class TestMlOracle:
         rng = np.random.default_rng(8)
         y = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
         y[0] = 0  # every word scores 0: the tie goes to the all-zero word
-        got = SINGLE_USER_DECODERS["ml"]([y[:1], y[1:4], y[4:]], 1.0, sh, 1, 50, 0.0, 2)
+        got = SINGLE_USER_DECODERS["ml"]([y[:1], y[1:4], y[4:]], 1.0, sh, 1, 50, 0.0)
         assert np.array_equal(got, [ml_oracle_decode(row, sh, 1) for row in y])
         assert not got[0].any()
 

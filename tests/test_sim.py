@@ -13,6 +13,7 @@ import tbmpsk.decoders as decoders
 import tbmpsk.sim as sim
 from tbmpsk.bounds import linear_to_db, min_snr_for_rate, tbm_rate
 from tbmpsk.channels import awgn
+from tbmpsk.modulation import encode, transmit_signal
 from tbmpsk.ring_code import TensorShape
 from tbmpsk.sim import (
     SimConfig,
@@ -108,6 +109,22 @@ class TestSubstreams:
         a = trial_rng(9, 2.0, 0).integers(0, 1000, 8)
         b = trial_rng(9, 2.0, 1).integers(0, 1000, 8)
         assert not np.array_equal(a, b)
+
+
+class TestTrialChunks:
+    @pytest.mark.parametrize("dims", [(4, 2, 2), (10, 20, 16)])
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_signals_are_the_encoders(self, dims, case):
+        # every CSV number is encoded by the engine's producer, not by
+        # modulation.encode, which the acceptance criteria check
+        cfg = SimConfig(dims=dims, modulation_order=4, snrs_db=(0.0,), trials=10, seed=5,
+                        case=case, decoder="ml" if case == 2 else "bp")
+        chunks = list(sim._trial_chunks(cfg, 0.0, 0, 10, 4))
+        assert [len(info) for _, info, _ in chunks] == [4, 4, 2]
+        for _, info, signal in chunks:
+            want = [transmit_signal(encode(u, cfg.shape, case), 4) for u in info[:, 0]]
+            assert signal.shape == (len(info), 1, cfg.shape.blocklength)
+            assert np.array_equal(signal[:, 0], want)
 
 
 class TestDeterminism:
@@ -262,7 +279,7 @@ class TestByteBudget:
             received = [np.concatenate([awgn(s, 1.0, rng) for s, rng in zip(signal, rngs)])
                         for rngs, _, signal in chunks]
             decided = decoders.SINGLE_USER_DECODERS["bp"](iter(received), 1.0, cfg.shape, 1,
-                                                          50, 0.0, rows)
+                                                          50, 0.0)
             outs.append((np.concatenate([info[:, 0] for _, info, _ in chunks]), decided))
         (sent_a, dec_a), (sent_b, dec_b) = outs
         assert np.array_equal(sent_a, sent_b) and np.array_equal(dec_a, dec_b)
