@@ -97,11 +97,27 @@ def _parse_list(text: str, kind=int) -> list:
 # --- per-command text producers (shared by the commands and replay) ----------
 
 
-def _list(doc: dict, key: str) -> list:
-    """``doc[key]``, which must be a list."""
-    if not isinstance(value := doc[key], list):
-        raise ValueError(f"config field {key!r} must be a list, got {value!r}")
+def _field(doc: dict, key: str, kind: type | tuple[type, ...], what: str):
+    """``doc[key]``, which must be a ``kind`` other than a bool."""
+    if isinstance(value := doc[key], bool) or not isinstance(value, kind):
+        raise ValueError(f"config field {key!r} must be {what}, got {value!r}")
     return value
+
+
+def _list(doc: dict, key: str) -> list:
+    return _field(doc, key, list, "a list")
+
+
+def _number(doc: dict, key: str) -> int | float:
+    return _field(doc, key, (int, float), "a number")
+
+
+def _configs(doc: dict) -> list[dict]:
+    """A sweep's ``configs``, which must be a list of objects."""
+    configs = _list(doc, "configs")
+    if not all(isinstance(c, dict) for c in configs):
+        raise ValueError(f"config field 'configs' must hold objects, got {configs!r}")
+    return configs
 
 
 def _doc_shape(doc: dict) -> TensorShape:
@@ -135,11 +151,12 @@ def decode_text(doc: dict) -> str:
     y = np.array([complex(re, im) for re, im in _list(doc, "received")])
     if y.size != shape.blocklength:
         raise ValueError(f"expected {shape.blocklength} samples, got {y.size}")
-    check_bp_params(doc["max_iters"], doc["damping"])
-    if not 0 <= doc["noise_var"] < np.inf:
-        raise ValueError(f"noise variance must be finite and non-negative, got {doc['noise_var']}")
+    max_iters, damping = _field(doc, "max_iters", int, "an integer"), _number(doc, "damping")
+    check_bp_params(max_iters, damping)
+    if not 0 <= (noise_var := _number(doc, "noise_var")) < np.inf:
+        raise ValueError(f"noise variance must be finite and non-negative, got {noise_var}")
     decided = SINGLE_USER_DECODERS[decoder](
-        [y[None]], doc["noise_var"], shape, doc["case"], doc["max_iters"], doc["damping"]
+        [y[None]], noise_var, shape, doc["case"], max_iters, damping
     )[0]
     return " ".join(str(int(v)) for v in decided) + "\n"
 
@@ -162,10 +179,9 @@ def simulate_text(doc: dict) -> str:
 
 
 def sweep_text(doc: dict) -> str:
-    configs = [_sim_config_of(c) for c in _list(doc, "configs")]
-    rows = sweep_table(
-        configs, doc["target_error"], doc["lo_db"], doc["hi_db"], doc["resolution_db"]
-    )
+    configs = [_sim_config_of(c) for c in _configs(doc)]
+    rows = sweep_table(configs, *(_number(doc, key) for key in
+                                  ("target_error", "lo_db", "hi_db", "resolution_db")))
     return sweep_csv(rows)
 
 
@@ -278,7 +294,7 @@ def cmd_replay(args) -> int:
     if not isinstance(config_doc, dict):
         raise ValueError("manifest config is not a JSON object")
     if args.threads is not None and command in ("simulate", "sweep"):
-        for c in _list(config_doc, "configs") if command == "sweep" else [config_doc]:
+        for c in _configs(config_doc) if command == "sweep" else [config_doc]:
             c["threads"] = args.threads
     out_path = args.out or doc.get("output")
     if not out_path:

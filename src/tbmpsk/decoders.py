@@ -10,10 +10,14 @@ degree in the hundreds cannot underflow.
 BP runs on the code's tensor layout rather than on an edge list: position
 (j_1, ..., j_d) checks factor entry j_i of every mode i, so the messages of
 mode i are one array indexed by position, and all d modes stack into one
-array.  The layout is planar: the pmf (or spectrum) axis comes before the
-positions, (d, B, M, T_1, ..., T_d), so each symbol of a (mode, trial) is one
-contiguous plane and the short per-symbol arithmetic runs as whole-array
-ufuncs on those planes.  A pinned reference entry's slots hold the all-ones
+array.  The layout is planar and trial-contiguous: the pmf (or spectrum)
+axis comes before the trials and the trials before the positions,
+(d, M, B, T_1, ..., T_d), so each symbol of a mode is one contiguous plane
+over all live trials and the short per-symbol arithmetic runs as long
+whole-array ufuncs on those planes.  A spectrum is a tuple of parts laid out
+the same way (:func:`_bp_arrays`): at M = 4 the bins 0 and 2 of a real pmf
+are real and are kept as real planes, bin 1 as a complex one; every other M
+keeps one complex array.  A pinned reference entry's slots hold the all-ones
 DFT of a delta at 0, an absent participant.
 
 The ML oracle enumerates the whole codebook; it refuses codebooks whose
@@ -64,10 +68,12 @@ def channel_pmfs(received: np.ndarray, noise_var: float, modulation_order: int) 
         raise ValueError(f"noise variance must be non-negative, got {noise_var}")
     y = np.asarray(received, dtype=complex)
     points = transmit_signal(np.arange(modulation_order), modulation_order)
-    d2 = np.abs(y[..., None] - points) ** 2
+    d2 = np.empty(y.shape + (modulation_order,))
+    for j, point in enumerate(points):  # a symbol at a time: no (..., M) complex transient
+        d2[..., j] = np.abs(y - point) ** 2
     if noise_var == 0:
         return (np.argmin(d2, axis=-1)[..., None] == np.arange(modulation_order)).astype(float)
-    x = -d2 / noise_var
+    x = np.divide(np.negative(d2, out=d2), noise_var, out=d2)
     return _softmax(x, out=x)
 
 
@@ -150,118 +156,143 @@ def _softmax(
 
 
 def _clean(
-    pmfs: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    pmfs: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+    floor: float = PMF_FLOOR,
 ) -> np.ndarray:
-    """Floor at ``PMF_FLOOR`` and renormalize over the last axis; ``out``
-    and ``scratch`` as for :func:`_softmax`."""
-    p = np.maximum(pmfs, PMF_FLOOR, out=out)
+    """Floor at ``floor`` and renormalize over the last axis; ``out`` and
+    ``scratch`` as for :func:`_softmax`."""
+    p = np.maximum(pmfs, floor, out=out)
     return np.divide(p, _sum_last(p, scratch)[..., None], out=p)
 
 
-def _dft(x: np.ndarray, out: np.ndarray, conj: bool = False) -> np.ndarray:
-    """DFT of real ``x`` along axis 2, the spectrum axis of BP's layout
-    (d, B, M) + positions, into complex ``out``, conjugated if ``conj``:
-    bit for bit ``np.fft.rfft`` (M <= ``HALF_SPECTRUM_M``, M // 2 + 1 bins)
-    or ``np.fft.fft`` (larger M), and ``np.conj`` of it.
+def _dft(
+    x: np.ndarray, out: tuple[np.ndarray, ...], conj: bool = False
+) -> tuple[np.ndarray, ...]:
+    """DFT of real ``x`` along axis 1, the pmf axis of BP's layout
+    (lead, M, B) + positions, into the spectrum parts ``out``
+    (:func:`_bp_arrays`), conjugated if ``conj``: bit for bit
+    ``np.fft.rfft`` (M <= ``HALF_SPECTRUM_M``, M // 2 + 1 bins) or
+    ``np.fft.fft`` (larger M), and ``np.conj`` of it.
 
-    For M = 4 the transform is pocketfft's radf4 butterfly as whole-array
-    ufuncs on the four planes of ``x``, one call per operation instead of one
-    per row: X0 = (x0 + x2) + (x3 + x1), X1 = (x0 - x2) + i (x3 - x1) and
-    X2 = (x0 + x2) - (x3 + x1).  The two sums wait in the imaginary parts of
-    X0 and X2, which then take the zero that pocketfft writes there (-0.0
-    once conjugated)."""
-    m = x.shape[2]
+    At M = 4 the parts are the real bins 0 and 2 as real planes and bin 1
+    as a complex one, and the transform is pocketfft's radf4 butterfly as
+    whole-array ufuncs on the four planes of ``x``, one call per operation
+    instead of one per row: X0 = (x0 + x2) + (x3 + x1),
+    X1 = (x0 - x2) + i (x3 - x1) and X2 = (x0 + x2) - (x3 + x1).  The two
+    sums wait in the real and imaginary parts of X1."""
+    m = x.shape[1]
     if m != 4:
+        (c,) = out
         if m <= HALF_SPECTRUM_M:
-            np.fft.rfft(x, axis=2, out=out)
-        else:  # fft casts real input to a complex copy; make that copy in out
-            out[...] = x
-            np.fft.fft(out, axis=2, out=out)
-        return np.conjugate(out, out=out) if conj else out
-    x0, x1, x2, x3 = (x[:, :, j] for j in range(4))
-    y0, y1, y2 = (out[:, :, j] for j in range(3))
-    even, odd = y0.imag, y2.imag
+            np.fft.rfft(x, axis=1, out=c)
+        else:  # fft casts real input to a complex copy; make that copy in c
+            c[...] = x
+            np.fft.fft(c, axis=1, out=c)
+        if conj:
+            np.conjugate(c, out=c)
+        return out
+    real, c = out
+    x0, x1, x2, x3 = (x[:, j] for j in range(4))
+    even, odd = c.real[:, 0], c.imag[:, 0]
     np.add(x0, x2, out=even)
     np.add(x3, x1, out=odd)
-    np.add(even, odd, out=y0.real)
-    np.subtract(even, odd, out=y2.real)
-    np.subtract(x0, x2, out=y1.real)
-    np.subtract(x3, x1, out=y1.imag)
+    np.add(even, odd, out=real[:, 0])
+    np.subtract(even, odd, out=real[:, 1])
+    np.subtract(x0, x2, out=even)
+    np.subtract(x3, x1, out=odd)
     if conj:
-        np.negative(y1.imag, out=y1.imag)
-    # the zero imaginary parts: bins 0 and 2
-    out.imag[:, :, ::2] = -0.0 if conj else 0.0
+        np.negative(odd, out=odd)
     return out
 
 
-def _idft(f: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Inverse DFT along axis 2 of the spectra ``f``, whose M is
-    ``out.shape[2]``: bit for bit ``np.fft.irfft`` into ``out`` for
-    M <= ``HALF_SPECTRUM_M``, and for larger M ``np.fft.ifft(f).real``,
-    computed in ``f`` and returned as its real view.
+def _idft(f: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
+    """Inverse DFT along axis 1 of the spectrum parts ``f``, whose M is
+    ``out.shape[1]``: bit for bit ``np.fft.irfft`` into ``out`` for M = 2
+    and 3, and for M > 4 ``np.fft.ifft(f).real``, computed in ``f`` and
+    returned as its real view.
 
-    For M = 4 it is pocketfft's radb4 butterfly, then the scaling by 1/4.
-    From r0, r1 + i i1, r2: tr1 = r0 - r2, tr2 = r0 + r2, tr3 = 2 r1,
-    tr4 = 2 i1, and y = (tr2 + tr3, tr1 - tr4, tr2 - tr3, tr1 + tr4).  tr1 and
-    tr2 wait in the imaginary parts of bins 0 and 2, which irfft ignores, and
-    tr3 and tr4 in the outputs they feed."""
-    m = out.shape[2]
+    At M = 4 it is pocketfft's radb4 butterfly without irfft's scaling by
+    1/4, so ``out`` gets 4 times irfft's values; :func:`check_extrinsics`
+    folds the 1/4 into its clean.  From the real bins r0, r2 and bin 1
+    r1 + i i1: tr1 = r0 - r2, tr2 = r0 + r2, tr3 = 2 r1, tr4 = 2 i1, and
+    y = (tr2 + tr3, tr1 - tr4, tr2 - tr3, tr1 + tr4).  tr2 and tr4 wait in
+    the planes of r0 and r2, which are overwritten, and tr1 and tr3 in the
+    outputs they feed."""
+    m = out.shape[1]
     if m != 4:
+        (c,) = f
         if m <= HALF_SPECTRUM_M:
-            return np.fft.irfft(f, n=m, axis=2, out=out)
-        return np.fft.ifft(f, axis=2, out=f).real
-    f0, f1, f2 = (f[:, :, j] for j in range(3))
-    y0, y1, y2, y3 = (out[:, :, j] for j in range(4))
-    tr2, tr1 = f0.imag, f2.imag
-    np.add(f0.real, f2.real, out=tr2)
-    np.subtract(f0.real, f2.real, out=tr1)
-    np.multiply(f1.real, 2.0, out=y2)
-    np.add(tr2, y2, out=y0)
-    np.subtract(tr2, y2, out=y2)
-    np.multiply(f1.imag, 2.0, out=y3)
-    np.subtract(tr1, y3, out=y1)
-    np.add(tr1, y3, out=y3)
-    return np.multiply(out, 0.25, out=out)
+            return np.fft.irfft(c, n=m, axis=1, out=out)
+        return np.fft.ifft(c, axis=1, out=c).real
+    real, c = f
+    r0, r2 = real[:, 0], real[:, 1]
+    y0, y1, y2, y3 = (out[:, j] for j in range(4))
+    np.subtract(r0, r2, out=y1)
+    np.add(r0, r2, out=r0)
+    np.multiply(c.real[:, 0], 2.0, out=y2)
+    np.add(r0, y2, out=y0)
+    np.subtract(r0, y2, out=y2)
+    np.multiply(c.imag[:, 0], 2.0, out=r2)
+    np.add(y1, r2, out=y3)
+    np.subtract(y1, r2, out=y1)
+    return out
 
 
 def check_extrinsics(
-    target_f: np.ndarray,
-    w: np.ndarray,
+    target_f: tuple[np.ndarray, ...],
+    w: tuple[np.ndarray, ...],
     out: np.ndarray,
     scratch: np.ndarray | None = None,
-    prefix: np.ndarray | None = None,
+    prefix: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Extrinsic pmfs at sum constraints (sum of participants = t mod M),
     one per participant: the pmf of t minus the other participants.
 
-    ``w[k]`` is the conjugated DFT of participant k's pmf (conjugation
-    negates, and the DFT of a sum's pmf is the product of the DFTs), in
-    BP's planar layout: ``w`` is (participants, B, bins) + positions, the
-    spectrum on axis 2.  ``target_f`` is the DFT of t's pmf, broadcast
-    against ``w[0]``.  The products over the others run as a prefix/suffix
-    product in participant order; the running suffix is kept in ``w``,
-    which is overwritten.  A participant whose ``w`` is exactly 1 (a delta
-    at 0) is absent: multiplying by 1+0j is exact, so it changes no other
-    output.
+    ``w`` holds the conjugated DFT of each participant's pmf (conjugation
+    negates, and the DFT of a sum's pmf is the product of the DFTs) as the
+    spectrum parts of :func:`_dft`, each (participants, bins, B) + positions.
+    ``target_f`` holds the parts of the DFT of t's pmf, each broadcast
+    against its part of ``w[0]``.  The products over the others run as a
+    prefix/suffix product in participant order, part by part; the running
+    suffix is kept in ``w``, which is overwritten.  A participant whose
+    ``w`` is exactly 1 (a delta at 0) is absent: multiplying by 1 is exact,
+    so it changes no other output.
 
-    The cleaned pmfs go to ``out``, shape (participants, B, M) + positions,
+    Every product keeps the operand order of the all-complex route
+    (``tests/oracles.py``): numpy's SIMD complex multiply fuses a multiply
+    and an add, so ``a * b`` and ``b * a`` can differ in the last bit of the
+    imaginary part.  At M = 4 the real bins multiply as reals; the real part
+    of a complex product whose imaginary parts are zero is that real
+    product, and the only difference, the sign of a zero, is floored away.
+
+    The cleaned pmfs go to ``out``, shape (participants, M, B) + positions,
     which sets M.  For M <= ``HALF_SPECTRUM_M`` the inverse (:func:`_idft`)
-    reads only the first M // 2 + 1 bins, so ``w`` and ``target_f`` may hold
-    just those; larger M needs all M.  ``scratch``, shape
-    (participants, B) + positions, serves the clean, and ``prefix``, shaped
-    like ``w``, holds the prefix products (made per call when omitted).
+    reads only the first M // 2 + 1 bins, so the parts may hold just those;
+    larger M needs all M.  At M = 4 the inverse leaves out its scaling by
+    1/4, and the clean floors at ``4 * PMF_FLOOR`` instead: scaling by 4 is
+    exact for normal values, so max(4p, 4 floor) = 4 max(p, floor), a sum
+    of four such terms is 4 times their sum, and (4a) / (4s) rounds as
+    a / s; a p whose p / 4 would be subnormal lies below the floor either
+    way.  The outputs are those of irfft and a ``PMF_FLOOR`` clean, bit for
+    bit, one pass cheaper.  ``scratch``, shape (participants, B) +
+    positions, serves the clean, and ``prefix``, shaped like ``w``, holds
+    the prefix products (made per call when omitted).
     """
-    n = w.shape[0]
-    f = np.empty_like(w) if prefix is None else prefix
-    f[0] = target_f
-    for k in range(1, n):
-        np.multiply(f[k - 1], w[k - 1], out=f[k])
-    for k in range(n - 2, -1, -1):  # w[k + 1] holds the product of w[k + 1:]
-        np.multiply(f[k], w[k + 1], out=f[k])
-        if k:
-            np.multiply(w[k + 1], w[k], out=w[k])
-    last = (0, 1, *range(3, out.ndim), 2)  # the pmf axis last, as _clean reads it
-    _clean(_idft(f, out).transpose(last), out=out.transpose(last), scratch=scratch)
+    n = len(w[0])
+    f = tuple(np.empty_like(p) for p in w) if prefix is None else prefix
+    for fp, wp, tp in zip(f, w, target_f):
+        fp[0] = tp
+        for k in range(1, n):
+            np.multiply(fp[k - 1], wp[k - 1], out=fp[k])
+        for k in range(n - 2, -1, -1):  # wp[k + 1] holds the product of wp[k + 1:]
+            np.multiply(fp[k], wp[k + 1], out=fp[k])
+            if k:
+                np.multiply(wp[k + 1], wp[k], out=wp[k])
+    last = (0, *range(2, out.ndim), 1)  # the pmf axis last, as _clean reads it
+    floor = 4 * PMF_FLOOR if out.shape[1] == 4 else PMF_FLOOR
+    _clean(_idft(f, out).transpose(last), out=out.transpose(last), scratch=scratch, floor=floor)
     return out
 
 
@@ -274,33 +305,48 @@ def check_bp_params(max_iters: int, damping: float) -> None:
 
 
 def _bp_arrays(shape: TensorShape, damping: float, rows: int) -> dict:
-    """Shape and dtype of each working array :func:`bp_decode_batch` holds for
-    ``rows`` trials: the messages (a second array when damped), the
-    observation spectra of the live trials and of the next chunk's pending
-    ones, the check side's spectra and prefix products, and the per-symbol
-    scratch."""
+    """The parts, (shape, dtype) each, of every working array
+    :func:`bp_decode_batch` holds for ``rows`` trials: the messages (a second
+    array when damped), the observation spectra of the live trials and of
+    the next chunk's pending ones, the check side's spectra and prefix
+    products, and the per-symbol scratch.
+
+    A spectrum's bins come before the trial axis.  Its parts are one complex
+    array, except at M = 4, where the bins 0 and 2 of a real pmf are real and
+    take a real array of two planes and bin 1 a complex one, a third fewer
+    bytes.  An M <= 4 spectrum keeps only its first M // 2 + 1 bins, the
+    others being their conjugates."""
     dims, d, m = shape.dims, shape.num_modes, shape.modulation_order
-    # an M <= 4 message keeps only its first M // 2 + 1 DFT bins, the others
-    # being their conjugates
-    bins = m // 2 + 1 if m <= HALF_SPECTRUM_M else m
+
+    def spectrum(*lead):
+        if m == 4:
+            return [(lead + (2, rows) + dims, float), (lead + (1, rows) + dims, complex)]
+        bins = m // 2 + 1 if m <= HALF_SPECTRUM_M else m
+        return [(lead + (bins, rows) + dims, complex)]
+
     arrays = {
-        "v2c": ((d, rows, m) + dims, float),
-        "obs_f": ((rows, bins) + dims, complex),
-        "pending": ((1, rows, bins) + dims, complex),
-        "spectra": ((d, rows, bins) + dims, complex),
-        "prefix": ((d, rows, bins) + dims, complex),
-        "row_scratch": ((d, rows) + dims, float),
+        "v2c": [((d, m, rows) + dims, float)],
+        "obs_f": spectrum(),
+        "pending": spectrum(1),
+        "spectra": spectrum(d),
+        "prefix": spectrum(d),
+        "row_scratch": [((d, rows) + dims, float)],
     }
     if damping != 0.0:
         arrays["messages"] = arrays["v2c"]
     return arrays
 
 
+def _alloc(parts: list) -> tuple[np.ndarray, ...]:
+    """Uninitialized arrays of the (shape, dtype) ``parts`` of :func:`_bp_arrays`."""
+    return tuple(np.empty(s, t) for s, t in parts)
+
+
 def bp_budget_rows(shape: TensorShape, damping: float = 0.0) -> int:
     """Most trials whose BP working arrays (:func:`_bp_arrays`) fit in
     ``BP_BYTES``; at least one."""
-    arrays = _bp_arrays(shape, damping, 1).values()
-    return max(1, BP_BYTES // int(sum(np.prod(s) * np.dtype(t).itemsize for s, t in arrays)))
+    parts = [p for arr in _bp_arrays(shape, damping, 1).values() for p in arr]
+    return max(1, BP_BYTES // int(sum(np.prod(s) * np.dtype(t).itemsize for s, t in parts)))
 
 
 def bp_decode_batch(
@@ -331,29 +377,33 @@ def bp_decode_batch(
     exhausted.  Each row counts its own iterations.  The kept outputs are
     put in input order once, at the end.
 
-    Messages use the planar tensor layout of the module docstring.  Entry 0
-    of a mode absent from ``graph.var_labels`` holds the reference symbol:
-    slicing sets its slots to all ones, which leaves the check extrinsics
-    bit-identical to a product over the participating entries only.  Mode
-    i's variable sums are one ``np.add.reduceat`` over its slab, transposed
-    so that axis i leads the positions and flattened: the order of a sum
-    over an edge list sorted by variable (``np.sum`` over the entry axis
-    adds in another order and moves the last bit).  The transposes, the
-    segment starts and the broadcast shapes are made once per call.
+    Messages use the trial-contiguous planar layout of the module
+    docstring, (d, M, B) + positions, and spectra its parts
+    (:func:`_bp_arrays`).  Entry 0 of a mode absent from
+    ``graph.var_labels`` holds the reference symbol: slicing sets its slots
+    to all ones, which leaves the check extrinsics bit-identical to a product
+    over the participating entries only.  Mode i's variable sums are one
+    ``np.add.reduceat`` over its slab, transposed so that axis i leads the
+    positions and flattened to (M, n, T): the order of a sum over an edge
+    list sorted by variable (``np.sum`` over the entry axis adds in another
+    order and moves the last bit).  The posteriors come out (M, n, K).  The
+    transposes, the segment starts and the broadcast shapes are made once
+    per call.
 
     For M < 8 an iteration allocates almost nothing: the DFTs, the prefix
     products and check extrinsics of :func:`check_extrinsics` and their
     inverse transform write into capacity-sized per-call buffers, whose
-    first rows hold the live trials; log, extrinsic subtraction, softmax and
-    damping then run in place in the inverse transform's output, and an
-    iteration that some trials leave moves at most as many rows.  Softmax and
-    clean read the pmf axis through a transposed view, so each of their
-    per-symbol slices is one contiguous plane per (mode, trial); from M = 8
-    on, each of their sums makes its three partial-sum arrays
-    (:func:`_sum_last`).  For M <= ``HALF_SPECTRUM_M`` the messages keep
-    M // 2 + 1 DFT bins, and at M = 4 the transforms are pocketfft's
-    butterflies on those planes (:func:`_dft`, :func:`_idft`); larger M
-    keeps the full spectrum.
+    first rows of the trial axis hold the live trials; log, extrinsic
+    subtraction, softmax and damping then run in place in the inverse
+    transform's output, and an iteration that some trials leave moves at
+    most as many rows.  Softmax and clean read the pmf axis through a
+    transposed view, so each of their per-symbol slices is one contiguous
+    plane per mode over the live trials; from M = 8 on, each of their sums
+    makes its three partial-sum arrays (:func:`_sum_last`).  For
+    M <= ``HALF_SPECTRUM_M`` the messages keep M // 2 + 1 DFT bins, and at
+    M = 4 the transforms are pocketfft's butterflies on those planes, with
+    the real bins as real planes and the inverse's 1/4 folded into the clean
+    (:func:`_dft`, :func:`_idft`); larger M keeps the full spectrum.
     """
     check_bp_params(max_iters, damping)
     dims = graph.shape.dims
@@ -367,36 +417,44 @@ def bp_decode_batch(
     # each mode's first info entry: 1 where entry 0 holds the reference symbol
     first = [int((i, 0) not in graph.var_labels) for i in range(d)]
 
-    def pieces(chunk) -> Iterator[np.ndarray]:
-        """The spectra of the cleaned pmfs of ``chunk`` and the later chunks,
-        (b, bins) + dims, read as needed, in pieces of b <= ``capacity``."""
+    def pieces(chunk) -> Iterator[tuple[np.ndarray, ...]]:
+        """The spectrum parts of the cleaned pmfs of ``chunk`` and the later
+        chunks, (bins, b) + dims each, read as needed, in pieces of
+        b <= ``capacity`` trials."""
         while chunk is not None:
             obs = np.asarray(chunk, dtype=float)
             if obs.ndim != 3 or obs.shape[1:] != (t_len, m):
                 raise ValueError(f"observation pmfs must be (B, {t_len}, {m})")
             for a in range(0, len(obs), capacity):
-                b = min(capacity, len(obs) - a)
-                # one expression, so that no transient outlives the yield
-                yield _dft(_clean(obs[a : a + b]).transpose(0, 2, 1).reshape((1, b, m) + dims),
-                           np.empty(*_bp_arrays(graph.shape, damping, b)["pending"]))[0]
+                # in a call, so that no transient outlives the yield
+                yield spectrum(obs[a : a + capacity])
             chunk = next(chunks, None)
+
+    def spectrum(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The spectrum parts of the cleaned pmfs ``rows``, (bins, b) + dims each."""
+        b = len(rows)
+        planes = np.empty((1, m, b) + dims)  # cleaned straight into BP's layout
+        _clean(rows, out=planes.reshape(m, b, t_len).transpose(1, 2, 0))
+        parts = _dft(planes, _alloc(_bp_arrays(graph.shape, damping, b)["pending"]))
+        return tuple(p[0] for p in parts)
 
     source = pieces(head)
     del head  # so that the first chunk goes once it is read, as the later ones do
     pending = next(source, None)  # before the buffers, so that its temporaries come and go first
-    # made once per call; an iteration uses the first n rows, one per live
-    # trial.  Undamped, the check extrinsics become the next messages in place
+    # made once per call; an iteration uses the first n rows of the trial
+    # axis, one per live trial.  Undamped, the check extrinsics become the
+    # next messages in place
     spec = _bp_arrays(graph.shape, damping, capacity)
-    v2c, obs_f, spectra, prefix, row_scratch = (
-        np.empty(*spec[name]) for name in ("v2c", "obs_f", "spectra", "prefix", "row_scratch"))
-    messages = np.empty(*spec["messages"]) if "messages" in spec else v2c
+    (v2c,), obs_f, spectra, prefix, (row_scratch,) = (
+        _alloc(spec[name]) for name in ("v2c", "obs_f", "spectra", "prefix", "row_scratch"))
+    messages = _alloc(spec["messages"])[0] if "messages" in spec else v2c
     # views and shapes made once per call: the pmf axis moved last, each
     # mode's slab with its entry axis leading the positions, the starts of
     # its entries' segments, and the broadcast shape of its entry sums
-    last = (0, 1, *range(3, d + 3), 2)
+    last = (0, 2, *range(3, d + 3), 1)
     slab = [(0, 1, i + 2, *(a + 2 for a in range(d) if a != i)) for i in range(d)]
     starts = [np.arange(0, t_len, t_len // t) for t in dims]
-    entry = [(-1, m) + tuple(t if a == i else 1 for a in range(d)) for i, t in enumerate(dims)]
+    entry = [(m, -1) + tuple(t if a == i else 1 for a in range(d)) for i, t in enumerate(dims)]
     pinned = [(i, slice(None), slice(None)) + (slice(None),) * i + (0,)
               for i in range(d) if first[i]]
 
@@ -419,47 +477,50 @@ def bp_decode_batch(
                 pending, taken = next(source, None), 0
                 if pending is None:
                     break
-            a = min(capacity - n, len(pending) - taken)
-            obs_f[n : n + a] = pending[taken : taken + a]
-            v2c[:, n : n + a] = 1.0 / m
+            a = min(capacity - n, pending[0].shape[1] - taken)
+            for j in range(len(obs_f)):  # by index, so that no name outlives the piece
+                obs_f[j][:, n : n + a] = pending[j][:, taken : taken + a]
+            v2c[:, :, n : n + a] = 1.0 / m
             trial[n : n + a] = np.arange(admitted, admitted + a)
             age[n : n + a] = 0
             streak[n : n + a] = 0
             prev[n : n + a] = -1
             taken, n, admitted = taken + a, n + a, admitted + a
-            if taken == len(pending):
+            if taken == pending[0].shape[1]:
                 pending = None
         if n == 0:
             break
 
         scratch = row_scratch[:, :n]
         # check side, DFT domain
-        w = _dft(v2c[:, :n], spectra[:, :n], conj=True)
+        w = _dft(v2c[:, :, :n], tuple(p[:, :, :n] for p in spectra), conj=True)
         for index in pinned:
-            w[index] = 1.0
-        logs = check_extrinsics(obs_f[:n], w, messages[:, :n], scratch, prefix[:, :n])
+            for p in w:
+                p[index] = 1.0
+        logs = check_extrinsics(tuple(p[:, :n] for p in obs_f), w, messages[:, :, :n], scratch,
+                                tuple(p[:, :, :n] for p in prefix))
         np.log(logs, out=logs)
 
-        # variable side, log domain; posteriors are (n, M, K)
+        # variable side, log domain; posteriors are (M, n, K)
         sums = [
-            np.add.reduceat(logs[i].transpose(p).reshape(n, m, t_len), s, axis=2)
+            np.add.reduceat(logs[i].transpose(p).reshape(m, n, t_len), s, axis=2)
             for i, (p, s) in enumerate(zip(slab, starts))
         ]
         posteriors = np.concatenate([s[:, :, e:] for s, e in zip(sums, first)], axis=2)
-        by_word = posteriors.transpose(0, 2, 1)
+        by_word = posteriors.transpose(1, 2, 0)
         _softmax(by_word, out=by_word)
         for i in range(d):
             np.subtract(sums[i].reshape(entry[i]), logs[i], out=logs[i])
         _softmax(logs.transpose(last), out=logs.transpose(last), scratch=scratch)
         if damping != 0.0:
             # (1 - damping) * logs + damping * v2c, in v2c's own memory
-            live = v2c[:, :n]
+            live = v2c[:, :, :n]
             np.multiply(logs, 1.0 - damping, out=logs)
             np.multiply(live, damping, out=live)
             np.add(logs, live, out=live)
             _clean(live.transpose(last), out=live.transpose(last), scratch=scratch)
 
-        decisions = np.argmax(posteriors, axis=1)  # ties: smallest symbol
+        decisions = np.argmax(posteriors, axis=0)  # ties: smallest symbol
         age[:n] += 1
         streak[:n] = np.where((decisions == prev[:n]).all(axis=1), streak[:n] + 1, 0)
         prev[:n] = decisions
@@ -475,8 +536,10 @@ def bp_decode_batch(
         holes = np.flatnonzero(leaving[:n_kept])
         if holes.size:
             movers = n_kept + np.flatnonzero(~leaving[n_kept:])
-            v2c[:, holes] = v2c[:, movers]
-            for x in (obs_f, trial, age, streak, prev):
+            v2c[:, :, holes] = v2c[:, :, movers]
+            for p in obs_f:
+                p[:, holes] = p[:, movers]
+            for x in (trial, age, streak, prev):
                 x[holes] = x[movers]
         n = n_kept
 

@@ -1,9 +1,10 @@
 """Independent routes that only the tests call: a second generator
 construction, the paper's step-by-step derivation of the case generators,
 row-sum witnesses, index arithmetic, the single-constraint FFT check update
-and its direct-convolution reference, the per-mode and systematic
-encoders, and the per-user CP factor normalization.  Each must agree
-with the production route it checks; none of them runs in a simulation.
+and its direct-convolution reference, the all-complex route of the check
+kernel, the per-mode and systematic encoders, and the per-user CP factor
+normalization.  Each must agree with the production route it checks; none
+of them runs in a simulation.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import math
 
 import numpy as np
 
-from tbmpsk.decoders import REFERENCE_TOL, CpFactors, _clean, check_extrinsics
+from tbmpsk.decoders import (HALF_SPECTRUM_M, PMF_FLOOR, REFERENCE_TOL, CpFactors, _clean,
+                             check_extrinsics)
 from tbmpsk.modulation import validate_symbols
 from tbmpsk.ring_code import RingMatrix, TensorShape, systematic_form
 
@@ -162,6 +164,39 @@ def systematic_parts(shape: TensorShape) -> tuple[RingMatrix, np.ndarray]:
 # --- decoders -------------------------------------------------------------------
 
 
+def spectrum_parts(f: np.ndarray, m: int, axis: int = 1) -> tuple[np.ndarray, ...]:
+    """The parts of :func:`tbmpsk.decoders.check_extrinsics` of complex
+    spectra ``f`` whose bins lie on ``axis``: at M = 4 the real parts of
+    bins 0 and 2 and a copy of bin 1, otherwise ``f`` itself."""
+    if m != 4:
+        return (f,)
+    return np.ascontiguousarray(f.take([0, 2], axis).real), f.take([1], axis)
+
+
+def check_extrinsics_complex(target_f: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """The all-complex route of :func:`tbmpsk.decoders.check_extrinsics`:
+    complex prefix/suffix products in the same operand order, the inverse DFT
+    of numpy (``irfft`` up to M = 4, ``ifft(...).real`` above) along the bin
+    axis 1, and the literal clean at ``PMF_FLOOR`` over that axis, summed as
+    ``np.sum`` sums a contiguous last axis.  ``w``, (participants, bins, B) +
+    positions, is overwritten."""
+    n = w.shape[0]
+    f = np.empty_like(w)
+    f[0] = target_f
+    for k in range(1, n):
+        f[k] = f[k - 1] * w[k - 1]
+    for k in range(n - 2, -1, -1):
+        f[k] = f[k] * w[k + 1]
+        if k:
+            w[k] = w[k + 1] * w[k]
+    if m <= HALF_SPECTRUM_M:
+        y = np.fft.irfft(f, n=m, axis=1)
+    else:
+        y = np.fft.ifft(f, axis=1).real
+    p = np.maximum(np.ascontiguousarray(np.moveaxis(y, 1, -1)), PMF_FLOOR)
+    return np.moveaxis(p / p.sum(axis=-1, keepdims=True), -1, 1)
+
+
 def check_update_fft(incoming: list[np.ndarray], target: np.ndarray | None = None) -> np.ndarray:
     """Extrinsic pmf for one more participant of a constraint
     (sum of participants = t mod M), given the others' pmfs.
@@ -176,11 +211,12 @@ def check_update_fft(incoming: list[np.ndarray], target: np.ndarray | None = Non
     m = mats[0].shape[-1] if mats else np.asarray(target).shape[-1]
     if any(q.shape != (m,) for q in mats):
         raise ValueError("pmf lengths differ")
-    w = np.ones((len(mats) + 1, 1, m), dtype=complex)  # (participants, B, bins)
+    w = np.ones((len(mats) + 1, m, 1), dtype=complex)  # (participants, bins, B)
     if mats:
-        w[:-1, 0] = np.conj(np.fft.fft(np.stack(mats), axis=-1))
+        w[:-1, :, 0] = np.conj(np.fft.fft(np.stack(mats), axis=-1))
     f = np.ones(m, dtype=complex) if target is None else np.fft.fft(np.asarray(target, dtype=float))
-    return check_extrinsics(f, w, np.empty(w.shape))[-1, 0]
+    out = np.empty(w.shape)
+    return check_extrinsics(spectrum_parts(f[:, None], m, 0), spectrum_parts(w, m), out)[-1, :, 0]
 
 
 def check_update_direct(incoming: list[np.ndarray], target: np.ndarray | None = None) -> np.ndarray:

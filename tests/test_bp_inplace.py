@@ -1,13 +1,14 @@
 """BP's in-place arithmetic against literal formulas and the edge-list oracle.
 
 ``bp_decode_batch`` keeps its messages planar (the pmf axis before the
-positions), runs its softmax and clean in place on a view with the pmf axis
-last, sums that short axis slice by slice in numpy's pairwise order, and for
-M <= 4 transforms only the half spectrum, at M = 4 with pocketfft's
-butterflies.  The edge oracle shares ``_clean`` with it, so the helpers are
-pinned here to the formulas and numpy routines they replace, and the oracle
-runs at the orders that ``tests/test_bp_oracle.py`` does not: M = 2, 3, 4, 8
-and 16.
+trials and positions), runs its softmax and clean in place on a view with
+the pmf axis last, sums that short axis slice by slice in numpy's pairwise
+order, and for M <= 4 transforms only the half spectrum, at M = 4 with
+pocketfft's butterflies, the real bins as real planes and the inverse's 1/4
+folded into the check's clean.  The edge oracle shares ``_clean`` with it,
+so the helpers are pinned here to the formulas and numpy routines they
+replace, the check kernel to its all-complex route, and the oracle runs at
+the orders that ``tests/test_bp_oracle.py`` does not: M = 2, 3, 4, 8 and 16.
 """
 
 import tracemalloc
@@ -18,6 +19,7 @@ from scipy.special import softmax
 
 from tbmpsk.channels import awgn
 from tbmpsk.decoders import (
+    HALF_SPECTRUM_M,
     PMF_FLOOR,
     _clean,
     _dft,
@@ -26,11 +28,13 @@ from tbmpsk.decoders import (
     _sum_last,
     bp_decode_batch,
     channel_pmfs,
+    check_extrinsics,
 )
 from tbmpsk.factor_graph import build_graph
 from tbmpsk.modulation import encode, transmit_signal
 from tbmpsk.ring_code import TensorShape
 
+from oracles import check_extrinsics_complex, spectrum_parts
 from test_bp_oracle import edge_bp_decode_batch
 
 
@@ -111,6 +115,14 @@ def _layouts(x, axis):
     return x, np.moveaxis(np.ascontiguousarray(np.moveaxis(x, axis, -1)), -1, axis)
 
 
+def _parts_out(lead, bins):
+    """Spectrum parts of M = 4 with ``lead`` leading planes and ``bins`` bins:
+    contiguous, and strided views of larger arrays."""
+    return [(np.empty((lead, 2, 5, 3)), np.empty((lead, 1, 5, 3), complex)),
+            (np.empty((2 * lead, 3, 5, 3))[::2, 1:],
+             np.empty((2 * lead, 2, 5, 3), complex)[::2, 1:])]
+
+
 @pytest.mark.parametrize("conj", [False, True])
 def test_forward_butterflies_are_rfft(conj):
     rng = np.random.default_rng(40 + conj)
@@ -120,10 +132,11 @@ def test_forward_butterflies_are_rfft(conj):
     if conj:
         want = np.conj(want)
     for view in _layouts(x, 1):
-        for out in (np.empty((7, 3, 5, 3), complex),
-                    np.empty((14, 4, 5, 3), complex)[::2, 1:]):
-            got = _dft(view[None], out[None], conj=conj)
-            assert np.shares_memory(got, out) and same_bits(out, want), conj
+        for real, c in _parts_out(7, 3):
+            got = _dft(view, (real, c), conj=conj)
+            assert got[0] is real and got[1] is c
+            # the real bins 0 and 2 as real planes, bin 1 as it is
+            assert same_bits(real, want[:, 0::2].real) and same_bits(c, want[:, 1:2]), conj
 
 
 def test_inverse_butterflies_are_irfft():
@@ -132,12 +145,60 @@ def test_inverse_butterflies_are_irfft():
     want = np.fft.irfft(f, n=4, axis=1)
     for view in _layouts(f, 1):
         for out in (np.empty((7, 4, 5, 3)), np.empty((7, 6, 5, 3))[:, 1:-1]):
-            spectrum = view.copy(order="K")
-            got = _idft(spectrum[None], out[None])
-            assert np.shares_memory(got, out) and same_bits(out, want)
-            # only the parts irfft ignores served as scratch
-            assert same_bits(spectrum.real, view.real)
-            assert same_bits(spectrum[:, 1].imag, view[:, 1].imag)
+            for real, c in _parts_out(7, 3):
+                real[...], c[...] = view[:, 0::2].real, view[:, 1:2]
+                got = _idft((real, c), out)
+                # irfft ends with its scaling by 1/4, which the clean takes over
+                assert got is out and same_bits(np.multiply(out, 0.25), want)
+                # only the real planes served as scratch
+                assert same_bits(c, view[:, 1:2])
+
+
+def _check_inputs(rng, m, n):
+    """Target spectra (bins, B) + positions and participant spectra
+    (n, bins, B) + positions, complex, whose real bins have zero imaginary
+    parts of either sign: random bins whose inverse goes negative or below
+    the floor, entries near 1e-300, exact ones (absent participants) and, at
+    M = 4, exact zeros of either sign in bin 2."""
+    bins = m // 2 + 1 if m <= HALF_SPECTRUM_M else m
+    shape = (n + 1, bins, 5, 3, 2)
+    scale = rng.choice([1.0, 1.0, 1e-300, 1e-150], size=shape)
+    f = scale * (rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape))
+    f[rng.random(shape) < 0.1] = 1.0
+    real = [0] + ([bins - 1] if m % 2 == 0 and m <= HALF_SPECTRUM_M else [])
+    for k in real:  # the bins of a real pmf's spectrum that are real
+        f.imag[:, k] = rng.choice([0.0, -0.0], size=f[:, k].shape)
+    if m == 4:
+        zero = rng.random(f[:, 2].shape) < 0.2
+        f.real[:, 2][zero] = rng.choice([0.0, -0.0], size=zero.sum())
+    return f[0], f[1:]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_check_extrinsics_is_the_complex_route(m):
+    rng = np.random.default_rng(70 + m)
+    for n in (1, 2, 3, 5):
+        target_f, w = _check_inputs(rng, m, n)
+        want = check_extrinsics_complex(target_f.copy(), w.copy(), m)
+        floored = want < 1e-25
+        assert floored.any() and not floored.all()  # some outputs took the floor
+        out = np.empty((n, m) + w.shape[2:])
+        got = check_extrinsics(spectrum_parts(target_f, m, 0), spectrum_parts(w.copy(), m), out)
+        assert got is out and np.array_equal(got, want), n
+
+
+def test_folded_quarter_cleans_to_the_same_bits():
+    # check_extrinsics at M = 4: the inverse's 1/4 moves into the floor
+    floor4 = 4 * PMF_FLOOR
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1e-300,
+               4e-30, floor4, np.nextafter(floor4, 0.0), np.nextafter(floor4, 1.0), 3.9e-30,
+               4.1e-30, 1e-29, -1e-29, 0.5, 1.0, 3.0, -1.0, 1e300]
+    rng = np.random.default_rng(12)
+    x = rng.choice(special, size=(4000, 4)) * rng.choice([1.0, 1.0, 0.75, 1.5], size=(4000, 4))
+    x[:len(special)] = np.array(special)[:, None]  # rows all of one value
+    want = _clean(np.multiply(x, 0.25))
+    assert same_bits(_clean(x, floor=floor4), want)
+    assert same_bits(_clean(planar(x), floor=floor4), want)
 
 
 # M: channel noise variance that leaves some trials of every M unconverged

@@ -253,22 +253,27 @@ class TestSimulateReplay:
         assert run_cli("replay", "--manifest", str(manifest), "--out", str(out)) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("fixture, edit", [
-        ("simulate-awgn-bp.csv", lambda doc: doc.pop("config")),
-        ("matrix-case1.txt", lambda doc: doc["config"].pop("modulation_order")),
-        ("simulate-awgn-bp.csv", lambda doc: doc["config"].update(bogus=1)),
-        ("matrix-case1.txt", lambda doc: doc["config"].update(dims=None)),
-        ("sweep.csv", lambda doc: doc["config"].update(configs=None)),
-        ("decode-bp-case1.txt", lambda doc: doc["config"].update(decoder="foo")),
-        ("decode-bp-case1.txt", lambda doc: doc["config"].update(received=None)),
-        ("encode-case1.txt", lambda doc: doc["config"].update(info=None)),
-        ("export-graph.txt", lambda doc: doc["config"].update(modulation_order=None)),
-        ("matrix-case1.txt", lambda doc: doc.update(config=[doc["config"]])),
-        ("matrix-case1.txt", "list"),
+    @pytest.mark.parametrize("fixture, edit, argv", [
+        ("simulate-awgn-bp.csv", lambda doc: doc.pop("config"), ()),
+        ("matrix-case1.txt", lambda doc: doc["config"].pop("modulation_order"), ()),
+        ("simulate-awgn-bp.csv", lambda doc: doc["config"].update(bogus=1), ()),
+        ("matrix-case1.txt", lambda doc: doc["config"].update(dims=None), ()),
+        ("sweep.csv", lambda doc: doc["config"].update(configs=None), ()),
+        ("decode-bp-case1.txt", lambda doc: doc["config"].update(decoder="foo"), ()),
+        ("decode-bp-case1.txt", lambda doc: doc["config"].update(received=None), ()),
+        ("encode-case1.txt", lambda doc: doc["config"].update(info=None), ()),
+        ("export-graph.txt", lambda doc: doc["config"].update(modulation_order=None), ()),
+        ("matrix-case1.txt", lambda doc: doc.update(config=[doc["config"]]), ()),
+        ("matrix-case1.txt", "list", ()),
+        ("decode-bp-case1.txt", lambda doc: doc["config"].update(noise_var=None), ()),
+        ("decode-bp-case1.txt", lambda doc: doc["config"].update(max_iters=None), ()),
+        ("sweep.csv", lambda doc: doc["config"].update(target_error=None), ()),
+        ("sweep.csv", lambda doc: doc["config"]["configs"].append(1), ("--threads", "1")),
     ], ids=["no-config", "no-modulation-order", "unknown-sim-field", "null-dims",
             "null-configs", "unknown-decoder", "null-received", "null-info",
-            "null-modulation-order", "list-config", "list-manifest"])
-    def test_replay_of_malformed_manifest_exits_2(self, fixture, edit, tmp_path, capsys):
+            "null-modulation-order", "list-config", "list-manifest", "null-noise-var",
+            "null-max-iters", "null-target-error", "int-config-with-threads"])
+    def test_replay_of_malformed_manifest_exits_2(self, fixture, edit, argv, tmp_path, capsys):
         doc = json.loads((REPLAY_FIXTURES / f"{fixture}.manifest.json").read_text())
         if edit == "list":  # the manifest becomes a JSON list
             doc = [doc]
@@ -277,7 +282,7 @@ class TestSimulateReplay:
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(doc))
         out = tmp_path / "r"
-        assert run_cli("replay", "--manifest", str(manifest), "--out", str(out)) == 2
+        assert run_cli("replay", "--manifest", str(manifest), "--out", str(out), *argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 

@@ -30,7 +30,8 @@ from tbmpsk.factor_graph import build_graph
 from tbmpsk.modulation import encode, mls_encode, transmit_signal
 from tbmpsk.ring_code import TensorShape
 
-from oracles import check_update_direct, check_update_fft, normalize_factors_per_user
+from oracles import (check_update_direct, check_update_fft, normalize_factors_per_user,
+                     spectrum_parts)
 
 
 class TestChannelPmfs:
@@ -110,11 +111,12 @@ class TestCheckUpdate:
             for n in (2, 3, 5):
                 pmfs = [rng.dirichlet(np.ones(m)) for _ in range(n)]
                 target = rng.dirichlet(np.ones(m))
-                w = np.conj(np.fft.fft(np.stack(pmfs), axis=-1))[:, None]  # (n, B=1, M)
-                out = check_extrinsics(np.fft.fft(target), w, np.empty(w.shape))
+                w = np.conj(np.fft.fft(np.stack(pmfs), axis=-1))[:, :, None]  # (n, M, B=1)
+                out = check_extrinsics(spectrum_parts(np.fft.fft(target)[:, None], m, 0),
+                                       spectrum_parts(w, m), np.empty(w.shape))
                 for k in range(n):
                     want = check_update_direct(pmfs[:k] + pmfs[k + 1 :], target)
-                    assert np.allclose(out[k, 0], want, atol=1e-12)
+                    assert np.allclose(out[k, :, 0], want, atol=1e-12)
 
     def test_single_input_negates(self):
         q = np.array([0.1, 0.2, 0.3, 0.4])
@@ -160,7 +162,7 @@ def _spy_rows(monkeypatch):
     rows, kernel = [], decoders.check_extrinsics
 
     def spy(target_f, w, *args):
-        rows.append(w.shape[1])
+        rows.append(w[0].shape[2])
         return kernel(target_f, w, *args)
 
     monkeypatch.setattr(decoders, "check_extrinsics", spy)
@@ -364,13 +366,10 @@ class TestByteBudget:
     def test_counted_bytes_match_traced_growth(self, damping):
         # each extra trial grows the peak by the bytes _bp_arrays counts, up
         # to its few per-trial index and output rows (about 1% here); the
-        # smallest counted array, the scratch (1.9%), left out of the count
-        # would push the growth past 2.5% of it
-        sh = TensorShape((6, 5, 4), 8)
-        g = build_graph(sh, 1)
-        pmfs = _noisy_pmfs(sh, 12)
-
-        def peak(b):
+        # smallest counted array, the scratch (1.9% at M = 8), left out of
+        # the count would push the growth past 2.5% of it.  M = 4 counts the
+        # real planes of its spectra
+        def peak(g, pmfs, b):
             tracemalloc.start()
             try:
                 bp_decode_batch(g, pmfs[:b], max_iters=2, damping=damping)
@@ -378,12 +377,16 @@ class TestByteBudget:
             finally:
                 tracemalloc.stop()
 
-        bp_decode_batch(g, pmfs[:1], max_iters=1)
-        counted = sum(np.prod(s) * np.dtype(t).itemsize
-                      for s, t in _bp_arrays(sh, damping, 1).values())
-        growth = (peak(12) - peak(4)) / 8
-        assert bp_budget_rows(sh, damping) >= 12
-        assert counted <= growth <= 1.025 * counted
+        for m in (4, 8):
+            sh = TensorShape((6, 5, 4), m)
+            g = build_graph(sh, 1)
+            pmfs = _noisy_pmfs(sh, 12)
+            bp_decode_batch(g, pmfs[:1], max_iters=1)
+            counted = sum(np.prod(s) * np.dtype(t).itemsize
+                          for parts in _bp_arrays(sh, damping, 1).values() for s, t in parts)
+            growth = (peak(g, pmfs, 12) - peak(g, pmfs, 4)) / 8
+            assert bp_budget_rows(sh, damping) >= 12
+            assert counted <= growth <= 1.025 * counted, m
 
     @pytest.mark.parametrize("kwargs", [{}, {"damping": 0.3, "max_iters": 7}])
     def test_capacity_above_the_budget_changes_no_output(self, kwargs):
@@ -410,16 +413,16 @@ class TestByteBudget:
         assert rows[0] == max(rows) == budget
 
     def test_multiuser_decode_holds_budget_rows(self, monkeypatch):
-        # the paper's shape fits 2 trials' BP arrays; 3 users all decodable
+        # the paper's shape fits 3 trials' BP arrays; 4 users all decodable
         rng = np.random.default_rng(3)
         sh = TensorShape((10, 20, 16), 4)
-        u = rng.integers(0, 4, (3, sh.info_length(1)))
+        u = rng.integers(0, 4, (4, sh.info_length(1)))
         nv = 10 ** (-5 / 10)
         tensor, _ = simo_mac(transmit_signal(encode(u, sh, 1), 4), sh, 4, nv, rng)
         rows = _spy_rows(monkeypatch)
-        decoded = multiuser_decode(tensor, 3, nv, sh, rng, max_bp_iters=2)
+        decoded = multiuser_decode(tensor, 4, nv, sh, rng, max_bp_iters=2)
         assert all(d is not None for d in decoded)
-        assert max(rows) == bp_budget_rows(sh) == 2
+        assert max(rows) == bp_budget_rows(sh) == 3
 
 
 class TestMlOracle:

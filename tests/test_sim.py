@@ -248,7 +248,7 @@ class TestByteBudget:
         rows, kernel = [], decoders.check_extrinsics
 
         def spy(target_f, w, *args):
-            rows.append(w.shape[1])
+            rows.append(w[0].shape[2])
             return kernel(target_f, w, *args)
 
         monkeypatch.setattr(decoders, "check_extrinsics", spy)
