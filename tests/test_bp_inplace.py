@@ -115,12 +115,11 @@ def _layouts(x, axis):
     return x, np.moveaxis(np.ascontiguousarray(np.moveaxis(x, axis, -1)), -1, axis)
 
 
-def _parts_out(lead, bins):
-    """Spectrum parts of M = 4 with ``lead`` leading planes and ``bins`` bins:
-    contiguous, and strided views of larger arrays."""
-    return [(np.empty((lead, 2, 5, 3)), np.empty((lead, 1, 5, 3), complex)),
-            (np.empty((2 * lead, 3, 5, 3))[::2, 1:],
-             np.empty((2 * lead, 2, 5, 3), complex)[::2, 1:])]
+def _parts_out():
+    """Spectrum parts of M = 4 for the (7, 4, 5, 3) planes: contiguous, and
+    strided views of larger arrays."""
+    return [(np.empty((7, 2, 5, 3)), np.empty((7, 1, 5, 3), complex)),
+            (np.empty((14, 3, 5, 3))[::2, 1:], np.empty((14, 2, 5, 3), complex)[::2, 1:])]
 
 
 @pytest.mark.parametrize("conj", [False, True])
@@ -132,7 +131,7 @@ def test_forward_butterflies_are_rfft(conj):
     if conj:
         want = np.conj(want)
     for view in _layouts(x, 1):
-        for real, c in _parts_out(7, 3):
+        for real, c in _parts_out():
             got = _dft(view, (real, c), conj=conj)
             assert got[0] is real and got[1] is c
             # the real bins 0 and 2 as real planes, bin 1 as it is
@@ -145,7 +144,7 @@ def test_inverse_butterflies_are_irfft():
     want = np.fft.irfft(f, n=4, axis=1)
     for view in _layouts(f, 1):
         for out in (np.empty((7, 4, 5, 3)), np.empty((7, 6, 5, 3))[:, 1:-1]):
-            for real, c in _parts_out(7, 3):
+            for real, c in _parts_out():
                 real[...], c[...] = view[:, 0::2].real, view[:, 1:2]
                 got = _idft((real, c), out)
                 # irfft ends with its scaling by 1/4, which the clean takes over
