@@ -325,9 +325,10 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--damping", type=float, default=0.0)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=32,
-                   help="most trials BP holds at once, fewer where their working "
-                        "arrays would pass decoders.BP_BYTES (results unchanged)")
+    p.add_argument("--batch-size", type=int, default=64,
+                   help="most trials drawn at once and held by BP (default 64), fewer "
+                        "where their working arrays would pass decoders.BP_BYTES or "
+                        "under a nearly spent --stop-errors budget (results unchanged)")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
 
 

@@ -26,7 +26,7 @@ signals would take more than ``ML_SIGNAL_BYTES`` (M^K * T * 16 bytes).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -354,17 +354,18 @@ def bp_decode_batch(
     observation_pmfs: np.ndarray | Iterator[np.ndarray],
     max_iters: int = 50,
     damping: float = 0.0,
+    on_leave: Callable[[np.ndarray, np.ndarray], object] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flooding BP over independent trials, as many at once as the first chunk has.
 
     ``observation_pmfs`` is a (B, T, M) array, one channel pmf per position
     and trial, or an iterator of such chunks, read lazily one chunk at a
-    time; an array counts as one chunk.  The capacity is the first chunk's
-    trials, at least one, cut to :func:`bp_budget_rows`, the most trials
-    whose working arrays fit in ``BP_BYTES``; chunks are taken at most that
-    many trials at a time, so a call's arrays stay within the budget
-    whatever the batch.  Per trial, stops once hard decisions survive 3
-    consecutive iterations or after ``max_iters``; each trial's outcome
+    time; an array counts as one chunk, and an empty array as no chunk.  The
+    capacity is the first chunk's trials, cut to :func:`bp_budget_rows`, the
+    most trials whose working arrays fit in ``BP_BYTES``; chunks are taken
+    at most that many trials at a time, so a call's arrays stay within the
+    budget whatever the batch.  Per trial, stops once hard decisions survive
+    3 consecutive iterations or after ``max_iters``; each trial's outcome
     depends only on its own row, so results are identical under any
     batching.  Returns (decisions, posteriors, iterations, converged), one
     row per trial in input order.
@@ -375,7 +376,15 @@ def bp_decode_batch(
     pending trials move into the freed rows, so every iteration runs on
     min(capacity, live + pending) trials and the loop ends when both are
     exhausted.  Each row counts its own iterations.  The kept outputs are
-    put in input order once, at the end.
+    put in input order once, at the end.  ``on_leave(trials, decisions)``,
+    if given, gets the input indices and decisions of the trials that leave,
+    in the iteration they leave and before the next refill reads the
+    iterator, so a caller can decide from them what its next chunk admits.
+    An empty chunk means nothing may be admitted yet: the refill stops there
+    and reads the iterator again at the next one, which needs a live row
+    (``ValueError`` when there is none, since nothing would change the
+    iterator's answer); so an iterator's first chunk, which sets the
+    capacity, must not be empty.
 
     Messages use the trial-contiguous planar layout of the module
     docstring, (d, M, B) + positions, and spectra its parts
@@ -410,7 +419,7 @@ def bp_decode_batch(
     d = len(dims)
     nv, t_len, m = graph.num_vars, graph.num_checks, graph.shape.modulation_order
     chunks = (observation_pmfs if isinstance(observation_pmfs, Iterator)
-              else iter([observation_pmfs]))
+              else iter([observation_pmfs] if len(observation_pmfs) else []))
     head = next(chunks, None)  # read before the buffers, whose rows are its trials
     capacity = min(max(1, 0 if head is None else len(head)), bp_budget_rows(graph.shape, damping))
 
@@ -420,11 +429,13 @@ def bp_decode_batch(
     def pieces(chunk) -> Iterator[tuple[np.ndarray, ...]]:
         """The spectrum parts of the cleaned pmfs of ``chunk`` and the later
         chunks, (bins, b) + dims each, read as needed, in pieces of
-        b <= ``capacity`` trials."""
+        b <= ``capacity`` trials; an empty chunk gives one empty piece."""
         while chunk is not None:
             obs = np.asarray(chunk, dtype=float)
             if obs.ndim != 3 or obs.shape[1:] != (t_len, m):
                 raise ValueError(f"observation pmfs must be (B, {t_len}, {m})")
+            if not len(obs):
+                yield ()
             for a in range(0, len(obs), capacity):
                 # in a call, so that no transient outlives the yield
                 yield spectrum(obs[a : a + capacity])
@@ -471,12 +482,18 @@ def bp_decode_batch(
 
     while True:
         # pending trials move into the free rows; a piece is dropped once all
-        # of its trials are in, and the next one is read when rows are free
+        # of its trials are in, and the next one is read when rows are free.
+        # An empty piece admits nothing until the next refill
         while n < capacity:
             if pending is None:
                 pending, taken = next(source, None), 0
                 if pending is None:
                     break
+            if not pending:
+                pending = None
+                if n == 0:
+                    raise ValueError("empty chunk with no live trial: nothing left could admit one")
+                break
             a = min(capacity - n, pending[0].shape[1] - taken)
             for j in range(len(obs_f)):  # by index, so that no name outlives the piece
                 obs_f[j][:, n : n + a] = pending[j][:, taken : taken + a]
@@ -530,6 +547,8 @@ def bp_decode_batch(
             continue
         left.append((trial[:n][leaving], decisions[leaving], by_word[leaving],
                      age[:n][leaving], settled[leaving]))
+        if on_leave is not None:
+            on_leave(*left[-1][:2])
         # the kept rows past the first n - leaving.sum() fill the holes the
         # leaving rows made before them, so no more rows move than leave
         n_kept = n - int(leaving.sum())
@@ -777,23 +796,33 @@ def multiuser_decode(
 
 # --- single-user decoder registry -------------------------------------------
 # Uniform signature: (received chunks, an iterable of (b, T) arrays;
-# noise_var, shape, case, max_iters, damping) -> decisions (sum of b,
-# K_case) in chunk order, reading the chunks as it decodes.  BP holds as
-# many trials at once as the first chunk has, and no more than fit in
-# ``BP_BYTES`` (the engine draws its chunks no larger, so each chunk's
-# channel pmfs are no larger than BP's rows for them).  A von Mises
-# phase-domain message-passing decoder would slot in here; only FFT-BP and
-# the ML oracle ship.
+# noise_var, shape, case, max_iters, damping, on_leave=None) -> decisions
+# (sum of b, K_case) in chunk order, reading the chunks as it decodes.  BP
+# holds as many trials at once as the first chunk has, and no more than fit
+# in ``BP_BYTES`` (the engine draws its chunks no larger, so each chunk's
+# channel pmfs are no larger than BP's rows for them).  ``on_leave(trials,
+# decisions)`` gets decided trials by their index in chunk order before the
+# next chunk is read: BP's as they leave (an empty chunk then defers the
+# next, see :func:`bp_decode_batch`), the ML oracle's a chunk at a time.  A
+# von Mises phase-domain message-passing decoder would slot in here; only
+# FFT-BP and the ML oracle ship.
 
 
-def _decode_trials_bp(chunks, noise_var, shape, case, max_iters, damping):
+def _decode_trials_bp(chunks, noise_var, shape, case, max_iters, damping, on_leave=None):
     pmfs = (channel_pmfs(y, noise_var, shape.modulation_order) for y in chunks)
-    dec, _, _, _ = bp_decode_batch(build_graph(shape, case), pmfs, max_iters, damping)
+    dec, _, _, _ = bp_decode_batch(build_graph(shape, case), pmfs, max_iters, damping, on_leave)
     return dec
 
 
-def _decode_trials_ml(chunks, noise_var, shape, case, max_iters, damping):
-    return np.concatenate([ml_oracle_decode(y, shape, case) for y in chunks])
+def _decode_trials_ml(chunks, noise_var, shape, case, max_iters, damping, on_leave=None):
+    decided, done = [], 0
+    for y in chunks:
+        words = ml_oracle_decode(y, shape, case)
+        if on_leave is not None:
+            on_leave(np.arange(done, done + len(words)), words)
+        decided.append(words)
+        done += len(words)
+    return np.concatenate(decided)
 
 
 SINGLE_USER_DECODERS = {

@@ -40,7 +40,8 @@ SWEEP_COLUMNS = (
 # Most worker processes a run may ask for; a fixed number rather than the
 # host's CPU count, so a manifest recorded on one host replays on any other
 MAX_THREADS = 64
-# Most batches one wave of trials gives each worker (see _wave_size)
+# Most batches of trials one part of an SNR point holds: a wave's share per
+# worker (see _wave_size), or one decoder stream in one process
 WAVE_BATCHES = 16
 
 
@@ -73,7 +74,7 @@ class SimConfig:
     max_iters: int = 50
     damping: float = 0.0
     threads: int = 1
-    batch_size: int = 32
+    batch_size: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(t) for t in self.dims))
@@ -166,51 +167,86 @@ def _encode_batch(info: np.ndarray, shape: TensorShape, case: int) -> np.ndarray
     return encode_case2(info, g)
 
 
-def _trial_chunks(config: SimConfig, snr_db: float, start: int, stop: int, rows: int):
-    """Trials [start, stop), ``rows`` a chunk, drawn only as they are read:
-    per chunk, each trial's RNG, the (b, num_users, K) info words and
-    their (b, num_users, T) transmit signals."""
+def _draw_trials(config: SimConfig, snr_db: float, start: int, stop: int):
+    """Trials [start, stop), drawn now: each trial's RNG, the (b, num_users,
+    K) info words and their (b, num_users, T) transmit signals."""
     shape = config.shape
     m = shape.modulation_order
     k = shape.info_length(config.case)
-    for a in range(start, stop, rows):
-        rngs = [trial_rng(config.seed, snr_db, t) for t in range(a, min(a + rows, stop))]
-        info = np.stack([rng.integers(0, m, (config.num_users, k)) for rng in rngs])
-        yield rngs, info, transmit_signal(_encode_batch(info, shape, config.case), m)
+    rngs = [trial_rng(config.seed, snr_db, t) for t in range(start, stop)]
+    info = np.stack([rng.integers(0, m, (config.num_users, k)) for rng in rngs])
+    return rngs, info, transmit_signal(_encode_batch(info, shape, config.case), m)
 
 
-def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int) -> np.ndarray:
-    """Per-trial error counts for trials [start, stop), in trial order.
+def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
+                    budget: int = 0) -> np.ndarray:
+    """Per-trial error counts of trials [start, stop), in trial order; with
+    an error ``budget`` > 0, only up to the trial whose errors reach it.
 
-    AWGN trials are drawn and decoded at most ``batch_size`` at a time, and
-    under BP at most as many as fit in its byte budget (``bp_budget_rows``):
-    the trials BP then holds at once, which are as many as its first chunk's.
-    ``simo-mac`` trials are drawn and decoded one at a time."""
+    A trial is drawn only once it is admitted: with e errors among the
+    finished trials and u trials drawn but not finished, while e + u is
+    below the budget (always, without one).  The trials before it then
+    hold fewer errors than the budget, so no trial past the stop index is
+    ever drawn, and every trial up to it is.
+
+    AWGN trials are drawn in chunks of at most ``batch_size`` trials, and
+    under BP at most as many as fit in its byte budget (``bp_budget_rows``),
+    and decoded as one stream: BP holds as many trials at once as its first
+    chunk has, refills rows as trials leave, and reports each leaving trial
+    (``on_leave``) before it reads the next chunk.  A chunk holds what the
+    rule admits when it is read, an empty one while that is nothing, after
+    which BP reads again once more trials have left.  ``simo-mac`` trials
+    are drawn and decoded one at a time."""
     shape = config.shape
     noise_var = 1.0 / db_to_linear(snr_db)
+    out = np.zeros(stop - start, dtype=np.int64)
+    drawn = finished = errors = 0
+
+    def admissible(most: int) -> int:
+        if budget:
+            most = min(most, budget - errors - (drawn - finished))
+        return max(0, min(most, stop - start - drawn))
+
+    def settle(trials, counts: np.ndarray) -> None:
+        nonlocal finished, errors
+        out[trials] = counts
+        finished += len(counts)
+        errors += int(counts.sum())
+
     if config.scenario == "awgn":
         rows = config.batch_size
         if config.decoder == "bp":
             rows = min(rows, bp_budget_rows(shape, config.damping))
-        sent: list[np.ndarray] = []
+        sent = np.empty((stop - start, shape.info_length(config.case)), dtype=np.int64)
 
         def received():
-            for rngs, info, signal in _trial_chunks(config, snr_db, start, stop, rows):
-                sent.append(info[:, 0])
+            # until no trial is left or none will be admitted: an empty chunk
+            # while only in-flight trials hold the budget back
+            nonlocal drawn
+            while drawn < stop - start and ((b := admissible(rows)) or drawn > finished):
+                if not b:
+                    yield np.empty((0, shape.blocklength), dtype=complex)
+                    continue
+                rngs, info, signal = _draw_trials(config, snr_db, start + drawn,
+                                                  start + drawn + b)
+                sent[drawn : drawn + b] = info[:, 0]
+                drawn += b
                 yield np.concatenate([awgn(s, noise_var, rng) for s, rng in zip(signal, rngs)])
 
-        decided = SINGLE_USER_DECODERS[config.decoder](
-            received(), noise_var, shape, config.case, config.max_iters, config.damping)
-        return (decided != np.concatenate(sent)).any(axis=1).astype(np.int64)
-    out = np.zeros(stop - start, dtype=np.int64)
-    for i, ([rng], [info], [signal]) in enumerate(_trial_chunks(config, snr_db, start, stop, 1)):
+        SINGLE_USER_DECODERS[config.decoder](
+            received(), noise_var, shape, config.case, config.max_iters, config.damping,
+            lambda trials, decided: settle(trials, (decided != sent[trials]).any(axis=1)))
+        return out[:drawn]
+    while admissible(1):
+        [rng], [info], [signal] = _draw_trials(config, snr_db, start + drawn, start + drawn + 1)
+        drawn += 1
         tensor, _ = simo_mac(signal, shape, config.num_antennas, noise_var, rng)
         decoded = multiuser_decode(
             tensor, config.num_users, noise_var, shape, rng,
             max_bp_iters=config.max_iters, damping=config.damping,
         )
-        out[i] = missed_users(info, decoded)
-    return out
+        settle([drawn - 1], np.array([missed_users(info, decoded)]))
+    return out[:drawn]
 
 
 def missed_users(sent: np.ndarray, decoded: list[np.ndarray | None]) -> int:
@@ -222,23 +258,25 @@ def missed_users(sent: np.ndarray, decoded: list[np.ndarray | None]) -> int:
     return int(sum(want.values()) - matched)
 
 
-def _stop_index(outcomes: np.ndarray, stop_errors: int) -> int | None:
-    """First trial index at which cumulative errors reach the stop budget;
-    None when the budget is never reached (or stopping is disabled)."""
-    if stop_errors <= 0:
+def _stop_index(outcomes: np.ndarray, budget: int) -> int | None:
+    """First trial index at which cumulative errors reach the budget; None
+    when the budget is never reached (or is 0, stopping disabled)."""
+    if budget <= 0:
         return None
-    hits = np.nonzero(np.cumsum(outcomes) >= stop_errors)[0]
+    hits = np.nonzero(np.cumsum(outcomes) >= budget)[0]
     return int(hits[0]) if hits.size else None
 
 
 def _wave_size(config: SimConfig, done: int, errors: int) -> int:
-    """Trials of the next wave, after ``done`` trials with ``errors`` errors.
+    """Trials of the next wave of a point run by several worker processes,
+    after ``done`` trials with ``errors`` errors.
 
     Without a stop budget, all that are left; else first ``stop_errors``
     trials (fewer cannot reach the budget), then the trials the budget is
     expected to need at the error rate seen so far, at least ``batch_size``
     and at most 4x those done.  Never more than ``WAVE_BATCHES`` batches per
-    worker, so what a wave holds per trial stays bounded."""
+    worker, so what a wave holds per trial stays bounded.  Outcomes past the
+    stop index, in the wave that holds it, are decoded but discarded."""
     bs = config.batch_size
     if config.stop_errors == 0:
         want = config.trials
@@ -251,10 +289,15 @@ def _wave_size(config: SimConfig, done: int, errors: int) -> int:
 
 
 def _collect_outcomes(config: SimConfig, snr_db: float) -> np.ndarray:
-    """Outcomes in trial order, run in waves (:func:`_wave_size`) until the
-    stop budget is reached.  A wave splits into min(threads, its batches)
-    contiguous parts of near-equal size, run in worker processes when there
-    are several; each part streams its trials through the decoder
+    """Outcomes in trial order, up to the stop index.
+
+    In one process a point runs as parts of at most ``WAVE_BATCHES``
+    batches, each one decoder stream under the error budget still left
+    (:func:`_trial_outcomes`), so no trial past the stop index is drawn.
+    With several worker processes it runs in waves (:func:`_wave_size`)
+    until the budget is reached; a wave splits into min(workers, its
+    batches) contiguous parts of near-equal size, run in the workers when
+    there are several, each streaming its trials through the decoder
     ``batch_size`` at a time."""
     if config.scenario == "simo-mac":
         check_cp_bytes(config.shape, config.num_users, config.num_antennas)
@@ -265,17 +308,21 @@ def _collect_outcomes(config: SimConfig, snr_db: float) -> np.ndarray:
     done = errors = 0
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         while done < config.trials:
-            size = _wave_size(config, done, errors)
-            parts = min(config.threads, -(-size // bs))
+            left = config.stop_errors - errors if config.stop_errors else 0
+            if workers > 1:
+                size, budget = _wave_size(config, done, errors), 0
+            else:
+                size, budget = min(WAVE_BATCHES * bs, config.trials - done), left
+            parts = min(workers, -(-size // bs))
             cuts = [done + size * i // parts for i in range(parts + 1)]
             run_parts = pool.map if parts > 1 else map
-            collected.extend(run_parts(_trial_outcomes, repeat(config), repeat(snr_db),
-                                       cuts[:-1], cuts[1:]))
-            arr = np.concatenate(collected)
-            idx = _stop_index(arr, config.stop_errors)
+            wave = np.concatenate(list(run_parts(_trial_outcomes, repeat(config), repeat(snr_db),
+                                                 cuts[:-1], cuts[1:], repeat(budget))))
+            idx = _stop_index(wave, left)
+            collected.append(wave if idx is None else wave[: idx + 1])
             if idx is not None:
-                return arr[: idx + 1]
-            done, errors = arr.size, int(arr.sum())
+                break
+            done, errors = done + wave.size, errors + int(wave.sum())
     return np.concatenate(collected)
 
 

@@ -279,7 +279,7 @@ class TestActiveSet:
 
 
 # rows of the uneven chunks that follow the first one of a stream
-LATER_ROWS = (4, 0, 7)
+LATER_ROWS = (4, 1, 7)
 
 
 def _chunk_rows(first, trials):
@@ -348,6 +348,75 @@ class TestRefill:
         g, pmfs = _mixed_batch()
         with pytest.raises(ValueError, match="observation pmfs"):
             bp_decode_batch(g, iter([pmfs[:2], pmfs[:2, :, :3]]))
+
+
+class TestOnLeave:
+    @staticmethod
+    def _leaves(monkeypatch, g, pmfs, **kwargs):
+        """BP's outputs and every ``on_leave`` call as (iterations run before
+        it, trials, decisions)."""
+        rows, calls = _spy_rows(monkeypatch), []
+        out = bp_decode_batch(g, pmfs, on_leave=lambda t, d: calls.append((len(rows), t, d)),
+                              **kwargs)
+        return out, calls
+
+    @pytest.mark.parametrize("first", [1, 3, 12])
+    def test_each_trial_leaves_once_with_its_decision(self, monkeypatch, first):
+        g, pmfs = _mixed_batch()
+        want = bp_decode_batch(g, pmfs)
+        got, calls = self._leaves(monkeypatch, g, _chunks(pmfs, first))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)  # the callback moves no output bit
+        trials = np.concatenate([t for _, t, _ in calls])
+        assert sorted(trials) == list(range(len(pmfs)))
+        for _, t, d in calls:
+            assert np.array_equal(d, want[0][t])
+        # one call per iteration that some trials leave, in the order they run
+        assert [k for k, _, _ in calls] == sorted({k for k, _, _ in calls})
+
+    def test_called_in_the_iteration_a_trial_leaves(self, monkeypatch):
+        g, pmfs = _mixed_batch()
+        (_, _, iters, _), calls = self._leaves(monkeypatch, g, pmfs)  # all trials from the start
+        for k, t, _ in calls:
+            assert (iters[t] == k).all()
+
+    def test_empty_chunk_with_live_rows_defers_the_refill(self, monkeypatch):
+        g, pmfs = _mixed_batch()
+        want = bp_decode_batch(g, pmfs)
+        iters = want[2]
+        a, b = np.flatnonzero(iters != iters[0])[0], 0  # two trials that leave apart
+        lone, reads = min(iters[a], iters[b]), []
+        rows = _spy_rows(monkeypatch)
+
+        def source():
+            for chunk in (pmfs[[a, b]], pmfs[:0], pmfs[[a, b]]):
+                reads.append(len(rows))
+                yield chunk
+
+        got = bp_decode_batch(g, source())
+        # the empty chunk is read when the first trial leaves, and the next
+        # chunk one iteration later, which runs the other trial alone
+        assert reads == [0, lone, lone + 1]
+        assert rows[lone] == 1 and rows[lone + 1] == 2
+        order = [a, b, a, b]
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y[order])
+
+    @pytest.mark.parametrize("rows", [[0], [1, 0]])
+    def test_empty_chunk_with_no_live_rows_raises(self, rows):
+        g, pmfs = _mixed_batch()
+        with pytest.raises(ValueError, match="empty chunk"):
+            bp_decode_batch(g, (pmfs[:r] for r in rows))
+
+    def test_ml_reports_each_chunk(self):
+        sh = TensorShape((4, 2, 2), 4)
+        rng = np.random.default_rng(4)
+        y = transmit_signal(encode(rng.integers(0, 4, (5, 5)), sh, 1), 4)
+        calls = []
+        decided = SINGLE_USER_DECODERS["ml"](iter([y[:3], y[3:]]), 0.1, sh, 1, 50, 0.0,
+                                             lambda t, d: calls.append((t, d)))
+        assert [list(t) for t, _ in calls] == [[0, 1, 2], [3, 4]]
+        assert np.array_equal(np.concatenate([d for _, d in calls]), decided)
 
 
 def _noisy_pmfs(sh, trials, seed=0):

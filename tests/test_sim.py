@@ -119,7 +119,7 @@ class TestTrialChunks:
         # modulation.encode, which the acceptance criteria check
         cfg = SimConfig(dims=dims, modulation_order=4, snrs_db=(0.0,), trials=10, seed=5,
                         case=case, decoder="ml" if case == 2 else "bp")
-        chunks = list(sim._trial_chunks(cfg, 0.0, 0, 10, 4))
+        chunks = [sim._draw_trials(cfg, 0.0, a, b) for a, b in ((0, 4), (4, 8), (8, 10))]
         assert [len(info) for _, info, _ in chunks] == [4, 4, 2]
         for _, info, signal in chunks:
             want = [transmit_signal(encode(u, cfg.shape, case), 4) for u in info[:, 0]]
@@ -197,23 +197,35 @@ class TestEarlyStop:
     def test_budget_reached_mid_wave(self, monkeypatch):
         kw = {**BASE, "snrs_db": (-2.0,), "trials": 200, "stop_errors": 8}
         full = sim._collect_outcomes(SimConfig(**{**kw, "stop_errors": 0}), -2.0)
+        stop = int(np.flatnonzero(np.cumsum(full) >= 8)[0])
         points = set()
-        for bs in (1, 7, 32):
+        for bs in (1, 7, 32, 64):
             cfg = SimConfig(**{**kw, "batch_size": bs})
             drawn, draw = [], sim.trial_rng
             monkeypatch.setattr(sim, "trial_rng", lambda *a: drawn.append(a) or draw(*a))
             p = run_point(cfg, -2.0)
             monkeypatch.setattr(sim, "trial_rng", draw)
-            # the waves up to the one that holds the stop index
-            done = errors = 0
-            while full[: done + (size := sim._wave_size(cfg, done, errors))].sum() < 8:
-                done += size
-                errors = int(full[:done].sum())
-            assert done < p.trials < done + size  # the budget is met inside the wave
-            assert len(drawn) == done + size  # the rest of that wave is all that is wasted
+            # one process draws every trial up to the stop index, in order,
+            # and none past it
+            assert p.trials == stop + 1
+            assert len(drawn) == p.trials
+            assert [t for _, _, t in drawn] == list(range(p.trials))
             points.add(p)
             points.add(run_point(SimConfig(**{**kw, "batch_size": bs, "threads": 2}), -2.0))
         assert len(points) == 1
+
+    def test_simo_mac_decodes_no_trial_past_the_budget(self, monkeypatch):
+        kw = dict(dims=(4, 2, 2), modulation_order=4, snrs_db=(-4.0,), trials=40, seed=3,
+                  scenario="simo-mac", num_users=2, num_antennas=2)
+        full = sim._collect_outcomes(SimConfig(**kw, stop_errors=0), -4.0)
+        stop = int(np.flatnonzero(np.cumsum(full) >= 5)[0])
+        assert stop < 39
+        calls, decode = [], sim.multiuser_decode
+        monkeypatch.setattr(sim, "multiuser_decode",
+                            lambda *a, **k: calls.append(a) or decode(*a, **k))
+        p = run_point(SimConfig(**kw, stop_errors=5), -4.0)
+        assert p.trials == stop + 1 == len(calls)
+        assert p.errors == int(full[: stop + 1].sum())
 
     def test_budget_never_reached_runs_all(self):
         p = run_point(SimConfig(**{**BASE, "snrs_db": (20.0,), "stop_errors": 5}), 20.0)
@@ -275,7 +287,7 @@ class TestByteBudget:
         assert budget < cfg.batch_size
         outs = []
         for rows in (budget, cfg.batch_size):
-            chunks = list(sim._trial_chunks(cfg, 0.0, 0, 40, rows))
+            chunks = [sim._draw_trials(cfg, 0.0, a, min(a + rows, 40)) for a in range(0, 40, rows)]
             received = [np.concatenate([awgn(s, 1.0, rng) for s, rng in zip(signal, rngs)])
                         for rngs, _, signal in chunks]
             decided = decoders.SINGLE_USER_DECODERS["bp"](iter(received), 1.0, cfg.shape, 1,
