@@ -8,22 +8,32 @@ per user and antenna (Rayleigh magnitudes), unknown to the receiver.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .ring_code import TensorShape
 
 
-def _complex_noise(shape: tuple[int, ...], noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    scale = np.sqrt(noise_var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def awgn(signal: np.ndarray, noise_var: float,
+         rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
+    """y = s + CN(0, noise_var); noise_var = 0 returns the signal exactly.
 
-
-def awgn(signal: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    """y = s + CN(0, noise_var); noise_var = 0 returns the signal exactly."""
+    ``rng`` is a sequence of one generator per row of a (b, ...) chunk, or
+    one generator for the whole array (a chunk of one row).  Each row's
+    generator draws its real parts, then its imaginary parts, in one
+    ``standard_normal`` call into that row of a (b, 2, ...) buffer, so a row
+    gets the bits of two ``standard_normal`` calls on its shape.
+    """
     if not noise_var >= 0:
         raise ValueError(f"noise variance must be >= 0, got {noise_var}")
     s = np.asarray(signal, dtype=complex)
-    return s + _complex_noise(s.shape, noise_var, rng)
+    if isinstance(rng, np.random.Generator):
+        return awgn(s[None], noise_var, [rng])[0]
+    z = np.empty((len(s), 2) + s.shape[1:])
+    for row, row_rng in zip(z, rng, strict=True):
+        row_rng.standard_normal(out=row)
+    return s + np.sqrt(noise_var / 2.0) * (z[:, 0] + 1j * z[:, 1])
 
 
 def simo_mac(
@@ -50,7 +60,6 @@ def simo_mac(
     num_users = s.shape[0]
     gains = (rng.standard_normal((num_users, num_antennas))
              + 1j * rng.standard_normal((num_users, num_antennas))) / np.sqrt(2.0)
-    clean = np.einsum("kt,kn->tn", s, gains)
-    y = clean + _complex_noise(clean.shape, noise_var, rng)
+    y = awgn(np.einsum("kt,kn->tn", s, gains), noise_var, rng)
     tensor = y.reshape(shape.dims + (num_antennas,))
     return tensor, gains

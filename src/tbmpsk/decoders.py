@@ -62,11 +62,13 @@ def channel_pmfs(received: np.ndarray, noise_var: float, modulation_order: int) 
     minimum before exponentiation, so arbitrarily small noise variances
     yield a clean indicator pmf instead of 0/0; zero variance (infinite
     SNR) gives the indicator of the nearest point, ties to the smallest
-    symbol.
+    symbol.  An empty input (a chunk of no trials) returns at once.
     """
     if not noise_var >= 0:
         raise ValueError(f"noise variance must be non-negative, got {noise_var}")
     y = np.asarray(received, dtype=complex)
+    if not y.size:
+        return np.empty(y.shape + (modulation_order,))
     points = transmit_signal(np.arange(modulation_order), modulation_order)
     d2 = np.empty(y.shape + (modulation_order,))
     for j, point in enumerate(points):  # a symbol at a time: no (..., M) complex transient

@@ -11,6 +11,7 @@ reported number.
 from __future__ import annotations
 
 import json
+import struct
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -149,13 +150,29 @@ class SimResult:
 def _snr_key(snr_db: float) -> int:
     """Bit pattern of the SNR value, used as a substream key; works for any
     float, not just members of some fixed grid."""
-    return int(np.float64(snr_db).view(np.uint64))
+    return int.from_bytes(struct.pack("<d", snr_db), "little")
+
+
+def _seed_words(n: int) -> list[int]:
+    """The uint32 words, low first, that numpy's ``SeedSequence`` makes of
+    a non-negative int; a negative one raises ValueError, as there."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
 
 
 def trial_rng(seed: int, snr_db: float, trial: int) -> np.random.Generator:
     """The trial's private generator; the sole source of randomness for its
-    info bits, channel draws, and decomposition restarts."""
-    return np.random.default_rng(np.random.SeedSequence([seed, _snr_key(snr_db), trial]))
+    info bits, channel draws, and decomposition restarts.  It is
+    ``default_rng(SeedSequence([seed, _snr_key(snr_db), trial]))``, seeded
+    from the uint32 words numpy would make of that list (numpy copies a
+    uint32 array as it is) without its per-word numpy scalars."""
+    words = _seed_words(seed) + _seed_words(_snr_key(snr_db)) + _seed_words(trial)
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 def _encode_batch(info: np.ndarray, shape: TensorShape, case: int) -> np.ndarray:
@@ -169,7 +186,9 @@ def _encode_batch(info: np.ndarray, shape: TensorShape, case: int) -> np.ndarray
 
 def _draw_trials(config: SimConfig, snr_db: float, start: int, stop: int):
     """Trials [start, stop), drawn now: each trial's RNG, the (b, num_users,
-    K) info words and their (b, num_users, T) transmit signals."""
+    K) info words and their (b, num_users, T) transmit signals.  Each RNG
+    has drawn its trial's info words; its channel draws come next (AWGN
+    draws a chunk's noise in one :func:`awgn` call over these RNGs)."""
     shape = config.shape
     m = shape.modulation_order
     k = shape.info_length(config.case)
@@ -231,7 +250,7 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
                                                   start + drawn + b)
                 sent[drawn : drawn + b] = info[:, 0]
                 drawn += b
-                yield np.concatenate([awgn(s, noise_var, rng) for s, rng in zip(signal, rngs)])
+                yield awgn(signal[:, 0], noise_var, rngs)
 
         SINGLE_USER_DECODERS[config.decoder](
             received(), noise_var, shape, config.case, config.max_iters, config.damping,

@@ -2,8 +2,8 @@
 construction, the paper's step-by-step derivation of the case generators,
 row-sum witnesses, index arithmetic, the single-constraint FFT check update
 and its direct-convolution reference, the all-complex route of the check
-kernel, the per-mode and systematic encoders, and the per-user CP factor
-normalization.  Each must agree with the production route it checks; none
+kernel, the per-mode and systematic encoders, the per-user CP factor
+normalization, and the AWGN trial producer drawn a trial at a time.  Each must agree with the production route it checks; none
 of them runs in a simulation.
 """
 
@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
+from tbmpsk.channels import awgn
 from tbmpsk.decoders import (HALF_SPECTRUM_M, PMF_FLOOR, REFERENCE_TOL, CpFactors, _clean,
                              check_extrinsics)
-from tbmpsk.modulation import validate_symbols
+from tbmpsk.modulation import encode, transmit_signal, validate_symbols
 from tbmpsk.ring_code import RingMatrix, TensorShape, systematic_form
 
 
@@ -253,3 +254,22 @@ def normalize_factors_per_user(cp: CpFactors) -> tuple[list[np.ndarray], np.ndar
             f[:, r] = f[:, r] / a
         gains[:, r] = gains[:, r] * np.prod(refs)
     return modes, gains, undecodable
+
+
+# --- trial producer ----------------------------------------------------------
+
+
+def awgn_trials_per_trial(seed: int, snr_db: float, start: int, stop: int, shape: TensorShape,
+                          case: int, noise_var: float) -> tuple[np.ndarray, np.ndarray]:
+    """(info words, received signals) of AWGN trials [start, stop), a trial
+    at a time: numpy's own seeding of ``[seed, SNR bit pattern, trial]``,
+    the trial's info words, then its own ``awgn`` call."""
+    m = shape.modulation_order
+    key = int(np.float64(snr_db).view(np.uint64))
+    info, received = [], []
+    for t in range(start, stop):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, key, t]))
+        u = rng.integers(0, m, (1, shape.info_length(case)))
+        received.append(awgn(transmit_signal(encode(u, shape, case), m), noise_var, rng))
+        info.append(u[0])
+    return np.array(info), np.concatenate(received)

@@ -10,32 +10,54 @@ from tbmpsk.ring_code import TensorShape
 
 class TestAwgn:
     def test_zero_variance_exact(self):
-        s = np.exp(1j * np.linspace(0, 3, 50))
-        y = awgn(s, 0.0, np.random.default_rng(0))
+        s = np.exp(1j * np.linspace(0, 3, 50))[None]
+        y = awgn(s, 0.0, [np.random.default_rng(0)])
         assert np.array_equal(y, s)
 
     def test_noise_variance(self):
         rng = np.random.default_rng(1)
         n = 200_000
-        y = awgn(np.zeros(n, dtype=complex), 0.7, rng)
+        y = awgn(np.zeros((1, n), dtype=complex), 0.7, [rng])
         assert abs(np.mean(np.abs(y) ** 2) - 0.7) < 0.01
         # circular symmetry: equal power in both quadratures
         assert abs(np.var(y.real) - 0.35) < 0.01
         assert abs(np.var(y.imag) - 0.35) < 0.01
 
     def test_seeded_reproducibility(self):
-        s = np.ones(10, dtype=complex)
-        a = awgn(s, 0.5, np.random.default_rng(42))
-        b = awgn(s, 0.5, np.random.default_rng(42))
+        s = np.ones((1, 10), dtype=complex)
+        a = awgn(s, 0.5, [np.random.default_rng(42)])
+        b = awgn(s, 0.5, [np.random.default_rng(42)])
         assert np.array_equal(a, b)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            awgn(np.ones(3, dtype=complex), -0.1, np.random.default_rng(0))
+            awgn(np.ones((1, 3), dtype=complex), -0.1, [np.random.default_rng(0)])
 
     def test_nan_variance_rejected(self):
         with pytest.raises(ValueError):
-            awgn(np.ones(3, dtype=complex), float("nan"), np.random.default_rng(0))
+            awgn(np.ones((1, 3), dtype=complex), float("nan"), [np.random.default_rng(0)])
+
+    def test_row_draws_real_then_imaginary_parts(self):
+        # noise_var 2 scales by 1: a row's noise is its generator's first T
+        # normals plus 1j times its next T
+        y = awgn(np.zeros((1, 7), dtype=complex), 2.0, [np.random.default_rng(3)])
+        rng = np.random.default_rng(3)
+        re, im = rng.standard_normal(7), rng.standard_normal(7)
+        assert np.array_equal(y[0].real, re) and np.array_equal(y[0].imag, im)
+
+    def test_rows_are_their_own_generators(self):
+        # a chunk's rows equal one-row chunks, and one generator for a whole
+        # array equals that array as a one-row chunk
+        s = np.exp(1j * np.arange(15.0)).reshape(3, 5)
+        rows = [awgn(row[None], 0.4, [np.random.default_rng(i)]) for i, row in enumerate(s)]
+        chunk = awgn(s, 0.4, [np.random.default_rng(i) for i in range(3)])
+        assert np.array_equal(chunk, np.concatenate(rows))
+        whole = awgn(s, 0.4, np.random.default_rng(9))
+        assert np.array_equal(whole, awgn(s[None], 0.4, [np.random.default_rng(9)])[0])
+
+    def test_one_generator_per_row(self):
+        with pytest.raises(ValueError):
+            awgn(np.ones((2, 3), dtype=complex), 1.0, [np.random.default_rng(0)])
 
 
 class TestSimoMac:

@@ -78,6 +78,19 @@ class TestChannelPmfs:
         p = channel_pmfs(y, 0.0, 4)
         assert np.array_equal(p, np.eye(4)[[0, 1, 2, 3, 0]])
 
+    @pytest.mark.parametrize("noise_var", [0.0, 1.0])
+    def test_empty_chunk_returns_at_once(self, monkeypatch, noise_var):
+        # the engine's empty chunks, while only trials in flight hold the
+        # error budget back, skip the distance and softmax work
+        monkeypatch.setattr(decoders, "transmit_signal", None)
+        p = channel_pmfs(np.empty((0, 7), dtype=complex), noise_var, 8)
+        assert p.shape == (0, 7, 8) and p.dtype == float
+
+    @pytest.mark.parametrize("noise_var", [-1.0, float("nan")])
+    def test_empty_chunk_still_checks_the_variance(self, noise_var):
+        with pytest.raises(ValueError):
+            channel_pmfs(np.empty((0, 7), dtype=complex), noise_var, 8)
+
 
 class TestSoftmax:
     @pytest.mark.parametrize("scale", [1.0, 30.0, 1e4, 1e300])

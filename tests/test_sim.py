@@ -8,10 +8,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import awgn_trials_per_trial
 
 import tbmpsk.decoders as decoders
 import tbmpsk.sim as sim
-from tbmpsk.bounds import linear_to_db, min_snr_for_rate, tbm_rate
+from tbmpsk.bounds import db_to_linear, linear_to_db, min_snr_for_rate, tbm_rate
 from tbmpsk.channels import awgn
 from tbmpsk.modulation import encode, transmit_signal
 from tbmpsk.ring_code import TensorShape
@@ -109,6 +110,48 @@ class TestSubstreams:
         a = trial_rng(9, 2.0, 0).integers(0, 1000, 8)
         b = trial_rng(9, 2.0, 1).integers(0, 1000, 8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("snr_db", [-0.0, 0.0, np.inf, -300.0, 2.0])
+    def test_trial_rng_is_numpys_seeding(self, n, snr_db):
+        key = int(np.float64(snr_db).view(np.uint64))
+        assert _snr_key(snr_db) == key
+        for seed, trial in ((n, 3), (3, n), (n, n)):
+            want = np.random.default_rng(np.random.SeedSequence([seed, key, trial]))
+            assert np.array_equal(trial_rng(seed, snr_db, trial).integers(0, 2**62, 16),
+                                  want.integers(0, 2**62, 16))
+
+    @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (0, -(2**64))])
+    def test_negative_seed_or_trial_rejected(self, seed, trial):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence([seed, 0, trial])
+        with pytest.raises(ValueError):
+            trial_rng(seed, 0.0, trial)
+
+
+class TestProducerBits:
+    # every chunk the engine feeds its decoder is bit-identical to drawing
+    # the trials one at a time through numpy's own seeding
+    @pytest.mark.parametrize("dims, m", [((5,), 2), ((3, 2, 2, 2, 2), 3), ((5, 4, 3), 8),
+                                         ((5, 4, 3), 16)])
+    @pytest.mark.parametrize("snr_db", [-0.0, np.inf, -300.0, 1.5])
+    def test_chunks_equal_the_per_trial_route(self, monkeypatch, dims, m, snr_db):
+        chunks = []
+        monkeypatch.setitem(decoders.SINGLE_USER_DECODERS, "bp",
+                            lambda received, *args: chunks.extend(received))
+        for n in (0, 2**32 - 1, 2**32, 2**64 + 5):
+            cfg = SimConfig(dims=dims, modulation_order=m, snrs_db=(snr_db,), trials=10, seed=n,
+                            batch_size=7, stop_errors=0)
+            chunks.clear()
+            sim._trial_outcomes(cfg, snr_db, n, n + 10)
+            info, received = awgn_trials_per_trial(n, snr_db, n, n + 10, cfg.shape, 1,
+                                                   1.0 / db_to_linear(snr_db))
+            assert [len(c) for c in chunks] == [7, 3]
+            assert np.array_equal(np.concatenate(chunks), received)
+            assert np.array_equal(sim._draw_trials(cfg, snr_db, n, n + 10)[1][:, 0], info)
+        if snr_db == np.inf:
+            want = transmit_signal(encode(info, cfg.shape, 1), m)
+            assert np.array_equal(received, want)
 
 
 class TestTrialChunks:
@@ -247,7 +290,12 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
 
-        peak(64)  # fills the caches
+        # the warm-up fills the caches, and also the interpreter's free list
+        # of 2-tuples: each ``tuple(genexpr)`` of BP's spectrum parts takes
+        # a 10-tuple block and frees a 2-tuple one, so that list grows to its
+        # cap of 2,000 blocks (about 110 kB) over a process's first few
+        # thousand BP iterations, which a 64-trial warm-up does not reach
+        peak(4096)
         assert peak(4096) <= 1.5 * peak(64)
 
 
@@ -288,8 +336,7 @@ class TestByteBudget:
         outs = []
         for rows in (budget, cfg.batch_size):
             chunks = [sim._draw_trials(cfg, 0.0, a, min(a + rows, 40)) for a in range(0, 40, rows)]
-            received = [np.concatenate([awgn(s, 1.0, rng) for s, rng in zip(signal, rngs)])
-                        for rngs, _, signal in chunks]
+            received = [awgn(signal[:, 0], 1.0, rngs) for rngs, _, signal in chunks]
             decided = decoders.SINGLE_USER_DECODERS["bp"](iter(received), 1.0, cfg.shape, 1,
                                                           50, 0.0)
             outs.append((np.concatenate([info[:, 0] for _, info, _ in chunks]), decided))
