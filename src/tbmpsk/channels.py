@@ -4,6 +4,9 @@ Noise is circularly symmetric complex Gaussian with total variance
 ``noise_var`` per sample (real and imaginary parts each noise_var / 2), so
 unit-energy PSK gives SNR = 1 / noise_var.  Fading gains are i.i.d. CN(0, 1)
 per user and antenna (Rayleigh magnitudes), unknown to the receiver.
+``awgn`` is the one noise route: the engine passes it a whole chunk of
+trials with each trial's own generator, and ``simo_mac`` one trial's
+antenna observations with that trial's generator.
 """
 
 from __future__ import annotations
@@ -33,7 +36,12 @@ def awgn(signal: np.ndarray, noise_var: float,
     z = np.empty((len(s), 2) + s.shape[1:])
     for row, row_rng in zip(z, rng, strict=True):
         row_rng.standard_normal(out=row)
-    return s + np.sqrt(noise_var / 2.0) * (z[:, 0] + 1j * z[:, 1])
+    # s + sqrt(noise_var / 2) * (re + 1j * im), in that operand order, in
+    # one output array: no more transients than the noise itself
+    y = np.multiply(1j, z[:, 1])
+    np.add(z[:, 0], y, out=y)
+    np.multiply(np.sqrt(noise_var / 2.0), y, out=y)
+    return np.add(s, y, out=y)
 
 
 def simo_mac(

@@ -214,7 +214,9 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
     chunk has, refills rows as trials leave, and reports each leaving trial
     (``on_leave``) before it reads the next chunk.  A chunk holds what the
     rule admits when it is read, an empty one while that is nothing, after
-    which BP reads again once more trials have left.  ``simo-mac`` trials
+    which BP reads again once more trials have left.  A chunk's received
+    signals are one :func:`awgn` call over its trials' own RNGs, which have
+    drawn their info words (:func:`_draw_trials`).  ``simo-mac`` trials
     are drawn and decoded one at a time."""
     shape = config.shape
     noise_var = 1.0 / db_to_linear(snr_db)
