@@ -36,12 +36,15 @@ def awgn(signal: np.ndarray, noise_var: float,
     z = np.empty((len(s), 2) + s.shape[1:])
     for row, row_rng in zip(z, rng, strict=True):
         row_rng.standard_normal(out=row)
-    # s + sqrt(noise_var / 2) * (re + 1j * im), in that operand order, in
-    # one output array: no more transients than the noise itself
-    y = np.multiply(1j, z[:, 1])
-    np.add(z[:, 0], y, out=y)
-    np.multiply(np.sqrt(noise_var / 2.0), y, out=y)
-    return np.add(s, y, out=y)
+    # s + sqrt(noise_var / 2) * (re + 1j * im), a part at a time: re + 1j * im
+    # is (re, im) exactly and a real scale multiplies each part alone, so the
+    # bits are the complex expression's, without numpy's float-to-complex
+    # cast buffers
+    z *= np.sqrt(noise_var / 2.0)
+    y = s.copy()
+    y.real += z[:, 0]
+    y.imag += z[:, 1]
+    return y
 
 
 def simo_mac(

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from tbmpsk.channels import awgn
 from tbmpsk.decoders import (HALF_SPECTRUM_M, PMF_FLOOR, REFERENCE_TOL, CpFactors, _clean,
                              check_extrinsics)
 from tbmpsk.modulation import encode, transmit_signal, validate_symbols
@@ -262,14 +261,17 @@ def normalize_factors_per_user(cp: CpFactors) -> tuple[list[np.ndarray], np.ndar
 def awgn_trials_per_trial(seed: int, snr_db: float, start: int, stop: int, shape: TensorShape,
                           case: int, noise_var: float) -> tuple[np.ndarray, np.ndarray]:
     """(info words, received signals) of AWGN trials [start, stop), a trial
-    at a time: numpy's own seeding of ``[seed, SNR bit pattern, trial]``,
-    the trial's info words, then its own ``awgn`` call."""
+    at a time as the engine once drew them: numpy's own seeding of
+    ``[seed, SNR bit pattern, trial]``, the trial's info words, then its
+    noise as one complex expression over two ``standard_normal`` calls."""
     m = shape.modulation_order
     key = int(np.float64(snr_db).view(np.uint64))
     info, received = [], []
     for t in range(start, stop):
         rng = np.random.default_rng(np.random.SeedSequence([seed, key, t]))
         u = rng.integers(0, m, (1, shape.info_length(case)))
-        received.append(awgn(transmit_signal(encode(u, shape, case), m), noise_var, rng))
+        s = transmit_signal(encode(u, shape, case), m)
+        re, im = rng.standard_normal(s.shape), rng.standard_normal(s.shape)
+        received.append(s + np.sqrt(noise_var / 2.0) * (re + 1j * im))
         info.append(u[0])
     return np.array(info), np.concatenate(received)
