@@ -381,7 +381,9 @@ def bp_decode_batch(
     put in input order once, at the end.  ``on_leave(trials, decisions)``,
     if given, gets the input indices and decisions of the trials that leave,
     in the iteration they leave and before the next refill reads the
-    iterator, so a caller can decide from them what its next chunk admits.
+    iterator, so a caller can decide from them what its next chunk admits;
+    a true return ends the call there, which then returns the outputs of
+    the trials that have left, in input order.
     An empty chunk means nothing may be admitted yet: the refill stops there
     and reads the iterator again at the next one, which needs a live row
     (``ValueError`` when there is none, since nothing would change the
@@ -549,8 +551,8 @@ def bp_decode_batch(
             continue
         left.append((trial[:n][leaving], decisions[leaving], by_word[leaving],
                      age[:n][leaving], settled[leaving]))
-        if on_leave is not None:
-            on_leave(*left[-1][:2])
+        if on_leave is not None and on_leave(*left[-1][:2]):
+            break
         # the kept rows past the first n - leaving.sum() fill the holes the
         # leaving rows made before them, so no more rows move than leave
         n_kept = n - int(leaving.sum())
@@ -806,6 +808,8 @@ def multiuser_decode(
 # decisions)`` gets decided trials by their index in chunk order before the
 # next chunk is read: BP's as they leave (an empty chunk then defers the
 # next, see :func:`bp_decode_batch`), the ML oracle's a chunk at a time.  A
+# true return ends the decoding there: nothing more is read, and the
+# decisions are those of the trials decided so far, in chunk order.  A
 # von Mises phase-domain message-passing decoder would slot in here; only
 # FFT-BP and the ML oracle ship.
 
@@ -820,10 +824,10 @@ def _decode_trials_ml(chunks, noise_var, shape, case, max_iters, damping, on_lea
     decided, done = [], 0
     for y in chunks:
         words = ml_oracle_decode(y, shape, case)
-        if on_leave is not None:
-            on_leave(np.arange(done, done + len(words)), words)
         decided.append(words)
         done += len(words)
+        if on_leave is not None and on_leave(np.arange(done - len(words), done), words):
+            break
     return np.concatenate(decided)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -198,7 +199,7 @@ def _draw_trials(config: SimConfig, snr_db: float, start: int, stop: int):
 
 
 def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
-                    budget: int = 0) -> np.ndarray:
+                    budget: int = 0, verdict=None) -> np.ndarray | bool:
     """Per-trial error counts of trials [start, stop), in trial order; with
     an error ``budget`` > 0, only up to the trial whose errors reach it.
 
@@ -207,6 +208,11 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
     below the budget (always, without one).  The trials before it then
     hold fewer errors than the budget, so no trial past the stop index is
     ever drawn, and every trial up to it is.
+
+    With a ``verdict(finished, errors)``, called on the part's counts each
+    time trials finish, the part ends as soon as it returns a bool (see
+    :func:`_verdict_rule`): nothing more is drawn, the decoder call ends,
+    and that bool is returned in place of the counts.
 
     AWGN trials are drawn in chunks of at most ``batch_size`` trials, and
     under BP at most as many as fit in its byte budget (``bp_budget_rows``),
@@ -222,17 +228,21 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
     noise_var = 1.0 / db_to_linear(snr_db)
     out = np.zeros(stop - start, dtype=np.int64)
     drawn = finished = errors = 0
+    settled = None
 
     def admissible(most: int) -> int:
         if budget:
             most = min(most, budget - errors - (drawn - finished))
         return max(0, min(most, stop - start - drawn))
 
-    def settle(trials, counts: np.ndarray) -> None:
-        nonlocal finished, errors
+    def settle(trials, counts: np.ndarray) -> bool:
+        nonlocal finished, errors, settled
         out[trials] = counts
         finished += len(counts)
         errors += int(counts.sum())
+        if verdict is not None:
+            settled = verdict(finished, errors)
+        return settled is not None
 
     if config.scenario == "awgn":
         rows = config.batch_size
@@ -257,17 +267,17 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
         SINGLE_USER_DECODERS[config.decoder](
             received(), noise_var, shape, config.case, config.max_iters, config.damping,
             lambda trials, decided: settle(trials, (decided != sent[trials]).any(axis=1)))
-        return out[:drawn]
-    while admissible(1):
-        [rng], [info], [signal] = _draw_trials(config, snr_db, start + drawn, start + drawn + 1)
-        drawn += 1
-        tensor, _ = simo_mac(signal, shape, config.num_antennas, noise_var, rng)
-        decoded = multiuser_decode(
-            tensor, config.num_users, noise_var, shape, rng,
-            max_bp_iters=config.max_iters, damping=config.damping,
-        )
-        settle([drawn - 1], np.array([missed_users(info, decoded)]))
-    return out[:drawn]
+    else:
+        while settled is None and admissible(1):
+            [rng], [info], [signal] = _draw_trials(config, snr_db, start + drawn, start + drawn + 1)
+            drawn += 1
+            tensor, _ = simo_mac(signal, shape, config.num_antennas, noise_var, rng)
+            decoded = multiuser_decode(
+                tensor, config.num_users, noise_var, shape, rng,
+                max_bp_iters=config.max_iters, damping=config.damping,
+            )
+            settle([drawn - 1], np.array([missed_users(info, decoded)]))
+    return out[:drawn] if settled is None else settled
 
 
 def missed_users(sent: np.ndarray, decoded: list[np.ndarray | None]) -> int:
@@ -309,17 +319,50 @@ def _wave_size(config: SimConfig, done: int, errors: int) -> int:
     return min(want, WAVE_BATCHES * bs * config.threads, config.trials - done)
 
 
-def _collect_outcomes(config: SimConfig, snr_db: float) -> np.ndarray:
-    """Outcomes in trial order, up to the stop index.
+def _verdict_rule(config: SimConfig, target: float):
+    """The rule that settles a point's verdict, PER <= ``target``, before
+    its trials run out: ``rule(finished, errors)`` over the point's finished
+    trials, in any order, and their errors, is True or False once every
+    outcome of the trials not yet finished gives that verdict, else None.
+
+    With n units over all trials, ``miss`` is the fewest errors whose rate
+    ``errors / n`` (``run_point``'s expression) exceeds the target, and the
+    cap is the smaller of ``miss`` and a nonzero ``stop_errors``.  The point
+    fails once its errors reach ``miss``, unless the budget is below it:
+    then the budget ends the point as it would in ``run_point``, whose
+    stop index only a prefix of the trials decides.  It passes once its
+    errors plus every unit of the unfinished trials stay below the cap, so
+    that no outcome reaches the budget or the miss.  PER is monotone in the
+    outcomes, so every settled verdict is the full run's."""
+    per_trial = config.units_per_trial
+    n = config.trials * per_trial
+    miss = bisect_left(range(n + 1), True, key=lambda e: not e / n <= target)
+    cap = min(miss, config.stop_errors or miss)
+
+    def rule(finished: int, errors: int) -> bool | None:
+        if cap == miss and errors >= miss:
+            return False
+        if errors + (config.trials - finished) * per_trial < cap:
+            return True
+        return None
+
+    return rule
+
+
+def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray | bool:
+    """Outcomes in trial order, up to the stop index; with a ``rule`` from
+    :func:`_verdict_rule`, its verdict as soon as that settles instead.
 
     In one process a point runs as parts of at most ``WAVE_BATCHES``
     batches, each one decoder stream under the error budget still left
-    (:func:`_trial_outcomes`), so no trial past the stop index is drawn.
-    With several worker processes it runs in waves (:func:`_wave_size`)
-    until the budget is reached; a wave splits into min(workers, its
-    batches) contiguous parts of near-equal size, run in the workers when
-    there are several, each streaming its trials through the decoder
-    ``batch_size`` at a time."""
+    (:func:`_trial_outcomes`), so no trial past the stop index is drawn;
+    the rule is checked whenever trials finish, over the totals of the
+    whole point.  With several worker processes it runs in waves
+    (:func:`_wave_size`) until the budget is reached or, after a wave, the
+    rule settles; a wave splits into min(workers, its batches) contiguous
+    parts of near-equal size, run in the workers when there are several,
+    each streaming its trials through the decoder ``batch_size`` at a
+    time."""
     if config.scenario == "simo-mac":
         check_cp_bytes(config.shape, config.num_users, config.num_antennas)
     bs = config.batch_size
@@ -329,16 +372,22 @@ def _collect_outcomes(config: SimConfig, snr_db: float) -> np.ndarray:
     done = errors = 0
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         while done < config.trials:
+            if rule is not None and (settled := rule(done, errors)) is not None:
+                return settled
             left = config.stop_errors - errors if config.stop_errors else 0
             if workers > 1:
-                size, budget = _wave_size(config, done, errors), 0
+                size, budget, verdict = _wave_size(config, done, errors), 0, None
             else:
                 size, budget = min(WAVE_BATCHES * bs, config.trials - done), left
+                verdict = rule and (lambda f, e: rule(done + f, errors + e))
             parts = min(workers, -(-size // bs))
             cuts = [done + size * i // parts for i in range(parts + 1)]
             run_parts = pool.map if parts > 1 else map
-            wave = np.concatenate(list(run_parts(_trial_outcomes, repeat(config), repeat(snr_db),
-                                                 cuts[:-1], cuts[1:], repeat(budget))))
+            wave = list(run_parts(_trial_outcomes, repeat(config), repeat(snr_db),
+                                  cuts[:-1], cuts[1:], repeat(budget), repeat(verdict)))
+            if isinstance(wave[0], bool):
+                return wave[0]
+            wave = np.concatenate(wave)
             idx = _stop_index(wave, left)
             collected.append(wave if idx is None else wave[: idx + 1])
             if idx is not None:
@@ -347,15 +396,25 @@ def _collect_outcomes(config: SimConfig, snr_db: float) -> np.ndarray:
     return np.concatenate(collected)
 
 
-def run_point(config: SimConfig, snr_db: float) -> PointRecord:
-    """Estimate the configured scenario's error metric at one SNR."""
-    outcomes = _collect_outcomes(config, snr_db)
+def _record(config: SimConfig, snr_db: float, outcomes: np.ndarray) -> PointRecord:
     trials = int(outcomes.size)
     errors = int(outcomes.sum())
     units = trials * config.units_per_trial
     value = errors / units
     stderr = float(np.sqrt(value * (1.0 - value) / units))
     return PointRecord(float(snr_db), trials, errors, value, stderr)
+
+
+def run_point(config: SimConfig, snr_db: float) -> PointRecord:
+    """Estimate the configured scenario's error metric at one SNR."""
+    return _record(config, snr_db, _collect_outcomes(config, snr_db))
+
+
+def meets_target(config: SimConfig, snr_db: float, target: float) -> bool:
+    """``run_point(config, snr_db).value <= target``, found with no more
+    trials than settle it (:func:`_verdict_rule`)."""
+    got = _collect_outcomes(config, snr_db, _verdict_rule(config, target))
+    return got if isinstance(got, bool) else _record(config, snr_db, got).value <= target
 
 
 def run(config: SimConfig) -> SimResult:
@@ -389,8 +448,13 @@ def min_snr_sweep(
     resolution_db, the top one capped at hi_db; points are made as the
     bisection reads them, so only about log2 of the grid is ever built, and
     the noise variance, monotone in SNR, is checked at the two ends.  Grid
-    points that round to the same float SNR run once.
+    points that round to the same float SNR run once.  A point reads only
+    whether it meets the target (:func:`meets_target`), so it runs only
+    until that verdict is settled, and the result is the one full runs of
+    every point would give.  A NaN target raises ValueError.
     """
+    if np.isnan(target_error):
+        raise ValueError("target error must not be NaN")
     if not (np.isfinite(lo_db) and np.isfinite(hi_db)):
         raise ValueError(f"bracket ends must be finite, got {lo_db}, {hi_db}")
     if hi_db <= lo_db:
@@ -408,22 +472,22 @@ def min_snr_sweep(
         return lo_db + i * resolution_db if i < top else min(lo_db + top * resolution_db, hi_db)
 
     check_snrs_db([grid(0), grid(top)])
-    measured: dict[int, float] = {}
+    verdicts: dict[int, bool] = {}
 
-    def per(i: int) -> float:
+    def meets(i: int) -> bool:
         key = _snr_key(grid(i))
-        if key not in measured:
-            measured[key] = run_point(config, grid(i)).value
-        return measured[key]
+        if key not in verdicts:
+            verdicts[key] = meets_target(config, grid(i), target_error)
+        return verdicts[key]
 
-    if per(top) > target_error:
+    if not meets(top):
         return None
-    if per(0) <= target_error:
+    if meets(0):
         return float(grid(0))
     lo_i, hi_i = 0, top
     while hi_i - lo_i > 1:
         mid = (lo_i + hi_i) // 2
-        if per(mid) <= target_error:
+        if meets(mid):
             hi_i = mid
         else:
             lo_i = mid

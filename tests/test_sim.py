@@ -4,7 +4,6 @@ semantics, metric accounting, and persistence formats."""
 import json
 import tracemalloc
 from dataclasses import asdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -426,8 +425,8 @@ class TestSweep:
         # are checked, so no per-point list is ever built
         cfg, checked, read = self._cfg(), [], []
         monkeypatch.setattr(sim, "check_snrs_db", lambda snrs: checked.append(list(snrs)))
-        monkeypatch.setattr(sim, "run_point",
-                            lambda cfg, snr: read.append(snr) or SimpleNamespace(value=-snr))
+        monkeypatch.setattr(sim, "meets_target",
+                            lambda cfg, snr, target: read.append(snr) or -snr <= target)
         got = min_snr_sweep(cfg, -1.2345, 0.0, 4.0, resolution_db=0.001)
         assert checked == [[0.0, 4.0]]
         assert len(read) == 14 and got == 0.001 * 1235
@@ -437,13 +436,14 @@ class TestSweep:
         # at 1e-300 dB most grid points round to the same float SNR: the
         # bisection reads about 1,000 points, but only 54 distinct SNRs
         cfg = SimConfig(dims=(2, 2), modulation_order=4, snrs_db=(-10.0, 4.0), trials=4, seed=1)
-        ran, run_one = [], sim.run_point
-        monkeypatch.setattr(sim, "run_point", lambda c, snr: ran.append(snr) or run_one(c, snr))
+        ran, run_one = [], sim.meets_target
+        monkeypatch.setattr(sim, "meets_target",
+                            lambda c, snr, target: ran.append(snr) or run_one(c, snr, target))
         assert min_snr_sweep(cfg, 0.2, -10.0, 4.0, resolution_db=1e-300) == 1.7818584942470963
         assert len(ran) == len(set(ran)) == 54
 
     def test_top_grid_point_is_capped_at_the_bracket_end(self, monkeypatch):
-        monkeypatch.setattr(sim, "run_point", lambda cfg, snr: SimpleNamespace(value=-snr))
+        monkeypatch.setattr(sim, "meets_target", lambda cfg, snr, target: -snr <= target)
         assert min_snr_sweep(self._cfg(), -6.5, -2.0, 6.5, resolution_db=2.0) == 6.5
 
     @pytest.mark.parametrize("resolution_db", [5e-324, 1e-310])
