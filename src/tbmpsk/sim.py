@@ -209,10 +209,9 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
     hold fewer errors than the budget, so no trial past the stop index is
     ever drawn, and every trial up to it is.
 
-    With a ``verdict(finished, errors)``, called on the part's counts each
-    time trials finish, the part ends as soon as it returns a bool (see
-    :func:`_verdict_rule`): nothing more is drawn, the decoder call ends,
-    and that bool is returned in place of the counts.
+    A ``verdict(finished, errors)`` is called on the part's counts as
+    trials finish; once it returns a bool, nothing more is drawn, the
+    decoder call ends, and that bool is returned in place of the counts.
 
     AWGN trials are drawn in chunks of at most ``batch_size`` trials, and
     under BP at most as many as fit in its byte budget (``bp_budget_rows``),
@@ -320,20 +319,17 @@ def _wave_size(config: SimConfig, done: int, errors: int) -> int:
 
 
 def _verdict_rule(config: SimConfig, target: float):
-    """The rule that settles a point's verdict, PER <= ``target``, before
-    its trials run out: ``rule(finished, errors)`` over the point's finished
-    trials, in any order, and their errors, is True or False once every
-    outcome of the trials not yet finished gives that verdict, else None.
+    """``rule(finished, errors)``, over a point's finished trials (in any
+    order) and their errors: the point's verdict, PER <= ``target``, once
+    no outcome of the other trials can change it, else None.
 
-    With n units over all trials, ``miss`` is the fewest errors whose rate
-    ``errors / n`` (``run_point``'s expression) exceeds the target, and the
-    cap is the smaller of ``miss`` and a nonzero ``stop_errors``.  The point
-    fails once its errors reach ``miss``, unless the budget is below it:
-    then the budget ends the point as it would in ``run_point``, whose
-    stop index only a prefix of the trials decides.  It passes once its
-    errors plus every unit of the unfinished trials stay below the cap, so
-    that no outcome reaches the budget or the miss.  PER is monotone in the
-    outcomes, so every settled verdict is the full run's."""
+    ``miss`` is the fewest errors over all n units whose ``errors / n``
+    (``run_point``'s expression) exceeds the target.  The point fails once
+    its errors reach ``miss``, unless a nonzero ``stop_errors`` is below
+    that: the budget then ends it as in ``run_point``.  It passes once its
+    errors plus every unit of its unfinished trials stay below ``miss`` and
+    the budget.  PER is monotone in the outcomes, so a settled verdict is
+    the full run's."""
     per_trial = config.units_per_trial
     n = config.trials * per_trial
     miss = bisect_left(range(n + 1), True, key=lambda e: not e / n <= target)
@@ -350,19 +346,18 @@ def _verdict_rule(config: SimConfig, target: float):
 
 
 def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray | bool:
-    """Outcomes in trial order, up to the stop index; with a ``rule`` from
-    :func:`_verdict_rule`, its verdict as soon as that settles instead.
+    """Outcomes in trial order, up to the stop index; or, given a ``rule``
+    (:func:`_verdict_rule`), its verdict as soon as it settles.
 
     In one process a point runs as parts of at most ``WAVE_BATCHES``
     batches, each one decoder stream under the error budget still left
-    (:func:`_trial_outcomes`), so no trial past the stop index is drawn;
-    the rule is checked whenever trials finish, over the totals of the
-    whole point.  With several worker processes it runs in waves
-    (:func:`_wave_size`) until the budget is reached or, after a wave, the
-    rule settles; a wave splits into min(workers, its batches) contiguous
-    parts of near-equal size, run in the workers when there are several,
-    each streaming its trials through the decoder ``batch_size`` at a
-    time."""
+    (:func:`_trial_outcomes`), so no trial past the stop index is drawn,
+    and checks the rule on the point's totals whenever trials finish.
+    With several worker processes it runs in waves (:func:`_wave_size`)
+    until the budget is reached or, after a wave, the rule settles; a wave
+    splits into min(workers, its batches) contiguous parts of near-equal
+    size, run in the workers when there are several, each streaming its
+    trials through the decoder ``batch_size`` at a time."""
     if config.scenario == "simo-mac":
         check_cp_bytes(config.shape, config.num_users, config.num_antennas)
     bs = config.batch_size
@@ -448,10 +443,9 @@ def min_snr_sweep(
     resolution_db, the top one capped at hi_db; points are made as the
     bisection reads them, so only about log2 of the grid is ever built, and
     the noise variance, monotone in SNR, is checked at the two ends.  Grid
-    points that round to the same float SNR run once.  A point reads only
-    whether it meets the target (:func:`meets_target`), so it runs only
-    until that verdict is settled, and the result is the one full runs of
-    every point would give.  A NaN target raises ValueError.
+    points that round to the same float SNR run once, each only until its
+    verdict is settled (:func:`meets_target`).  A NaN target raises
+    ValueError.
     """
     if np.isnan(target_error):
         raise ValueError("target error must not be NaN")

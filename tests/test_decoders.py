@@ -393,6 +393,24 @@ class TestOnLeave:
         for k, t, _ in calls:
             assert (iters[t] == k).all()
 
+    @pytest.mark.parametrize("first", [1, 12])
+    def test_a_true_return_ends_the_call(self, monkeypatch, first):
+        g, pmfs = _mixed_batch()
+        want = bp_decode_batch(g, pmfs)
+        rows, calls = _spy_rows(monkeypatch), []
+
+        def leave(trials, decisions):
+            calls.append((len(rows), trials))
+            return len(calls) == 2
+
+        got = bp_decode_batch(g, _chunks(pmfs, first), on_leave=leave)
+        # no iteration after the second leave, and the outputs of the trials
+        # that left, in input order
+        assert len(calls) == 2 and len(rows) == calls[1][0]
+        trials = np.sort(np.concatenate([t for _, t in calls]))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b[trials])
+
     def test_empty_chunk_with_live_rows_defers_the_refill(self, monkeypatch):
         g, pmfs = _mixed_batch()
         want = bp_decode_batch(g, pmfs)
@@ -430,6 +448,22 @@ class TestOnLeave:
                                              lambda t, d: calls.append((t, d)))
         assert [list(t) for t, _ in calls] == [[0, 1, 2], [3, 4]]
         assert np.array_equal(np.concatenate([d for _, d in calls]), decided)
+
+    def test_ml_ends_on_a_true_return(self):
+        sh = TensorShape((4, 2, 2), 4)
+        rng = np.random.default_rng(4)
+        y = transmit_signal(encode(rng.integers(0, 4, (5, 5)), sh, 1), 4)
+        read = []
+
+        def chunks():
+            for c in (y[:3], y[3:]):
+                read.append(len(c))
+                yield c
+
+        decided = SINGLE_USER_DECODERS["ml"](chunks(), 0.1, sh, 1, 50, 0.0, lambda t, d: True)
+        assert read == [3]
+        assert np.array_equal(decided, SINGLE_USER_DECODERS["ml"](iter([y[:3]]), 0.1, sh, 1,
+                                                                  50, 0.0))
 
 
 def _noisy_pmfs(sh, trials, seed=0):

@@ -475,3 +475,90 @@ class TestSweep:
     def test_table_rejects_empty_config_list(self):
         with pytest.raises(ValueError, match="at least one configuration"):
             sweep_table([], 0.05, -2.0, 6.0)
+
+    def test_rejects_nan_target(self, monkeypatch):
+        # PER > nan and PER <= nan are both false, which would return the bracket top
+        monkeypatch.setattr(sim, "meets_target", lambda *args: pytest.fail("ran a point"))
+        with pytest.raises(ValueError, match="NaN"):
+            min_snr_sweep(self._cfg(), float("nan"), -2.0, 6.0)
+
+
+# (config fields, SNRs from a high PER to none): AWGN on (4,2,2), 40 trials,
+# under BP at M = 2 and 4 and ML on case 3, and simo-mac with 2 users
+VERDICT_CASES = {
+    "bp-m2": (dict(modulation_order=2), (-4.0, -2.0, 0.0)),
+    "bp-m4": (dict(modulation_order=4), (-2.0, 0.0, 2.0, 4.0)),
+    "ml-case3": (dict(modulation_order=4, decoder="ml", case=3), (0.0, 2.0)),
+    "simo-mac": (dict(modulation_order=4, scenario="simo-mac", num_users=2, num_antennas=2,
+                      trials=16, seed=3), (2.0,)),
+}
+
+
+class TestVerdict:
+    @staticmethod
+    def _targets(value):
+        # the measured PER and the float just below it straddle the target at
+        # every SNR, and test run_point's own expression
+        return (-0.5, 0.05, 0.2, 1.0, value, float(np.nextafter(value, -np.inf)))
+
+    @pytest.mark.parametrize("stop_errors", [0, 5, 9, 100])
+    def test_rule_thresholds(self, stop_errors):
+        # 40 units at target 0.2: 8 errors meet it (8 / 40 == 0.2) and 9 miss;
+        # a budget of 5 ends the point before that, so only the run decides
+        # whether it fails, and it passes only while no outcome reaches 5
+        cfg = SimConfig(**{**BASE, "trials": 40, "stop_errors": stop_errors})
+        rule = sim._verdict_rule(cfg, 0.2)
+        cap = 5 if stop_errors == 5 else 9
+        assert rule(20, 9) is (None if stop_errors == 5 else False)
+        assert rule(20, 8) is None
+        assert rule(40 - cap + 1, 0) is True and rule(40 - cap, 0) is None
+        assert rule(40, cap - 1) is True
+        assert sim._verdict_rule(cfg, float("nan"))(0, 0) is False
+        assert sim._verdict_rule(cfg, 1.0)(0, 0) is (True if stop_errors in (0, 100) else None)
+
+    @pytest.mark.parametrize("name, threads, batch_size", [
+        ("bp-m2", 1, 1), ("bp-m4", 1, 1), ("ml-case3", 1, 1), ("simo-mac", 1, 1),
+        ("bp-m4", 1, 64), ("bp-m4", 2, 4), ("ml-case3", 2, 4),
+    ])
+    @pytest.mark.parametrize("stop_errors", [0, 5, 100])
+    def test_verdict_is_run_points(self, name, threads, batch_size, stop_errors):
+        # 40 trials at batch size 1 run as 3 parts of WAVE_BATCHES trials in one
+        # process; a budget of 5 lies below the errors most targets allow
+        fields, snrs = VERDICT_CASES[name]
+        cfg = SimConfig(**{**BASE, "trials": 40, **fields, "snrs_db": snrs,
+                           "threads": threads, "batch_size": batch_size,
+                           "stop_errors": stop_errors})
+        for snr in snrs:
+            value = run_point(cfg, snr).value
+            for target in self._targets(value):
+                assert sim.meets_target(cfg, snr, target) is (value <= target), (snr, target)
+
+    @pytest.mark.parametrize("snr, target, want", [(-2.0, 0.05, False), (20.0, 0.2, True)])
+    def test_a_settled_point_stops_drawing_and_decoding(self, monkeypatch, snr, target, want):
+        cfg = SimConfig(**{**BASE, "snrs_db": (snr,), "batch_size": 8})
+        draws, iters, settled_at = [], [], []
+        draw, kernel, make_rule = sim.trial_rng, decoders.check_extrinsics, sim._verdict_rule
+        monkeypatch.setattr(sim, "trial_rng", lambda *a: draws.append(a) or draw(*a))
+        monkeypatch.setattr(decoders, "check_extrinsics",
+                            lambda *a: iters.append(1) or kernel(*a))
+
+        def spied_rule(config, target):
+            rule = make_rule(config, target)
+
+            def spy(finished, errors):
+                verdict = rule(finished, errors)
+                if verdict is not None and not settled_at:
+                    settled_at.append(len(iters))
+                return verdict
+
+            return spy
+
+        monkeypatch.setattr(sim, "_verdict_rule", spied_rule)
+        run_point(cfg, snr)
+        full_draws, full_iters = len(draws), len(iters)
+        draws.clear()
+        iters.clear()
+        assert sim.meets_target(cfg, snr, target) is want
+        assert len(draws) < full_draws and len(iters) < full_iters
+        # BP ends in the iteration whose leaving trials settle the verdict
+        assert settled_at == [len(iters)]
