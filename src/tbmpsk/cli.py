@@ -324,7 +324,10 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                    help="stop a point once this many errors accumulate (0 disables)")
     p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--damping", type=float, default=0.0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="most worker processes (default 1): simulate runs its SNR points, "
+                        "sweep its rows, in parallel; a lone point or row runs in one "
+                        "process (results unchanged)")
     p.add_argument("--batch-size", type=int, default=64,
                    help="most trials drawn at once and held by BP (default 64), fewer "
                         "where their working arrays would pass decoders.BP_BYTES or "

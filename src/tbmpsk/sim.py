@@ -15,10 +15,9 @@ import struct
 from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import repeat
+from functools import partial
 
 import numpy as np
 
@@ -42,9 +41,9 @@ SWEEP_COLUMNS = (
 # Most worker processes a run may ask for; a fixed number rather than the
 # host's CPU count, so a manifest recorded on one host replays on any other
 MAX_THREADS = 64
-# Most batches of trials one part of an SNR point holds: a wave's share per
-# worker (see _wave_size), or one decoder stream in one process
-WAVE_BATCHES = 16
+# Most batches of trials one part of an SNR point holds: one decoder stream,
+# so what a point holds at once does not grow with its trials
+PART_BATCHES = 16
 
 
 def check_snrs_db(snrs_db) -> None:
@@ -288,36 +287,6 @@ def missed_users(sent: np.ndarray, decoded: list[np.ndarray | None]) -> int:
     return int(sum(want.values()) - matched)
 
 
-def _stop_index(outcomes: np.ndarray, budget: int) -> int | None:
-    """First trial index at which cumulative errors reach the budget; None
-    when the budget is never reached (or is 0, stopping disabled)."""
-    if budget <= 0:
-        return None
-    hits = np.nonzero(np.cumsum(outcomes) >= budget)[0]
-    return int(hits[0]) if hits.size else None
-
-
-def _wave_size(config: SimConfig, done: int, errors: int) -> int:
-    """Trials of the next wave of a point run by several worker processes,
-    after ``done`` trials with ``errors`` errors.
-
-    Without a stop budget, all that are left; else first ``stop_errors``
-    trials (fewer cannot reach the budget), then the trials the budget is
-    expected to need at the error rate seen so far, at least ``batch_size``
-    and at most 4x those done.  Never more than ``WAVE_BATCHES`` batches per
-    worker, so what a wave holds per trial stays bounded.  Outcomes past the
-    stop index, in the wave that holds it, are decoded but discarded."""
-    bs = config.batch_size
-    if config.stop_errors == 0:
-        want = config.trials
-    elif done == 0:
-        want = config.stop_errors
-    else:
-        need = -(-(config.stop_errors - errors) * done // errors) if errors else 4 * done
-        want = max(min(need, 4 * done), bs)
-    return min(want, WAVE_BATCHES * bs * config.threads, config.trials - done)
-
-
 def _verdict_rule(config: SimConfig, target: float):
     """``rule(finished, errors)``, over a point's finished trials (in any
     order) and their errors: the point's verdict, PER <= ``target``, once
@@ -349,45 +318,25 @@ def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray
     """Outcomes in trial order, up to the stop index; or, given a ``rule``
     (:func:`_verdict_rule`), its verdict as soon as it settles.
 
-    In one process a point runs as parts of at most ``WAVE_BATCHES``
+    The point runs in this process as parts of at most ``PART_BATCHES``
     batches, each one decoder stream under the error budget still left
     (:func:`_trial_outcomes`), so no trial past the stop index is drawn,
-    and checks the rule on the point's totals whenever trials finish.
-    With several worker processes it runs in waves (:func:`_wave_size`)
-    until the budget is reached or, after a wave, the rule settles; a wave
-    splits into min(workers, its batches) contiguous parts of near-equal
-    size, run in the workers when there are several, each streaming its
-    trials through the decoder ``batch_size`` at a time."""
+    and checks the rule on the point's totals whenever trials finish."""
     if config.scenario == "simo-mac":
         check_cp_bytes(config.shape, config.num_users, config.num_antennas)
-    bs = config.batch_size
-    most = min(config.trials, WAVE_BATCHES * bs * config.threads)
-    workers = min(config.threads, -(-most // bs))
     collected: list[np.ndarray] = []
     done = errors = 0
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        while done < config.trials:
-            if rule is not None and (settled := rule(done, errors)) is not None:
-                return settled
-            left = config.stop_errors - errors if config.stop_errors else 0
-            if workers > 1:
-                size, budget, verdict = _wave_size(config, done, errors), 0, None
-            else:
-                size, budget = min(WAVE_BATCHES * bs, config.trials - done), left
-                verdict = rule and (lambda f, e: rule(done + f, errors + e))
-            parts = min(workers, -(-size // bs))
-            cuts = [done + size * i // parts for i in range(parts + 1)]
-            run_parts = pool.map if parts > 1 else map
-            wave = list(run_parts(_trial_outcomes, repeat(config), repeat(snr_db),
-                                  cuts[:-1], cuts[1:], repeat(budget), repeat(verdict)))
-            if isinstance(wave[0], bool):
-                return wave[0]
-            wave = np.concatenate(wave)
-            idx = _stop_index(wave, left)
-            collected.append(wave if idx is None else wave[: idx + 1])
-            if idx is not None:
-                break
-            done, errors = done + wave.size, errors + int(wave.sum())
+    while done < config.trials and not (config.stop_errors and errors >= config.stop_errors):
+        if rule is not None and (settled := rule(done, errors)) is not None:
+            return settled
+        left = config.stop_errors - errors if config.stop_errors else 0
+        part = _trial_outcomes(config, snr_db, done,
+                               min(done + PART_BATCHES * config.batch_size, config.trials),
+                               left, rule and (lambda f, e: rule(done + f, errors + e)))
+        if isinstance(part, bool):
+            return part
+        collected.append(part)
+        done, errors = done + part.size, errors + int(part.sum())
     return np.concatenate(collected)
 
 
@@ -412,8 +361,23 @@ def meets_target(config: SimConfig, snr_db: float, target: float) -> bool:
     return got if isinstance(got, bool) else _record(config, snr_db, got).value <= target
 
 
+def _map_units(fn, threads: int, units) -> list:
+    """``[fn(u) for u in units]``, in one pool of min(``threads``, units)
+    worker processes when that is more than one.  Each unit is a whole SNR
+    point or sweep row, a pure function of its arguments, so the results do
+    not depend on ``threads``."""
+    units = list(units)
+    workers = min(threads, len(units))
+    if workers < 2:
+        return list(map(fn, units))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, units))
+
+
 def run(config: SimConfig) -> SimResult:
-    return SimResult(config, tuple(run_point(config, s) for s in config.snrs_db))
+    """Every SNR point of ``config``, in up to ``config.threads`` processes."""
+    return SimResult(config, tuple(_map_units(partial(run_point, config), config.threads,
+                                              config.snrs_db)))
 
 
 # --- sweep -------------------------------------------------------------------
@@ -496,19 +460,21 @@ def sweep_table(
     resolution_db: float = 0.25,
 ) -> list[SweepRow]:
     """Rate versus measured minimum SNR for each configuration, with the
-    normal-approximation benchmark SNR at the same blocklength and target."""
+    normal-approximation benchmark SNR at the same blocklength and target.
+
+    Every row's rate and bound are computed first, so an invalid target
+    fails before any trial runs; the rows' sweeps then run in up to the
+    largest ``threads`` of the configurations' processes."""
     if not configs:
         raise ValueError("need at least one configuration")
-    rows = []
-    for cfg in configs:
-        shape = cfg.shape
-        rate = tbm_rate(shape, cfg.case)
-        bound = linear_to_db(
-            min_snr_for_rate(shape.blocklength, target_error, rate)
-        )
-        found = min_snr_sweep(cfg, target_error, lo_db, hi_db, resolution_db)
-        rows.append(SweepRow(cfg, rate, target_error, found, bound))
-    return rows
+    rates = [tbm_rate(cfg.shape, cfg.case) for cfg in configs]
+    bounds = [linear_to_db(min_snr_for_rate(cfg.shape.blocklength, target_error, rate))
+              for cfg, rate in zip(configs, rates)]
+    found = _map_units(partial(min_snr_sweep, target_error=target_error, lo_db=lo_db,
+                               hi_db=hi_db, resolution_db=resolution_db),
+                       max(cfg.threads for cfg in configs), configs)
+    return [SweepRow(cfg, rate, target_error, f, b)
+            for cfg, rate, f, b in zip(configs, rates, found, bounds)]
 
 
 # --- persistence -------------------------------------------------------------

@@ -291,7 +291,7 @@ class TestSimulateReplay:
         ("sweep", "--shapes", "2,2", "--mods", "4", *SWEEP_BRACKET),
     ])
     def test_threads_above_cap_exit_2(self, run_args, tmp_path, capsys):
-        # --trials 4 is one batch, which would run in-process: no worker starts
+        # one SNR or one row would run in this process: no worker starts
         out = tmp_path / "r.csv"
         assert run_cli(*run_args, "--trials", "4", "--seed", "1",
                        "--threads", str(sim.MAX_THREADS + 1), "--out", str(out)) == 2
@@ -318,6 +318,45 @@ class TestSimulateReplay:
                        "--seed", "1", "--out", str(out)) == 3
         assert "CP-ALS arrays" in capsys.readouterr().err
         assert not drawn and not out.exists()
+
+    @pytest.mark.parametrize("run_args, code, message", [
+        (("--shape", "20,16,10", "--decoder", "ml"), 3, "ML enumeration"),
+        (("--shape", "4,2,2", "--scenario", "simo-mac", "--users", "2", "--antennas", "2"),
+         3, "CP-ALS arrays"),
+        (("--shape", "4,2,2"), 2, "raised in process"),
+    ], ids=["ml-guard", "cp-byte-guard", "value-error"])
+    def test_error_in_a_worker_keeps_its_exit_code(self, monkeypatch, run_args, code,
+                                                   message, tmp_path, capsys):
+        # two SNRs at --threads 2 run in a pool of 2, so the parent runs no
+        # point; forked workers inherit the patched limit and producer
+        made, pool = [], sim.ProcessPoolExecutor
+        monkeypatch.setattr(sim, "ProcessPoolExecutor",
+                            lambda max_workers: made.append(max_workers) or pool(max_workers))
+        monkeypatch.setattr(decoders, "CP_BYTES", 1000)
+
+        def fail(*args):
+            raise ValueError(f"raised in process {os.getpid()}")
+
+        if code == 2:
+            monkeypatch.setattr(sim, "_trial_outcomes", fail)
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--mod", "4", "--snr-db", "0,2", "--trials", "4",
+                       "--seed", "1", "--threads", "2", *run_args, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert f"process {os.getpid()}\n" not in err
+        assert made == [2] and not out.exists()
+
+    def test_sweep_invalid_target_exits_2_before_any_trial(self, monkeypatch, capsys):
+        # every row's bound is computed before the pool starts
+        made, drawn = [], []
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", lambda **kw: made.append(kw))
+        monkeypatch.setattr(sim, "trial_rng", lambda *key: drawn.append(key))
+        assert run_cli("sweep", "--shapes", "4,2,2;2,2", "--mods", "4", "--target-per", "1.5",
+                       "--snr-lo", "0", "--snr-hi", "4", "--trials", "4", "--seed", "1",
+                       "--threads", "2") == 2
+        assert "error: target error" in capsys.readouterr().err
+        assert not made and not drawn
 
     @pytest.mark.parametrize("run_args", [
         ("--decoder", "bp"),

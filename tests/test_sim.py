@@ -33,6 +33,28 @@ BASE = dict(dims=(4, 2, 2), modulation_order=4, snrs_db=(2.0,), trials=60,
             seed=9, case=1, decoder="bp", stop_errors=0)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the pools ``sim`` opens, each run in this
+    process in place of a real pool."""
+    made = []
+
+    class Pool:
+        map = staticmethod(map)
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", Pool)
+    return made
+
+
 class TestConfig:
     def test_round_trip_through_dict(self):
         cfg = SimConfig(**BASE)
@@ -182,31 +204,38 @@ class TestDeterminism:
         assert p1 == p2
 
     def test_thread_invariance(self):
-        p1 = run_point(SimConfig(**{**BASE, "threads": 1}), 2.0)
-        p2 = run_point(SimConfig(**{**BASE, "threads": 2, "batch_size": 16}), 2.0)
+        # two SNRs, so two processes run them as separate units
+        cfg = SimConfig(**{**BASE, "snrs_db": (0.0, 2.0), "threads": 1})
+        p1 = run(cfg).points
+        p2 = run(SimConfig(**{**asdict(cfg), "threads": 2, "batch_size": 16})).points
         assert p1 == p2
 
-    def test_one_worker_per_batch_at_most(self, monkeypatch):
-        # 4 threads start 2 workers for 2 batches, and none for 1 batch
-        made = []
+    def test_one_pool_of_at_most_one_worker_per_unit(self, pools):
+        # a run or sweep_table call opens one pool of min(threads, units)
+        # workers, and none for a single unit; every result is unchanged
+        cfg = SimConfig(**{**BASE, "snrs_db": (0.0, 2.0, 4.0), "trials": 20})
+        rows = [cfg, SimConfig(**{**asdict(cfg), "dims": (2, 2)})]
+        sweep = (0.1, 0.0, 4.0, 2.0)
+        points = run(cfg).points
+        one_row, two_rows = (sweep_csv(sweep_table(c, *sweep)) for c in (rows[:1], rows))
+        assert pools == []
 
-        class Pool:
-            map = staticmethod(map)
+        def at(threads, config=cfg, **fields):
+            return SimConfig(**{**asdict(config), "threads": threads, **fields})
 
-            def __init__(self, max_workers):
-                made.append(max_workers)
+        assert run(at(4)).points == points
+        assert pools == [3]
+        assert run(at(4, snrs_db=(2.0,))).points == points[1:2]
+        assert sweep_csv(sweep_table([at(4)], *sweep)) == one_row
+        assert pools == [3]
+        assert sweep_csv(sweep_table([at(2, c) for c in rows], *sweep)) == two_rows
+        assert pools == [3, 2]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", Pool)
-        want = run_point(SimConfig(**BASE), 2.0)
-        assert run_point(SimConfig(**{**BASE, "threads": 4, "batch_size": 30}), 2.0) == want
-        assert run_point(SimConfig(**{**BASE, "threads": 4, "batch_size": 60}), 2.0) == want
-        assert made == [2]
+    def test_sweep_pool_is_sized_by_the_largest_threads(self, pools, monkeypatch):
+        monkeypatch.setattr(sim, "meets_target", lambda cfg, snr, target: True)
+        configs = [SimConfig(**{**BASE, "threads": t}) for t in (1, 3, 2, 1)]
+        assert [r.min_snr_db for r in sweep_table(configs, 0.1, 0.0, 4.0)] == [0.0] * 4
+        assert pools == [3]
 
     def test_snr_grid_order_irrelevant(self):
         cfg_a = SimConfig(**{**BASE, "snrs_db": (0.0, 2.0)})
@@ -253,7 +282,9 @@ class TestEarlyStop:
             assert len(drawn) == p.trials
             assert [t for _, _, t in drawn] == list(range(p.trials))
             points.add(p)
-            points.add(run_point(SimConfig(**{**kw, "batch_size": bs, "threads": 2}), -2.0))
+            # and two processes, each running one whole point, agree with it
+            two = SimConfig(**{**kw, "snrs_db": (-2.0, 0.0), "batch_size": bs, "threads": 2})
+            points.add(run(two).points[0])
         assert len(points) == 1
 
     def test_simo_mac_decodes_no_trial_past_the_budget(self, monkeypatch):
@@ -277,8 +308,8 @@ class TestEarlyStop:
 
 class TestMemory:
     def test_peak_does_not_grow_with_trials(self):
-        # a wave holds at most WAVE_BATCHES batches per worker, and its trials
-        # are drawn only as BP has rows for them
+        # a part holds at most PART_BATCHES batches, and its trials are drawn
+        # only as BP has rows for them
         def peak(trials):
             cfg = SimConfig(dims=(4, 4, 2), modulation_order=4, snrs_db=(2.0,), trials=trials,
                             seed=5, stop_errors=0, batch_size=32)
@@ -472,6 +503,22 @@ class TestSweep:
         assert lines[0] == "shape,M,case,rate,target_per,min_snr_db,bound_snr_db,trials,seed"
         assert len(lines) == 2
 
+    def test_table_computes_every_bound_before_any_trial(self, monkeypatch):
+        # the second row's bound fails, so the first row's sweep never starts
+        drawn, bound = [], sim.min_snr_for_rate
+        monkeypatch.setattr(sim, "trial_rng", lambda *key: drawn.append(key))
+
+        def unreachable_at_length_4(blocklength, target, rate):
+            if blocklength == 4:
+                raise RuntimeError("unreachable")
+            return bound(blocklength, target, rate)
+
+        monkeypatch.setattr(sim, "min_snr_for_rate", unreachable_at_length_4)
+        configs = [self._cfg(), SimConfig(**{**asdict(self._cfg()), "dims": (2, 2)})]
+        with pytest.raises(RuntimeError, match="unreachable"):
+            sweep_table(configs, 0.05, -2.0, 6.0, resolution_db=2.0)
+        assert not drawn
+
     def test_table_rejects_empty_config_list(self):
         with pytest.raises(ValueError, match="at least one configuration"):
             sweep_table([], 0.05, -2.0, 6.0)
@@ -522,14 +569,16 @@ class TestVerdict:
     ])
     @pytest.mark.parametrize("stop_errors", [0, 5, 100])
     def test_verdict_is_run_points(self, name, threads, batch_size, stop_errors):
-        # 40 trials at batch size 1 run as 3 parts of WAVE_BATCHES trials in one
-        # process; a budget of 5 lies below the errors most targets allow
+        # 40 trials at batch size 1 run as 3 parts of PART_BATCHES trials in one
+        # process; a budget of 5 lies below the errors most targets allow.  The
+        # values come from run, which at 2 threads runs the SNRs in a pool, and
+        # each verdict from meets_target in this process
         fields, snrs = VERDICT_CASES[name]
         cfg = SimConfig(**{**BASE, "trials": 40, **fields, "snrs_db": snrs,
                            "threads": threads, "batch_size": batch_size,
                            "stop_errors": stop_errors})
-        for snr in snrs:
-            value = run_point(cfg, snr).value
+        for snr, point in zip(snrs, run(cfg).points):
+            value = point.value
             for target in self._targets(value):
                 assert sim.meets_target(cfg, snr, target) is (value <= target), (snr, target)
 
