@@ -331,7 +331,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, default=64,
                    help="most trials drawn at once and held by BP (default 64), fewer "
                         "where their working arrays would pass decoders.BP_BYTES or "
-                        "under a nearly spent --stop-errors budget (results unchanged)")
+                        "than the --stop-errors budget has errors left (results unchanged)")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
 
 

@@ -62,13 +62,11 @@ def channel_pmfs(received: np.ndarray, noise_var: float, modulation_order: int) 
     minimum before exponentiation, so arbitrarily small noise variances
     yield a clean indicator pmf instead of 0/0; zero variance (infinite
     SNR) gives the indicator of the nearest point, ties to the smallest
-    symbol.  An empty input (a chunk of no trials) returns at once.
+    symbol.
     """
     if not noise_var >= 0:
         raise ValueError(f"noise variance must be non-negative, got {noise_var}")
     y = np.asarray(received, dtype=complex)
-    if not y.size:
-        return np.empty(y.shape + (modulation_order,))
     points = transmit_signal(np.arange(modulation_order), modulation_order)
     d2 = np.empty(y.shape + (modulation_order,))
     for j, point in enumerate(points):  # a symbol at a time: no (..., M) complex transient
@@ -362,15 +360,15 @@ def bp_decode_batch(
 
     ``observation_pmfs`` is a (B, T, M) array, one channel pmf per position
     and trial, or an iterator of such chunks, read lazily one chunk at a
-    time; an array counts as one chunk, and an empty array as no chunk.  The
-    capacity is the first chunk's trials, cut to :func:`bp_budget_rows`, the
-    most trials whose working arrays fit in ``BP_BYTES``; chunks are taken
-    at most that many trials at a time, so a call's arrays stay within the
-    budget whatever the batch.  Per trial, stops once hard decisions survive
-    3 consecutive iterations or after ``max_iters``; each trial's outcome
-    depends only on its own row, so results are identical under any
-    batching.  Returns (decisions, posteriors, iterations, converged), one
-    row per trial in input order.
+    time; an array counts as one chunk, and an empty chunk adds no trial.
+    The capacity is the first non-empty chunk's trials, cut to
+    :func:`bp_budget_rows`, the most trials whose working arrays fit in
+    ``BP_BYTES``; chunks are taken at most that many trials at a time, so a
+    call's arrays stay within the budget whatever the batch.  Per trial,
+    stops once hard decisions survive 3 consecutive iterations or after
+    ``max_iters``; each trial's outcome depends only on its own row, so
+    results are identical under any batching.  Returns (decisions,
+    posteriors, iterations, converged), one row per trial in input order.
 
     Trials leave as they finish: on a trial's last iteration its outputs are
     kept with its trial index and the live rows are packed to the front of
@@ -381,14 +379,9 @@ def bp_decode_batch(
     put in input order once, at the end.  ``on_leave(trials, decisions)``,
     if given, gets the input indices and decisions of the trials that leave,
     in the iteration they leave and before the next refill reads the
-    iterator, so a caller can decide from them what its next chunk admits;
+    iterator, so a caller can decide from them what its next chunk holds;
     a true return ends the call there, which then returns the outputs of
     the trials that have left, in input order.
-    An empty chunk means nothing may be admitted yet: the refill stops there
-    and reads the iterator again at the next one, which needs a live row
-    (``ValueError`` when there is none, since nothing would change the
-    iterator's answer); so an iterator's first chunk, which sets the
-    capacity, must not be empty.
 
     Messages use the trial-contiguous planar layout of the module
     docstring, (d, M, B) + positions, and spectra its parts
@@ -423,8 +416,9 @@ def bp_decode_batch(
     d = len(dims)
     nv, t_len, m = graph.num_vars, graph.num_checks, graph.shape.modulation_order
     chunks = (observation_pmfs if isinstance(observation_pmfs, Iterator)
-              else iter([observation_pmfs] if len(observation_pmfs) else []))
-    head = next(chunks, None)  # read before the buffers, whose rows are its trials
+              else iter([observation_pmfs]))
+    # read before the buffers, whose rows are its trials
+    head = next((c for c in chunks if len(c)), None)
     capacity = min(max(1, 0 if head is None else len(head)), bp_budget_rows(graph.shape, damping))
 
     # each mode's first info entry: 1 where entry 0 holds the reference symbol
@@ -433,13 +427,11 @@ def bp_decode_batch(
     def pieces(chunk) -> Iterator[tuple[np.ndarray, ...]]:
         """The spectrum parts of the cleaned pmfs of ``chunk`` and the later
         chunks, (bins, b) + dims each, read as needed, in pieces of
-        b <= ``capacity`` trials; an empty chunk gives one empty piece."""
+        b <= ``capacity`` trials."""
         while chunk is not None:
             obs = np.asarray(chunk, dtype=float)
             if obs.ndim != 3 or obs.shape[1:] != (t_len, m):
                 raise ValueError(f"observation pmfs must be (B, {t_len}, {m})")
-            if not len(obs):
-                yield ()
             for a in range(0, len(obs), capacity):
                 # in a call, so that no transient outlives the yield
                 yield spectrum(obs[a : a + capacity])
@@ -486,18 +478,12 @@ def bp_decode_batch(
 
     while True:
         # pending trials move into the free rows; a piece is dropped once all
-        # of its trials are in, and the next one is read when rows are free.
-        # An empty piece admits nothing until the next refill
+        # of its trials are in, and the next one is read when rows are free
         while n < capacity:
             if pending is None:
                 pending, taken = next(source, None), 0
                 if pending is None:
                     break
-            if not pending:
-                pending = None
-                if n == 0:
-                    raise ValueError("empty chunk with no live trial: nothing left could admit one")
-                break
             a = min(capacity - n, pending[0].shape[1] - taken)
             for j in range(len(obs_f)):  # by index, so that no name outlives the piece
                 obs_f[j][:, n : n + a] = pending[j][:, taken : taken + a]
@@ -806,9 +792,8 @@ def multiuser_decode(
 # in ``BP_BYTES`` (the engine draws its chunks no larger, so each chunk's
 # channel pmfs are no larger than BP's rows for them).  ``on_leave(trials,
 # decisions)`` gets decided trials by their index in chunk order before the
-# next chunk is read: BP's as they leave (an empty chunk then defers the
-# next, see :func:`bp_decode_batch`), the ML oracle's a chunk at a time.  A
-# true return ends the decoding there: nothing more is read, and the
+# next chunk is read: BP's as they leave, the ML oracle's a chunk at a
+# time.  A true return ends the decoding there: nothing more is read, and the
 # decisions are those of the trials decided so far, in chunk order.  A
 # von Mises phase-domain message-passing decoder would slot in here; only
 # FFT-BP and the ML oracle ship.

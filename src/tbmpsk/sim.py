@@ -202,11 +202,11 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
     """Per-trial error counts of trials [start, stop), in trial order; with
     an error ``budget`` > 0, only up to the trial whose errors reach it.
 
-    A trial is drawn only once it is admitted: with e errors among the
-    finished trials and u trials drawn but not finished, while e + u is
-    below the budget (always, without one).  The trials before it then
-    hold fewer errors than the budget, so no trial past the stop index is
-    ever drawn, and every trial up to it is.
+    A chunk holds no more trials than the budget less the errors of the
+    finished trials, so the trials drawn always reach the stop index, and
+    none is drawn once that is nothing.  The finished trials' prefix, in
+    trial order, settles the stop index: once its errors reach the budget,
+    the decoder call ends, and trials drawn past it are discarded.
 
     A ``verdict(finished, errors)`` is called on the part's counts as
     trials finish; once it returns a bool, nothing more is drawn, the
@@ -216,31 +216,34 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
     under BP at most as many as fit in its byte budget (``bp_budget_rows``),
     and decoded as one stream: BP holds as many trials at once as its first
     chunk has, refills rows as trials leave, and reports each leaving trial
-    (``on_leave``) before it reads the next chunk.  A chunk holds what the
-    rule admits when it is read, an empty one while that is nothing, after
-    which BP reads again once more trials have left.  A chunk's received
+    (``on_leave``) before it reads the next chunk.  A chunk's received
     signals are one :func:`awgn` call over its trials' own RNGs, which have
     drawn their info words (:func:`_draw_trials`).  ``simo-mac`` trials
     are drawn and decoded one at a time."""
     shape = config.shape
     noise_var = 1.0 / db_to_linear(snr_db)
-    out = np.zeros(stop - start, dtype=np.int64)
+    out = np.full(stop - start, -1, dtype=np.int64)  # -1 until the trial finishes
     drawn = finished = errors = 0
-    settled = None
+    cut = settled = None
 
-    def admissible(most: int) -> int:
+    def room(most: int) -> int:
         if budget:
-            most = min(most, budget - errors - (drawn - finished))
-        return max(0, min(most, stop - start - drawn))
+            most = min(most, budget - errors)
+        return min(most, stop - start - drawn)
 
     def settle(trials, counts: np.ndarray) -> bool:
-        nonlocal finished, errors, settled
+        nonlocal finished, errors, cut, settled
         out[trials] = counts
         finished += len(counts)
         errors += int(counts.sum())
+        if budget and errors >= budget:
+            # running errors of the finished prefix: the first unfinished trial ends it
+            prefix = np.cumsum(out[: (np.minimum.accumulate(out) >= 0).sum()])
+            if (i := int(np.searchsorted(prefix, budget))) < prefix.size:
+                cut = i + 1
         if verdict is not None:
             settled = verdict(finished, errors)
-        return settled is not None
+        return cut is not None or settled is not None
 
     if config.scenario == "awgn":
         rows = config.batch_size
@@ -249,13 +252,8 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
         sent = np.empty((stop - start, shape.info_length(config.case)), dtype=np.int64)
 
         def received():
-            # until no trial is left or none will be admitted: an empty chunk
-            # while only in-flight trials hold the budget back
             nonlocal drawn
-            while drawn < stop - start and ((b := admissible(rows)) or drawn > finished):
-                if not b:
-                    yield np.empty((0, shape.blocklength), dtype=complex)
-                    continue
+            while (b := room(rows)) > 0:
                 rngs, info, signal = _draw_trials(config, snr_db, start + drawn,
                                                   start + drawn + b)
                 sent[drawn : drawn + b] = info[:, 0]
@@ -266,7 +264,7 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
             received(), noise_var, shape, config.case, config.max_iters, config.damping,
             lambda trials, decided: settle(trials, (decided != sent[trials]).any(axis=1)))
     else:
-        while settled is None and admissible(1):
+        while settled is None and room(1) > 0:
             [rng], [info], [signal] = _draw_trials(config, snr_db, start + drawn, start + drawn + 1)
             drawn += 1
             tensor, _ = simo_mac(signal, shape, config.num_antennas, noise_var, rng)
@@ -275,7 +273,7 @@ def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
                 max_bp_iters=config.max_iters, damping=config.damping,
             )
             settle([drawn - 1], np.array([missed_users(info, decoded)]))
-    return out[:drawn] if settled is None else settled
+    return out[:cut] if settled is None else settled
 
 
 def missed_users(sent: np.ndarray, decoded: list[np.ndarray | None]) -> int:
@@ -320,8 +318,8 @@ def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray
 
     The point runs in this process as parts of at most ``PART_BATCHES``
     batches, each one decoder stream under the error budget still left
-    (:func:`_trial_outcomes`), so no trial past the stop index is drawn,
-    and checks the rule on the point's totals whenever trials finish."""
+    (:func:`_trial_outcomes`) and cut at the stop index, and checks the
+    rule on the point's totals whenever trials finish."""
     if config.scenario == "simo-mac":
         check_cp_bytes(config.shape, config.num_users, config.num_antennas)
     collected: list[np.ndarray] = []

@@ -79,10 +79,8 @@ class TestChannelPmfs:
         assert np.array_equal(p, np.eye(4)[[0, 1, 2, 3, 0]])
 
     @pytest.mark.parametrize("noise_var", [0.0, 1.0])
-    def test_empty_chunk_returns_at_once(self, monkeypatch, noise_var):
-        # the engine's empty chunks, while only trials in flight hold the
-        # error budget back, skip the distance and softmax work
-        monkeypatch.setattr(decoders, "transmit_signal", None)
+    def test_empty_chunk_returns_at_once(self, noise_var):
+        # a chunk of no trials takes the general path to an empty pmf array
         p = channel_pmfs(np.empty((0, 7), dtype=complex), noise_var, 8)
         assert p.shape == (0, 7, 8) and p.dtype == float
 
@@ -292,7 +290,7 @@ class TestActiveSet:
 
 
 # rows of the uneven chunks that follow the first one of a stream
-LATER_ROWS = (4, 1, 7)
+LATER_ROWS = (4, 0, 7)
 
 
 def _chunk_rows(first, trials):
@@ -411,33 +409,19 @@ class TestOnLeave:
         for a, b in zip(got, want):
             assert np.array_equal(a, b[trials])
 
-    def test_empty_chunk_with_live_rows_defers_the_refill(self, monkeypatch):
+    def test_empty_chunks_add_no_trial(self, monkeypatch):
+        # empty chunks first, in the middle and last: the same outputs and
+        # the same on_leave calls, in the same iterations, as without them
         g, pmfs = _mixed_batch()
-        want = bp_decode_batch(g, pmfs)
-        iters = want[2]
-        a, b = np.flatnonzero(iters != iters[0])[0], 0  # two trials that leave apart
-        lone, reads = min(iters[a], iters[b]), []
-        rows = _spy_rows(monkeypatch)
-
-        def source():
-            for chunk in (pmfs[[a, b]], pmfs[:0], pmfs[[a, b]]):
-                reads.append(len(rows))
-                yield chunk
-
-        got = bp_decode_batch(g, source())
-        # the empty chunk is read when the first trial leaves, and the next
-        # chunk one iteration later, which runs the other trial alone
-        assert reads == [0, lone, lone + 1]
-        assert rows[lone] == 1 and rows[lone + 1] == 2
-        order = [a, b, a, b]
-        for x, y in zip(got, want):
-            assert np.array_equal(x, y[order])
-
-    @pytest.mark.parametrize("rows", [[0], [1, 0]])
-    def test_empty_chunk_with_no_live_rows_raises(self, rows):
-        g, pmfs = _mixed_batch()
-        with pytest.raises(ValueError, match="empty chunk"):
-            bp_decode_batch(g, (pmfs[:r] for r in rows))
+        plain = [c for c in _chunks(pmfs, 3) if len(c)]
+        padded = [pmfs[:0], pmfs[:0], *plain[:2], pmfs[:0], *plain[2:], pmfs[:0]]
+        want, want_calls = self._leaves(monkeypatch, g, iter(plain))
+        got, calls = self._leaves(monkeypatch, g, iter(padded))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert len(calls) == len(want_calls)
+        for (k, t, d), (wk, wt, wd) in zip(calls, want_calls):
+            assert k == wk and np.array_equal(t, wt) and np.array_equal(d, wd)
 
     def test_ml_reports_each_chunk(self):
         sh = TensorShape((4, 2, 2), 4)

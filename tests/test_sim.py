@@ -276,16 +276,51 @@ class TestEarlyStop:
             monkeypatch.setattr(sim, "trial_rng", lambda *a: drawn.append(a) or draw(*a))
             p = run_point(cfg, -2.0)
             monkeypatch.setattr(sim, "trial_rng", draw)
-            # one process draws every trial up to the stop index, in order,
-            # and none past it
+            # one process draws every trial up to the stop index, in order;
+            # trials drawn past it are discarded
             assert p.trials == stop + 1
-            assert len(drawn) == p.trials
-            assert [t for _, _, t in drawn] == list(range(p.trials))
+            assert len(drawn) >= p.trials
+            assert [t for _, _, t in drawn] == list(range(len(drawn)))
             points.add(p)
             # and two processes, each running one whole point, agree with it
             two = SimConfig(**{**kw, "snrs_db": (-2.0, 0.0), "batch_size": bs, "threads": 2})
             points.add(run(two).points[0])
         assert len(points) == 1
+
+    @pytest.mark.parametrize("snr", [-2.0, 2.0, 4.0])
+    def test_a_budget_of_one_draws_no_trial_past_the_stop_index(self, monkeypatch, snr):
+        # every chunk holds at most the one error left, so BP holds one trial
+        # and the next is drawn only once the last one has left without error
+        drawn, draw = [], sim.trial_rng
+        monkeypatch.setattr(sim, "trial_rng", lambda *a: drawn.append(a) or draw(*a))
+        cfg = SimConfig(**{**BASE, "snrs_db": (snr,), "trials": 200, "stop_errors": 1})
+        p = run_point(cfg, snr)
+        assert p.errors == 1 and len(drawn) == p.trials
+
+    @pytest.mark.parametrize("decoder, case", [("bp", 1), ("ml", 3)])
+    def test_no_chunk_holds_more_trials_than_the_budget(self, monkeypatch, decoder, case):
+        sizes, noise = [], sim.awgn
+        monkeypatch.setattr(sim, "awgn", lambda signal, *a: sizes.append(len(signal))
+                            or noise(signal, *a))
+        cfg = SimConfig(**{**BASE, "snrs_db": (-2.0,), "trials": 200, "stop_errors": 8,
+                           "decoder": decoder, "case": case})
+        assert run_point(cfg, -2.0).errors == 8
+        assert sizes and 1 <= min(sizes) and max(sizes) <= 8
+
+    def test_budget_tail_runs_as_few_bp_iterations_as_no_budget(self, monkeypatch):
+        # a chunk capped by the errors left, not by the trials in flight,
+        # keeps BP's rows full to the stop index: no more than 1.25x the BP
+        # loop iterations of the same trials decoded without a budget
+        iters, kernel = [], decoders.check_extrinsics
+        monkeypatch.setattr(decoders, "check_extrinsics",
+                            lambda *a: iters.append(1) or kernel(*a))
+        kw = {**BASE, "snrs_db": (2.0,), "trials": 20_000, "seed": 5}
+        p = run_point(SimConfig(**{**kw, "stop_errors": 100}), 2.0)
+        budgeted = len(iters)
+        iters.clear()
+        full = run_point(SimConfig(**{**kw, "trials": p.trials}), 2.0)
+        assert p.errors == full.errors == 100 and p.trials > 1_000
+        assert budgeted <= 1.25 * len(iters)
 
     def test_simo_mac_decodes_no_trial_past_the_budget(self, monkeypatch):
         kw = dict(dims=(4, 2, 2), modulation_order=4, snrs_db=(-4.0,), trials=40, seed=3,
