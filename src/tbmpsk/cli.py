@@ -6,11 +6,12 @@ Every file-producing command writes a JSON manifest next to its output;
 writes a manifest that keeps the recorded one's other keys.
 
 Exit codes: 0 success, 2 configuration/validation error (among them an empty
-SNR, shape or order list, more than ``sim.MAX_THREADS`` workers, and a
-replayed manifest that is not a JSON object or has no config, a missing,
-unknown or wrongly typed config field, or an unknown decoder), 3 runtime
-guard (enumeration limit, simo-mac byte limit, unreachable bound target) or
-an input or output file that cannot be opened.
+SNR, shape or order list, more than ``sim.MAX_THREADS`` workers, a
+non-finite received sample, and a replayed manifest that is not a JSON
+object or has no config, a missing, unknown or wrongly typed config field
+(a bool or non-integer where an integer is due), or an unknown decoder),
+3 runtime guard (enumeration limit, simo-mac byte limit, unreachable bound
+target) or an input or output file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ def decode_text(doc: dict) -> str:
     y = np.array([complex(re, im) for re, im in _list(doc, "received")])
     if y.size != shape.blocklength:
         raise ValueError(f"expected {shape.blocklength} samples, got {y.size}")
+    if not np.isfinite(y).all():
+        raise ValueError("received samples must be finite")
     max_iters, damping = _field(doc, "max_iters", int, "an integer"), _number(doc, "damping")
     check_bp_params(max_iters, damping)
     if not 0 <= (noise_var := _number(doc, "noise_var")) < np.inf:

@@ -15,7 +15,7 @@ import struct
 from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
 
@@ -78,6 +78,10 @@ class SimConfig:
     batch_size: int = 64
 
     def __post_init__(self):
+        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int"]
+        for name, value in ints + [("a dims entry", t) for t in self.dims]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "dims", tuple(int(t) for t in self.dims))
         object.__setattr__(self, "snrs_db", tuple(float(s) for s in self.snrs_db))
         if self.scenario not in SCENARIOS:
@@ -197,85 +201,6 @@ def _draw_trials(config: SimConfig, snr_db: float, start: int, stop: int):
     return rngs, info, transmit_signal(_encode_batch(info, shape, config.case), m)
 
 
-def _trial_outcomes(config: SimConfig, snr_db: float, start: int, stop: int,
-                    budget: int = 0, verdict=None) -> np.ndarray | bool:
-    """Per-trial error counts of trials [start, stop), in trial order; with
-    an error ``budget`` > 0, only up to the trial whose errors reach it.
-
-    A chunk holds no more trials than the budget less the errors of the
-    finished trials, so the trials drawn always reach the stop index, and
-    none is drawn once that is nothing.  The finished trials' prefix, in
-    trial order, settles the stop index: once its errors reach the budget,
-    the decoder call ends, and trials drawn past it are discarded.
-
-    A ``verdict(finished, errors)`` is called on the part's counts as
-    trials finish; once it returns a bool, nothing more is drawn, the
-    decoder call ends, and that bool is returned in place of the counts.
-
-    AWGN trials are drawn in chunks of at most ``batch_size`` trials, and
-    under BP at most as many as fit in its byte budget (``bp_budget_rows``),
-    and decoded as one stream: BP holds as many trials at once as its first
-    chunk has, refills rows as trials leave, and reports each leaving trial
-    (``on_leave``) before it reads the next chunk.  A chunk's received
-    signals are one :func:`awgn` call over its trials' own RNGs, which have
-    drawn their info words (:func:`_draw_trials`).  ``simo-mac`` trials
-    are drawn and decoded one at a time."""
-    shape = config.shape
-    noise_var = 1.0 / db_to_linear(snr_db)
-    out = np.full(stop - start, -1, dtype=np.int64)  # -1 until the trial finishes
-    drawn = finished = errors = 0
-    cut = settled = None
-
-    def room(most: int) -> int:
-        if budget:
-            most = min(most, budget - errors)
-        return min(most, stop - start - drawn)
-
-    def settle(trials, counts: np.ndarray) -> bool:
-        nonlocal finished, errors, cut, settled
-        out[trials] = counts
-        finished += len(counts)
-        errors += int(counts.sum())
-        if budget and errors >= budget:
-            # running errors of the finished prefix: the first unfinished trial ends it
-            prefix = np.cumsum(out[: (np.minimum.accumulate(out) >= 0).sum()])
-            if (i := int(np.searchsorted(prefix, budget))) < prefix.size:
-                cut = i + 1
-        if verdict is not None:
-            settled = verdict(finished, errors)
-        return cut is not None or settled is not None
-
-    if config.scenario == "awgn":
-        rows = config.batch_size
-        if config.decoder == "bp":
-            rows = min(rows, bp_budget_rows(shape, config.damping))
-        sent = np.empty((stop - start, shape.info_length(config.case)), dtype=np.int64)
-
-        def received():
-            nonlocal drawn
-            while (b := room(rows)) > 0:
-                rngs, info, signal = _draw_trials(config, snr_db, start + drawn,
-                                                  start + drawn + b)
-                sent[drawn : drawn + b] = info[:, 0]
-                drawn += b
-                yield awgn(signal[:, 0], noise_var, rngs)
-
-        SINGLE_USER_DECODERS[config.decoder](
-            received(), noise_var, shape, config.case, config.max_iters, config.damping,
-            lambda trials, decided: settle(trials, (decided != sent[trials]).any(axis=1)))
-    else:
-        while settled is None and room(1) > 0:
-            [rng], [info], [signal] = _draw_trials(config, snr_db, start + drawn, start + drawn + 1)
-            drawn += 1
-            tensor, _ = simo_mac(signal, shape, config.num_antennas, noise_var, rng)
-            decoded = multiuser_decode(
-                tensor, config.num_users, noise_var, shape, rng,
-                max_bp_iters=config.max_iters, damping=config.damping,
-            )
-            settle([drawn - 1], np.array([missed_users(info, decoded)]))
-    return out[:cut] if settled is None else settled
-
-
 def missed_users(sent: np.ndarray, decoded: list[np.ndarray | None]) -> int:
     """Unmatched transmitted words under multiset matching (user identities
     are not recovered by an unsourced receiver; duplicates count once each)."""
@@ -313,29 +238,84 @@ def _verdict_rule(config: SimConfig, target: float):
 
 
 def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray | bool:
-    """Outcomes in trial order, up to the stop index; or, given a ``rule``
-    (:func:`_verdict_rule`), its verdict as soon as it settles.
+    """Per-trial error counts in trial order, up to the stop index; or,
+    given a ``rule`` (:func:`_verdict_rule`), its verdict as soon as it
+    settles.
 
-    The point runs in this process as parts of at most ``PART_BATCHES``
-    batches, each one decoder stream under the error budget still left
-    (:func:`_trial_outcomes`) and cut at the stop index, and checks the
-    rule on the point's totals whenever trials finish."""
+    ``settle`` records trials as they finish, in any order.  With an error
+    budget (``stop_errors`` > 0), the finished trials' prefix, in trial
+    order, fixes the stop index once its errors reach the budget, and
+    trials drawn past it are discarded.  The rule is read on the point's
+    totals before any draw and whenever trials finish.  Either ends the
+    decoder call and the point.
+
+    AWGN trials run as parts of at most ``PART_BATCHES`` batches, each one
+    decoder stream, so what a point holds at once does not grow with its
+    trials.  A part's trials are drawn in chunks of at most ``batch_size``
+    trials, and under BP at most as many as fit in its byte budget
+    (``bp_budget_rows``), the trials left in the part, and the budget less
+    the errors of the finished trials, so the trials drawn always reach the
+    stop index.  BP holds as many trials at once as its first chunk has,
+    refills rows as trials leave, and reports each leaving trial
+    (``on_leave``) before it reads the next chunk.  A chunk's received
+    signals are one :func:`awgn` call over its trials' own RNGs, which have
+    drawn their info words (:func:`_draw_trials`).  ``simo-mac`` draws and
+    decodes one trial per turn."""
+    shape = config.shape
+    rows = config.batch_size
     if config.scenario == "simo-mac":
-        check_cp_bytes(config.shape, config.num_users, config.num_antennas)
-    collected: list[np.ndarray] = []
-    done = errors = 0
-    while done < config.trials and not (config.stop_errors and errors >= config.stop_errors):
-        if rule is not None and (settled := rule(done, errors)) is not None:
-            return settled
-        left = config.stop_errors - errors if config.stop_errors else 0
-        part = _trial_outcomes(config, snr_db, done,
-                               min(done + PART_BATCHES * config.batch_size, config.trials),
-                               left, rule and (lambda f, e: rule(done + f, errors + e)))
-        if isinstance(part, bool):
-            return part
-        collected.append(part)
-        done, errors = done + part.size, errors + int(part.sum())
-    return np.concatenate(collected)
+        check_cp_bytes(shape, config.num_users, config.num_antennas)
+    elif config.decoder == "bp":
+        rows = min(rows, bp_budget_rows(shape, config.damping))
+    noise_var = 1.0 / db_to_linear(snr_db)
+    budget = config.stop_errors
+    out = np.full(config.trials, -1, dtype=np.int64)  # -1 until the trial finishes
+    drawn = finished = errors = 0
+    cut = None
+    settled = None if rule is None else rule(0, 0)
+
+    def settle(trials, counts: np.ndarray) -> bool:
+        nonlocal finished, errors, cut, settled
+        out[trials] = counts
+        finished += len(counts)
+        errors += int(counts.sum())
+        if budget and errors >= budget:
+            # running errors of the finished prefix: the first unfinished trial ends it
+            prefix = np.cumsum(out[: (np.minimum.accumulate(out[:drawn]) >= 0).sum()])
+            if (i := int(np.searchsorted(prefix, budget))) < prefix.size:
+                cut = i + 1
+        if rule is not None:
+            settled = rule(finished, errors)
+        return cut is not None or settled is not None
+
+    while settled is None and cut is None and drawn < config.trials:
+        if config.scenario == "simo-mac":
+            [rng], [info], [signal] = _draw_trials(config, snr_db, drawn, drawn + 1)
+            drawn += 1
+            tensor, _ = simo_mac(signal, shape, config.num_antennas, noise_var, rng)
+            decoded = multiuser_decode(
+                tensor, config.num_users, noise_var, shape, rng,
+                max_bp_iters=config.max_iters, damping=config.damping,
+            )
+            settle([drawn - 1], np.array([missed_users(info, decoded)]))
+        else:
+            start = drawn
+            stop = min(start + PART_BATCHES * config.batch_size, config.trials)
+            sent = np.empty((stop - start, shape.info_length(config.case)), dtype=np.int64)
+
+            def received():
+                nonlocal drawn
+                while (b := min(rows, stop - drawn, budget - errors if budget else rows)) > 0:
+                    rngs, info, signal = _draw_trials(config, snr_db, drawn, drawn + b)
+                    sent[drawn - start : drawn - start + b] = info[:, 0]
+                    drawn += b
+                    yield awgn(signal[:, 0], noise_var, rngs)
+
+            SINGLE_USER_DECODERS[config.decoder](
+                received(), noise_var, shape, config.case, config.max_iters, config.damping,
+                lambda trials, decided: settle(start + trials,
+                                               (decided != sent[trials]).any(axis=1)))
+    return out[:cut] if settled is None else settled
 
 
 def _record(config: SimConfig, snr_db: float, outcomes: np.ndarray) -> PointRecord:

@@ -20,6 +20,16 @@ from tbmpsk.ring_code import TensorShape, case_matrix
 REPLAY_FIXTURES = Path(__file__).parent / "replay_fixtures"
 
 
+# integer fields of a replayed simulate config set to a bool or a non-integer, by test id
+NON_INTEGER_FIELDS = {
+    "seed-1.5": ("seed", 1.5), "trials-2.5": ("trials", 2.5),
+    "batch_size-2.5": ("batch_size", 2.5), "stop_errors-2.5": ("stop_errors", 2.5),
+    "max_iters-2.5": ("max_iters", 2.5), "threads-1.5": ("threads", 1.5),
+    "trials-true": ("trials", True), "dims-2,2.5": ("dims", [2, 2.5]),
+    "modulation_order-4.5": ("modulation_order", 4.5),
+}
+
+
 # a sweep's target and bracket, for runs that stop before any point
 SWEEP_BRACKET = ("--target-per", "0.2", "--snr-lo", "0", "--snr-hi", "4")
 
@@ -126,6 +136,19 @@ class TestEncodeDecode:
                        "--noise-var", "inf", "--decoder", decoder) == 2
         captured = capsys.readouterr()
         assert "error: noise variance" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("sample", ["nan", "inf"])
+    @pytest.mark.parametrize("decoder", ["bp", "ml"])
+    def test_non_finite_sample_exits_2(self, decoder, sample, tmp_path, capsys):
+        # such a sample once decoded to the all-zero word
+        enc = tmp_path / "s.txt"
+        run_cli("encode", "--shape", "2,2", "--mod", "4", "--info", "2,3", "--out", str(enc))
+        enc.write_text(f"{sample} 0\n" + enc.read_text().split("\n", 1)[1])
+        out = tmp_path / "d.txt"
+        assert run_cli("decode", "--shape", "2,2", "--mod", "4", "--in", str(enc),
+                       "--decoder", decoder, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: received samples")
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", [("--max-iters", "0"), ("--damping", "7")])
     @pytest.mark.parametrize("decoder", ["bp", "ml"])
@@ -269,10 +292,15 @@ class TestSimulateReplay:
         ("decode-bp-case1.txt", lambda doc: doc["config"].update(max_iters=None), ()),
         ("sweep.csv", lambda doc: doc["config"].update(target_error=None), ()),
         ("sweep.csv", lambda doc: doc["config"]["configs"].append(1), ("--threads", "1")),
+        *[("simulate-awgn-bp.csv", lambda doc, kv=kv: doc["config"].update([kv]), ())
+          for kv in NON_INTEGER_FIELDS.values()],
+        ("decode-bp-case1.txt", lambda doc: doc["config"].update(
+            received=[[float("nan"), 0.0]] + doc["config"]["received"][1:]), ()),
     ], ids=["no-config", "no-modulation-order", "unknown-sim-field", "null-dims",
             "null-configs", "unknown-decoder", "null-received", "null-info",
             "null-modulation-order", "list-config", "list-manifest", "null-noise-var",
-            "null-max-iters", "null-target-error", "int-config-with-threads"])
+            "null-max-iters", "null-target-error", "int-config-with-threads",
+            *NON_INTEGER_FIELDS, "nan-received"])
     def test_replay_of_malformed_manifest_exits_2(self, fixture, edit, argv, tmp_path, capsys):
         doc = json.loads((REPLAY_FIXTURES / f"{fixture}.manifest.json").read_text())
         if edit == "list":  # the manifest becomes a JSON list
@@ -338,7 +366,7 @@ class TestSimulateReplay:
             raise ValueError(f"raised in process {os.getpid()}")
 
         if code == 2:
-            monkeypatch.setattr(sim, "_trial_outcomes", fail)
+            monkeypatch.setattr(sim, "_collect_outcomes", fail)
         out = tmp_path / "r.csv"
         assert run_cli("simulate", "--mod", "4", "--snr-db", "0,2", "--trials", "4",
                        "--seed", "1", "--threads", "2", *run_args, "--out", str(out)) == code

@@ -92,6 +92,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="threads"):
             SimConfig(**{**BASE, "threads": sim.MAX_THREADS + 1})
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("trials", True), ("case", 1.0),
+                                              ("max_iters", False), ("dims", (4, 2.0, 2)),
+                                              ("modulation_order", np.float64(4))])
+    def test_rejects_bools_and_non_integers_as_integers(self, field, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimConfig(**{**BASE, field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = SimConfig(**{**BASE, "dims": np.array([4, 2, 2]), "trials": np.int32(60),
+                           "seed": np.uint64(9)})
+        assert cfg == SimConfig(**BASE) and cfg.dims == (4, 2, 2)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             SimConfig(**{**BASE, "seed": -1})
@@ -160,16 +172,18 @@ class TestProducerBits:
         chunks = []
         monkeypatch.setitem(decoders.SINGLE_USER_DECODERS, "bp",
                             lambda received, *args: chunks.extend(received))
+        noise_var = 1.0 / db_to_linear(snr_db)
         for n in (0, 2**32 - 1, 2**32, 2**64 + 5):
             cfg = SimConfig(dims=dims, modulation_order=m, snrs_db=(snr_db,), trials=10, seed=n,
                             batch_size=7, stop_errors=0)
             chunks.clear()
-            sim._trial_outcomes(cfg, snr_db, n, n + 10)
-            info, received = awgn_trials_per_trial(n, snr_db, n, n + 10, cfg.shape, 1,
-                                                   1.0 / db_to_linear(snr_db))
+            sim._collect_outcomes(cfg, snr_db)
+            info, received = awgn_trials_per_trial(n, snr_db, 0, 10, cfg.shape, 1, noise_var)
             assert [len(c) for c in chunks] == [7, 3]
             assert np.array_equal(np.concatenate(chunks), received)
-            assert np.array_equal(sim._draw_trials(cfg, snr_db, n, n + 10)[1][:, 0], info)
+            # and trials indexed as high as the seed, 2^32 and past it
+            far, _ = awgn_trials_per_trial(n, snr_db, n, n + 10, cfg.shape, 1, noise_var)
+            assert np.array_equal(sim._draw_trials(cfg, snr_db, n, n + 10)[1][:, 0], far)
         if snr_db == np.inf:
             want = transmit_signal(encode(info, cfg.shape, 1), m)
             assert np.array_equal(received, want)
@@ -617,7 +631,8 @@ class TestVerdict:
             for target in self._targets(value):
                 assert sim.meets_target(cfg, snr, target) is (value <= target), (snr, target)
 
-    @pytest.mark.parametrize("snr, target, want", [(-2.0, 0.05, False), (20.0, 0.2, True)])
+    @pytest.mark.parametrize("snr, target, want", [(-2.0, 0.05, False), (20.0, 0.2, True),
+                                                   (2.0, -0.5, False), (2.0, 1.0, True)])
     def test_a_settled_point_stops_drawing_and_decoding(self, monkeypatch, snr, target, want):
         cfg = SimConfig(**{**BASE, "snrs_db": (snr,), "batch_size": 8})
         draws, iters, settled_at = [], [], []
@@ -646,3 +661,5 @@ class TestVerdict:
         assert len(draws) < full_draws and len(iters) < full_iters
         # BP ends in the iteration whose leaving trials settle the verdict
         assert settled_at == [len(iters)]
+        if not 0 <= target < 1:  # the verdict is settled before any trial
+            assert draws == [] and iters == []
