@@ -78,7 +78,7 @@ class SimConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "int"]
+        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type in (int, "int")]
         for name, value in ints + [("a dims entry", t) for t in self.dims]:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -250,17 +250,17 @@ def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray
     decoder call and the point.
 
     AWGN trials run as parts of at most ``PART_BATCHES`` batches, each one
-    decoder stream, so what a point holds at once does not grow with its
-    trials.  A part's trials are drawn in chunks of at most ``batch_size``
-    trials, and under BP at most as many as fit in its byte budget
-    (``bp_budget_rows``), the trials left in the part, and the budget less
-    the errors of the finished trials, so the trials drawn always reach the
-    stop index.  BP holds as many trials at once as its first chunk has,
+    decoder stream; a ``simo-mac`` part is one trial.  A point holds one
+    part's trials and one count per trial drawn, never storage for all of
+    ``config.trials``.  A part's trials are drawn in chunks of at most
+    ``batch_size`` trials, and under BP at most as many as fit in its byte
+    budget (``bp_budget_rows``), the trials left in the part, and the budget
+    less the errors of the finished trials, so the trials drawn always reach
+    the stop index.  BP holds as many trials at once as its first chunk has,
     refills rows as trials leave, and reports each leaving trial
     (``on_leave``) before it reads the next chunk.  A chunk's received
     signals are one :func:`awgn` call over its trials' own RNGs, which have
-    drawn their info words (:func:`_draw_trials`).  ``simo-mac`` draws and
-    decodes one trial per turn."""
+    drawn their info words (:func:`_draw_trials`)."""
     shape = config.shape
     rows = config.batch_size
     if config.scenario == "simo-mac":
@@ -269,7 +269,7 @@ def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray
         rows = min(rows, bp_budget_rows(shape, config.damping))
     noise_var = 1.0 / db_to_linear(snr_db)
     budget = config.stop_errors
-    out = np.full(config.trials, -1, dtype=np.int64)  # -1 until the trial finishes
+    out = np.empty(0, dtype=np.int64)  # -1 until the trial finishes
     drawn = finished = errors = 0
     cut = None
     settled = None if rule is None else rule(0, 0)
@@ -289,18 +289,20 @@ def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray
         return cut is not None or settled is not None
 
     while settled is None and cut is None and drawn < config.trials:
+        start = drawn
+        part = 1 if config.scenario == "simo-mac" else PART_BATCHES * config.batch_size
+        stop = min(start + part, config.trials)
+        if stop > out.size:  # so what ``out`` holds and copies is O(trials drawn)
+            size = min(max(stop, 2 * out.size), config.trials)
+            out = np.concatenate([out, np.full(size - out.size, -1, dtype=np.int64)])
         if config.scenario == "simo-mac":
-            [rng], [info], [signal] = _draw_trials(config, snr_db, drawn, drawn + 1)
-            drawn += 1
+            [rng], [info], [signal] = _draw_trials(config, snr_db, start, stop)
+            drawn = stop
             tensor, _ = simo_mac(signal, shape, config.num_antennas, noise_var, rng)
-            decoded = multiuser_decode(
-                tensor, config.num_users, noise_var, shape, rng,
-                max_bp_iters=config.max_iters, damping=config.damping,
-            )
-            settle([drawn - 1], np.array([missed_users(info, decoded)]))
+            decoded = multiuser_decode(tensor, config.num_users, noise_var, shape, rng,
+                                       max_bp_iters=config.max_iters, damping=config.damping)
+            settle([start], np.array([missed_users(info, decoded)]))
         else:
-            start = drawn
-            stop = min(start + PART_BATCHES * config.batch_size, config.trials)
             sent = np.empty((stop - start, shape.info_length(config.case)), dtype=np.int64)
 
             def received():

@@ -99,6 +99,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be an integer"):
             SimConfig(**{**BASE, field: value})
 
+    def test_every_integer_field_is_checked(self):
+        # read off a valid config's values, not its annotations, so a field
+        # the check's type test skips fails here
+        cfg = SimConfig(**BASE)
+        names = [f for f, v in asdict(cfg).items() if isinstance(v, int)]
+        assert len(names) == 10
+        for name in names:
+            with pytest.raises(ValueError, match="must be an integer"):
+                SimConfig(**{**asdict(cfg), name: 2.5})
+
     def test_accepts_numpy_integers(self):
         cfg = SimConfig(**{**BASE, "dims": np.array([4, 2, 2]), "trials": np.int32(60),
                            "seed": np.uint64(9)})
@@ -376,6 +386,20 @@ class TestMemory:
         # thousand BP iterations, which a 64-trial warm-up does not reach
         peak(4096)
         assert peak(4096) <= 1.5 * peak(64)
+
+    @pytest.mark.parametrize("extra", [{}, dict(scenario="simo-mac", num_users=2,
+                                                num_antennas=2)])
+    def test_a_huge_trial_count_with_a_small_budget_finishes(self, extra):
+        # what a point holds grows with the trials drawn, not with ``trials``
+        cfg = SimConfig(**{**BASE, **extra, "snrs_db": (-10.0,), "trials": 10**12,
+                           "stop_errors": 1})
+        tracemalloc.start()
+        try:
+            p = run_point(cfg, -10.0)
+            assert tracemalloc.get_traced_memory()[1] < 2**22
+        finally:
+            tracemalloc.stop()
+        assert p.errors >= 1 and p.trials < 100
 
 
 class TestByteBudget:
