@@ -7,11 +7,12 @@ writes a manifest that keeps the recorded one's other keys.
 
 Exit codes: 0 success, 2 configuration/validation error (among them an empty
 SNR, shape or order list, more than ``sim.MAX_THREADS`` workers, a
-non-finite received sample, and a replayed manifest that is not a JSON
-object or has no config, a missing, unknown or wrongly typed config field
-(a bool or non-integer where an integer is due), or an unknown decoder),
-3 runtime guard (enumeration limit, simo-mac byte limit, unreachable bound
-target) or an input or output file that cannot be opened.
+non-finite received sample, an unknown decoder, a replayed manifest that is
+not a JSON object, and a config doc, written or replayed, without exactly
+its command's fields (``REPLAYERS``) each of its kind, a bool never a number
+(:func:`sim.check_fields`)), 3 runtime guard (enumeration limit, simo-mac
+byte limit, unreachable bound target) or an input or output file that
+cannot be opened.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ def _emit(out_path: str | None, text: str, command: str, config_doc: dict, extra
 
 def _produce(args, doc: dict, **extras) -> int:
     """Emit the subcommand's output through the producer that replay uses."""
-    _emit(args.out, REPLAYERS[args.command](doc), args.command, doc, extras)
+    producer, fields = REPLAYERS[args.command]
+    simmod.check_fields(doc, fields)
+    _emit(args.out, producer(doc), args.command, doc, extras)
     return 0
 
 
@@ -96,42 +99,16 @@ def _parse_list(text: str, kind=int) -> list:
 
 
 # --- per-command text producers (shared by the commands and replay) ----------
-
-
-def _field(doc: dict, key: str, kind: type | tuple[type, ...], what: str):
-    """``doc[key]``, which must be a ``kind`` other than a bool."""
-    if isinstance(value := doc[key], bool) or not isinstance(value, kind):
-        raise ValueError(f"config field {key!r} must be {what}, got {value!r}")
-    return value
-
-
-def _list(doc: dict, key: str) -> list:
-    return _field(doc, key, list, "a list")
-
-
-def _number(doc: dict, key: str) -> int | float:
-    return _field(doc, key, (int, float), "a number")
-
-
-def _configs(doc: dict) -> list[dict]:
-    """A sweep's ``configs``, which must be a list of objects."""
-    configs = _list(doc, "configs")
-    if not all(isinstance(c, dict) for c in configs):
-        raise ValueError(f"config field 'configs' must hold objects, got {configs!r}")
-    return configs
+# Each reads a config doc that has passed its command's check_fields
 
 
 def _doc_shape(doc: dict) -> TensorShape:
-    """The TensorShape of a config doc's integer ``dims`` and ``modulation_order``."""
-    dims, m = _list(doc, "dims"), doc["modulation_order"]
-    if not all(isinstance(v, int) for v in (*dims, m)):
-        raise ValueError(f"dims and modulation order must be integers, got {dims!r} and {m!r}")
-    return TensorShape(tuple(dims), m)
+    return TensorShape(tuple(doc["dims"]), doc["modulation_order"])
 
 
 def matrix_text(doc: dict) -> str:
     shape = _doc_shape(doc)
-    if not doc.get("systematic"):
+    if not doc["systematic"]:
         return case_matrix(shape, doc["case"]).to_text()
     if doc["case"] != 1:
         raise ValueError("--systematic applies to case 1 only")
@@ -140,7 +117,7 @@ def matrix_text(doc: dict) -> str:
 
 def encode_text(doc: dict) -> str:
     shape = _doc_shape(doc)
-    codeword = encode(np.array(_list(doc, "info")), shape, doc["case"])
+    codeword = encode(np.array(doc["info"]), shape, doc["case"])
     samples = transmit_signal(codeword, shape.modulation_order)
     return "".join(f"{float(z.real)!r} {float(z.imag)!r}\n" for z in samples)
 
@@ -149,18 +126,16 @@ def decode_text(doc: dict) -> str:
     shape = _doc_shape(doc)
     if (decoder := doc["decoder"]) not in SINGLE_USER_DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}; available: {sorted(SINGLE_USER_DECODERS)}")
-    y = np.array([complex(re, im) for re, im in _list(doc, "received")])
+    y = np.array([complex(re, im) for re, im in doc["received"]])
     if y.size != shape.blocklength:
         raise ValueError(f"expected {shape.blocklength} samples, got {y.size}")
     if not np.isfinite(y).all():
         raise ValueError("received samples must be finite")
-    max_iters, damping = _field(doc, "max_iters", int, "an integer"), _number(doc, "damping")
-    check_bp_params(max_iters, damping)
-    if not 0 <= (noise_var := _number(doc, "noise_var")) < np.inf:
+    check_bp_params(doc["max_iters"], doc["damping"])
+    if not 0 <= (noise_var := doc["noise_var"]) < np.inf:
         raise ValueError(f"noise variance must be finite and non-negative, got {noise_var}")
-    decided = SINGLE_USER_DECODERS[decoder](
-        [y[None]], noise_var, shape, doc["case"], max_iters, damping
-    )[0]
+    decided = SINGLE_USER_DECODERS[decoder]([y[None]], noise_var, shape, doc["case"],
+                                            doc["max_iters"], doc["damping"])[0]
     return " ".join(str(int(v)) for v in decided) + "\n"
 
 
@@ -168,33 +143,29 @@ def graph_text(doc: dict) -> str:
     return export_edges(build_graph(_doc_shape(doc), doc["case"]))
 
 
-def _sim_config_of(doc: dict) -> SimConfig:
-    """The SimConfig a config doc records; an unknown or missing field is a
-    configuration error."""
-    try:
-        return SimConfig(**doc)
-    except TypeError as exc:
-        raise ValueError(f"bad simulation config: {exc}") from None
-
-
 def simulate_text(doc: dict) -> str:
-    return result_csv(run(_sim_config_of(doc)))
+    return result_csv(run(SimConfig(**doc)))
 
 
 def sweep_text(doc: dict) -> str:
-    configs = [_sim_config_of(c) for c in _configs(doc)]
-    rows = sweep_table(configs, *(_number(doc, key) for key in
-                                  ("target_error", "lo_db", "hi_db", "resolution_db")))
-    return sweep_csv(rows)
+    return sweep_csv(sweep_table([SimConfig(**c) for c in doc["configs"]], doc["target_error"],
+                                 doc["lo_db"], doc["hi_db"], doc["resolution_db"]))
 
 
+# the fields of a code point: a shape, an order M and a reference-symbol case
+CODE_FIELDS = {"dims": list[int], "modulation_order": int, "case": int}
+
+# command -> (producer, its config doc's fields, name -> kind)
 REPLAYERS = {
-    "matrix": matrix_text,
-    "encode": encode_text,
-    "decode": decode_text,
-    "export-graph": graph_text,
-    "simulate": simulate_text,
-    "sweep": sweep_text,
+    "matrix": (matrix_text, {**CODE_FIELDS, "systematic": bool}),
+    "encode": (encode_text, {**CODE_FIELDS, "info": list[int]}),
+    "decode": (decode_text, {**CODE_FIELDS, "decoder": str, "noise_var": float,
+                             "max_iters": int, "damping": float,
+                             "received": list[tuple[float, float]]}),
+    "export-graph": (graph_text, CODE_FIELDS),
+    "simulate": (simulate_text, SimConfig),
+    "sweep": (sweep_text, {"configs": list[SimConfig], "target_error": float,
+                           "lo_db": float, "hi_db": float, "resolution_db": float}),
 }
 
 
@@ -277,33 +248,23 @@ def cmd_sweep(args) -> int:
     return _produce(args, doc, shapes_given=args.shapes)
 
 
-class _ManifestDoc(dict):
-    """An object read from a manifest: a missing field is a configuration
-    error, not a program fault."""
-
-    def __missing__(self, key):
-        raise ValueError(f"manifest has no {key!r} field")
-
-
 def cmd_replay(args) -> int:
     with open(args.manifest) as fh:
-        doc = json.load(fh, object_hook=_ManifestDoc)
+        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("manifest is not a JSON object")
     command = doc.get("command")
-    if command not in REPLAYERS:
+    if not (isinstance(command, str) and command in REPLAYERS):
         raise ValueError(f"manifest command {command!r} is not replayable")
-    config_doc = doc["config"]
-    if not isinstance(config_doc, dict):
-        raise ValueError("manifest config is not a JSON object")
+    producer, fields = REPLAYERS[command]
+    simmod.check_fields(config_doc := doc.get("config"), fields)
     if args.threads is not None and command in ("simulate", "sweep"):
-        for c in _configs(config_doc) if command == "sweep" else [config_doc]:
+        for c in config_doc["configs"] if command == "sweep" else [config_doc]:
             c["threads"] = args.threads
     out_path = args.out or doc.get("output")
     if not out_path:
         raise ValueError("manifest records no output path; pass --out")
-    text = REPLAYERS[command](config_doc)
-    _emit(out_path, text, command, config_doc, doc)
+    _emit(out_path, producer(config_doc), command, config_doc, doc)
     return 0
 
 

@@ -11,13 +11,15 @@ reported number.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, is_dataclass
 from datetime import datetime, timezone
 from functools import partial
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,6 +46,39 @@ MAX_THREADS = 64
 # Most batches of trials one part of an SNR point holds: one decoder stream,
 # so what a point holds at once does not grow with its trials
 PART_BATCHES = 16
+# the values each scalar kind admits, and its name in a message
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          str: (str, "a string"), bool: (bool, "true or false"), dict: (dict, "an object")}
+
+
+def check_fields(doc, fields, name: str = "config", entry: bool = False) -> None:
+    """Raise ValueError, naming the field, unless ``doc`` is of the kind
+    ``fields``: a dict of field names to kinds, or a dataclass, whose
+    annotations are that dict (an object with exactly those fields, each of
+    its kind); ``int``, ``float``, ``str``, ``bool`` or ``dict``; or a list
+    or tuple of one kind (``tuple[float, float]`` is a pair).  A bool is
+    never a number, a number accepts an int, and numpy numbers and arrays
+    pass as numbers and lists.  The doc is only read."""
+    label = f"{'an' if name[0] in 'aeiou' else 'a'} {name} entry" if entry else name
+    fields = get_type_hints(fields) if is_dataclass(fields) else fields
+    if isinstance(fields, dict):
+        if not isinstance(doc, dict):
+            raise ValueError(f"{label} must be an object, got {doc!r}")
+        if missing := sorted(fields.keys() - doc.keys()):
+            raise ValueError(f"{label} has no {missing[0]!r} field")
+        if unknown := sorted(doc.keys() - fields.keys()):
+            raise ValueError(f"{label} has unknown field {unknown[0]!r}")
+        for key, kind in fields.items():
+            check_fields(doc[key], kind, key)
+    elif args := get_args(fields):
+        fixed = get_origin(fields) is tuple and args[-1] is not Ellipsis
+        if not isinstance(doc, (list, tuple, np.ndarray)) or fixed and len(doc) != len(args):
+            raise ValueError(f"{label} must be a list{f' of {len(args)}' if fixed else ''}, "
+                             f"got {doc!r}")
+        for value, kind in zip(doc, args if fixed else args[:1] * len(doc)):
+            check_fields(value, kind, name, True)
+    elif isinstance(doc, bool) != (fields is bool) or not isinstance(doc, _KINDS[fields][0]):
+        raise ValueError(f"{label} must be {_KINDS[fields][1]}, got {doc!r}")
 
 
 def check_snrs_db(snrs_db) -> None:
@@ -59,7 +94,8 @@ def check_snrs_db(snrs_db) -> None:
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation campaign; hashable and picklable so worker processes
-    can receive it whole."""
+    can receive it whole.  Its annotations are the fields of its config
+    doc, each value checked by :func:`check_fields`."""
 
     dims: tuple[int, ...]
     modulation_order: int
@@ -78,10 +114,7 @@ class SimConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        ints = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type in (int, "int")]
-        for name, value in ints + [("a dims entry", t) for t in self.dims]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_fields(vars(self), SimConfig)
         object.__setattr__(self, "dims", tuple(int(t) for t in self.dims))
         object.__setattr__(self, "snrs_db", tuple(float(s) for s in self.snrs_db))
         if self.scenario not in SCENARIOS:

@@ -5,14 +5,16 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 import tbmpsk.decoders as decoders
 import tbmpsk.sim as sim
-from tbmpsk.cli import main, parse_shape
+from tbmpsk.cli import REPLAYERS, main, parse_shape
 from tbmpsk.ring_code import TensorShape, case_matrix
 
 
@@ -28,6 +30,51 @@ NON_INTEGER_FIELDS = {
     "trials-true": ("trials", True), "dims-2,2.5": ("dims", [2, 2.5]),
     "modulation_order-4.5": ("modulation_order", 4.5),
 }
+
+
+# a replayed config field set to a value of the wrong kind, by test id:
+# (fixture, field, new value or a function of the recorded one, the message)
+MISTYPED_FIELDS = {
+    "case-true": ("matrix-case1.txt", "case", True, "case must be an integer, got True"),
+    "case-1.0": ("matrix-case1.txt", "case", 1.0, "case must be an integer, got 1.0"),
+    "systematic-no": ("matrix-systematic.txt", "systematic", "no",
+                      "systematic must be true or false, got 'no'"),
+    "info-all-true": ("encode-case1.txt", "info", lambda info: [True] * len(info),
+                      "an info entry must be an integer, got True"),
+    "info-strings": ("encode-case1.txt", "info", lambda info: [str(v) for v in info],
+                     "an info entry must be an integer, got '3'"),
+    "decode-case-true": ("decode-bp-case1.txt", "case", True, "case must be an integer"),
+    "received-strings": ("decode-bp-case1.txt", "received", lambda r: [["1", "0"], *r[1:]],
+                         "a received entry must be a number, got '1'"),
+    "received-null": ("decode-bp-case1.txt", "received", lambda r: [[None, 0.0], *r[1:]],
+                      "a received entry must be a number, got None"),
+    "received-number": ("decode-bp-case1.txt", "received", lambda r: [1.0, *r[1:]],
+                        "a received entry must be a list of 2, got 1.0"),
+    "decode-decoder-list": ("decode-bp-case1.txt", "decoder", ["bp"],
+                            "decoder must be a string, got ['bp']"),
+    "snrs_db-strings": ("simulate-awgn-bp.csv", "snrs_db", ["0", "2"],
+                        "a snrs_db entry must be a number, got '0'"),
+    "snrs_db-bool": ("simulate-awgn-bp.csv", "snrs_db", [True, 2.0],
+                     "a snrs_db entry must be a number, got True"),
+    "snrs_db-string": ("simulate-awgn-bp.csv", "snrs_db", "02",
+                       "snrs_db must be a list, got '02'"),
+    "decoder-list": ("simulate-awgn-bp.csv", "decoder", ["bp"],
+                     "decoder must be a string, got ['bp']"),
+    "damping-string": ("simulate-awgn-bp.csv", "damping", "0",
+                       "damping must be a number, got '0'"),
+    "scenario-1": ("simulate-awgn-bp.csv", "scenario", 1, "scenario must be a string, got 1"),
+    "sweep-snrs_db-strings": ("sweep.csv", "configs",
+                              lambda cs: [{**cs[0], "snrs_db": ["0", "1"]}, *cs[1:]],
+                              "a snrs_db entry must be a number, got '0'"),
+    "matrix-extra-key": ("matrix-case1.txt", "bogus", 1, "config has unknown field 'bogus'"),
+    "export-graph-extra-key": ("export-graph.txt", "bogus", 1,
+                               "config has unknown field 'bogus'"),
+}
+
+
+def _set_field(doc, field, value):
+    config = doc["config"]
+    config[field] = value(config[field]) if callable(value) else value
 
 
 # a sweep's target and bracket, for runs that stop before any point
@@ -296,11 +343,14 @@ class TestSimulateReplay:
           for kv in NON_INTEGER_FIELDS.values()],
         ("decode-bp-case1.txt", lambda doc: doc["config"].update(
             received=[[float("nan"), 0.0]] + doc["config"]["received"][1:]), ()),
+        *[(fixture, lambda doc, f=field, v=value: _set_field(doc, f, v), ())
+          for fixture, field, value, _ in MISTYPED_FIELDS.values()],
+        ("matrix-case1.txt", lambda doc: doc.update(command=["matrix"]), ()),
     ], ids=["no-config", "no-modulation-order", "unknown-sim-field", "null-dims",
             "null-configs", "unknown-decoder", "null-received", "null-info",
             "null-modulation-order", "list-config", "list-manifest", "null-noise-var",
             "null-max-iters", "null-target-error", "int-config-with-threads",
-            *NON_INTEGER_FIELDS, "nan-received"])
+            *NON_INTEGER_FIELDS, "nan-received", *MISTYPED_FIELDS, "list-command"])
     def test_replay_of_malformed_manifest_exits_2(self, fixture, edit, argv, tmp_path, capsys):
         doc = json.loads((REPLAY_FIXTURES / f"{fixture}.manifest.json").read_text())
         if edit == "list":  # the manifest becomes a JSON list
@@ -313,6 +363,17 @@ class TestSimulateReplay:
         assert run_cli("replay", "--manifest", str(manifest), "--out", str(out), *argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("fixture, field, value, message", MISTYPED_FIELDS.values(),
+                             ids=list(MISTYPED_FIELDS))
+    def test_replay_of_mistyped_field_names_it(self, fixture, field, value, message,
+                                               tmp_path, capsys):
+        doc = json.loads((REPLAY_FIXTURES / f"{fixture}.manifest.json").read_text())
+        _set_field(doc, field, value)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("replay", "--manifest", str(manifest), "--out", str(tmp_path / "r")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("run_args", [
         ("simulate", "--shape", "2,2", "--mod", "4", "--snr-db", "2"),
@@ -503,6 +564,29 @@ def test_commands_run_without_scipy(tmp_path):
     result = proc.stdout.splitlines()[-1]
     assert result == "RESULT [0, 0, 0, 0, 0, 0] []", proc.stdout + proc.stderr
     assert "3 1 0 2 1" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("matrix", "--shape", "4,2,2", "--mod", "4", "--systematic"),
+    ("encode", "--shape", "4,2,2", "--mod", "4", "--info", "3,1,0,2,1"),
+    ("decode", "--shape", "2,2", "--mod", "4", "--decoder", "ml"),
+    ("export-graph", "--shape", "4,2,2", "--mod", "4", "--case", "3"),
+    ("simulate", "--shape", "2,2", "--mod", "4", "--snr-db", "2", "--trials", "4", "--seed", "1"),
+    ("sweep", "--shapes", "2,2", "--mods", "4", *SWEEP_BRACKET, "--resolution", "2",
+     "--trials", "4", "--seed", "1"),
+], ids=lambda argv: argv[0])
+def test_written_config_holds_exactly_its_command_fields(argv, tmp_path):
+    # a flag that reaches a config doc but not its command's table fails here
+    received = tmp_path / "s.txt"
+    assert run_cli("encode", "--shape", "2,2", "--mod", "4", "--info", "2,3",
+                   "--out", str(received)) == 0
+    out = tmp_path / "out"
+    extra = ("--in", str(received)) if argv[0] == "decode" else ()
+    assert run_cli(*argv, *extra, "--out", str(out)) == 0
+    config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+    fields = REPLAYERS[argv[0]][1]
+    assert sorted(config) == sorted(get_type_hints(fields) if is_dataclass(fields) else fields)
+    sim.check_fields(config, fields)  # a sweep's configs too, each against SimConfig's fields
 
 
 @pytest.mark.parametrize(

@@ -109,6 +109,30 @@ class TestConfig:
             with pytest.raises(ValueError, match="must be an integer"):
                 SimConfig(**{**asdict(cfg), name: 2.5})
 
+    @pytest.mark.parametrize("kind, value, ok", [
+        (float, 2, True), (float, np.float32(2), True), (float, True, False),
+        (int, np.int64(2), True), (int, False, False), (int, 2.0, False),
+        (bool, 1, False), (str, b"bp", False), (dict, [], False),
+        (tuple[float, float], [1.0, 0.0], True), (tuple[float, float], [1.0], False),
+        (list[int], np.array([4, 2]), True), (list[int], "42", False),
+    ])
+    def test_check_fields_kinds(self, kind, value, ok):
+        if ok:
+            sim.check_fields({"x": value}, {"x": kind})
+        else:
+            with pytest.raises(ValueError, match="x"):
+                sim.check_fields({"x": value}, {"x": kind})
+
+    @pytest.mark.parametrize("doc", [[], {}, {"x": 1, "y": 2}])
+    def test_check_fields_wants_an_object_with_exactly_the_fields(self, doc):
+        with pytest.raises(ValueError, match="config"):
+            sim.check_fields(doc, {"x": int})
+
+    def test_accepts_integer_snrs(self):
+        cfg = SimConfig(**{**BASE, "snrs_db": (2,)})
+        assert cfg == SimConfig(**BASE) and cfg.snrs_db == (2.0,)
+        assert type(cfg.snrs_db[0]) is float
+
     def test_accepts_numpy_integers(self):
         cfg = SimConfig(**{**BASE, "dims": np.array([4, 2, 2]), "trials": np.int32(60),
                            "seed": np.uint64(9)})
