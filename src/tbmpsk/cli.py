@@ -262,8 +262,8 @@ def cmd_replay(args) -> int:
         for c in config_doc["configs"] if command == "sweep" else [config_doc]:
             c["threads"] = args.threads
     out_path = args.out or doc.get("output")
-    if not out_path:
-        raise ValueError("manifest records no output path; pass --out")
+    if not (out_path and isinstance(out_path, str)):
+        raise ValueError(f"manifest records no output path (output: {out_path!r}); pass --out")
     _emit(out_path, producer(config_doc), command, config_doc, doc)
     return 0
 

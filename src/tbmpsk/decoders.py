@@ -307,9 +307,17 @@ def check_bp_params(max_iters: int, damping: float) -> None:
 def _bp_arrays(shape: TensorShape, damping: float, rows: int) -> dict:
     """The parts, (shape, dtype) each, of every working array
     :func:`bp_decode_batch` holds for ``rows`` trials: the messages (a second
-    array when damped), the observation spectra of the live trials and of
-    the next chunk's pending ones, the check side's spectra and prefix
-    products, and the per-symbol scratch.
+    array when damped), the live trials' observation spectra, the check
+    side's spectra and prefix products, and the per-symbol scratch.
+
+    ``headroom``, one observation spectrum's bytes, is no array BP makes
+    but room for an iteration's transients that grow with its rows.  Traced
+    at (6,5,4), they are the copy of one mode's messages that
+    ``np.add.reduceat`` reads (M floats a position) with its sums, and from
+    M = 8 on :func:`_sum_last`'s partial sums (3d floats a position); over a
+    stream of chunks, BP's peak grows per row by at most 1.01 of the count
+    at M = 3 to 16.  Not counted: numpy's buffers for a ufunc on a strided
+    view, up to 8,192 elements an operand whatever the rows.
 
     A spectrum's bins come before the trial axis.  Its parts are one complex
     array, except at M = 4, where the bins 0 and 2 of a real pmf are real and
@@ -327,7 +335,7 @@ def _bp_arrays(shape: TensorShape, damping: float, rows: int) -> dict:
     arrays = {
         "v2c": [((d, m, rows) + dims, float)],
         "obs_f": spectrum(),
-        "pending": spectrum(1),
+        "headroom": spectrum(1),
         "spectra": spectrum(d),
         "prefix": spectrum(d),
         "row_scratch": [((d, rows) + dims, float)],
@@ -363,25 +371,27 @@ def bp_decode_batch(
     time; an array counts as one chunk, and an empty chunk adds no trial.
     The capacity is the first non-empty chunk's trials, cut to
     :func:`bp_budget_rows`, the most trials whose working arrays fit in
-    ``BP_BYTES``; chunks are taken at most that many trials at a time, so a
-    call's arrays stay within the budget whatever the batch.  Per trial,
-    stops once hard decisions survive 3 consecutive iterations or after
-    ``max_iters``; each trial's outcome depends only on its own row, so
-    results are identical under any batching.  Returns (decisions,
-    posteriors, iterations, converged), one row per trial in input order.
+    ``BP_BYTES``, so a call's arrays stay within the budget whatever the
+    batch.  Per trial, stops once hard decisions survive 3 consecutive
+    iterations or after ``max_iters``; each trial's outcome depends only on
+    its own row, so results are identical under any batching.  Returns
+    (decisions, posteriors, iterations, converged), one row per trial in
+    input order.
 
     Trials leave as they finish: on a trial's last iteration its outputs are
     kept with its trial index and the live rows are packed to the front of
-    the working arrays, the last ones moving into the holes, and the next
-    pending trials move into the freed rows, so every iteration runs on
-    min(capacity, live + pending) trials and the loop ends when both are
-    exhausted.  Each row counts its own iterations.  The kept outputs are
-    put in input order once, at the end.  ``on_leave(trials, decisions)``,
-    if given, gets the input indices and decisions of the trials that leave,
-    in the iteration they leave and before the next refill reads the
-    iterator, so a caller can decide from them what its next chunk holds;
-    a true return ends the call there, which then returns the outputs of
-    the trials that have left, in input order.
+    the working arrays, the last ones moving into the holes, and the chunk's
+    next trials take the freed rows, their pmfs cleaned straight into their
+    rows of the messages and transformed from there into their observation
+    spectra.  So every iteration runs on min(capacity, live + waiting)
+    trials, and the loop ends when both are exhausted.  The next chunk is
+    read once a row is free and the chunk is used up.  Each row counts its
+    own iterations.  The kept outputs are put in input order once, at the
+    end.  ``on_leave(trials, decisions)``, if given, gets the input indices
+    and decisions of the trials that leave, in the iteration they leave and
+    before the next refill reads the iterator, so a caller can decide from
+    them what its next chunk holds; a true return ends the call there, which
+    then returns the outputs of the trials that have left, in input order.
 
     Messages use the trial-contiguous planar layout of the module
     docstring, (d, M, B) + positions, and spectra its parts
@@ -417,37 +427,23 @@ def bp_decode_batch(
     nv, t_len, m = graph.num_vars, graph.num_checks, graph.shape.modulation_order
     chunks = (observation_pmfs if isinstance(observation_pmfs, Iterator)
               else iter([observation_pmfs]))
-    # read before the buffers, whose rows are its trials
-    head = next((c for c in chunks if len(c)), None)
-    capacity = min(max(1, 0 if head is None else len(head)), bp_budget_rows(graph.shape, damping))
+
+    def take() -> np.ndarray | None:
+        """The next non-empty chunk, or None once the chunks run out."""
+        for chunk in chunks:
+            obs = np.asarray(chunk, dtype=float)
+            if obs.ndim != 3 or obs.shape[1:] != (t_len, m):
+                raise ValueError(f"observation pmfs must be (B, {t_len}, {m})")
+            if len(obs):
+                return obs
+        return None
+
+    obs = take()  # read before the buffers, whose rows are its trials
+    capacity = min(max(1, 0 if obs is None else len(obs)), bp_budget_rows(graph.shape, damping))
 
     # each mode's first info entry: 1 where entry 0 holds the reference symbol
     first = [int((i, 0) not in graph.var_labels) for i in range(d)]
 
-    def pieces(chunk) -> Iterator[tuple[np.ndarray, ...]]:
-        """The spectrum parts of the cleaned pmfs of ``chunk`` and the later
-        chunks, (bins, b) + dims each, read as needed, in pieces of
-        b <= ``capacity`` trials."""
-        while chunk is not None:
-            obs = np.asarray(chunk, dtype=float)
-            if obs.ndim != 3 or obs.shape[1:] != (t_len, m):
-                raise ValueError(f"observation pmfs must be (B, {t_len}, {m})")
-            for a in range(0, len(obs), capacity):
-                # in a call, so that no transient outlives the yield
-                yield spectrum(obs[a : a + capacity])
-            chunk = next(chunks, None)
-
-    def spectrum(rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The spectrum parts of the cleaned pmfs ``rows``, (bins, b) + dims each."""
-        b = len(rows)
-        planes = np.empty((1, m, b) + dims)  # cleaned straight into BP's layout
-        _clean(rows, out=planes.reshape(m, b, t_len).transpose(1, 2, 0))
-        parts = _dft(planes, _alloc(_bp_arrays(graph.shape, damping, b)["pending"]))
-        return tuple(p[0] for p in parts)
-
-    source = pieces(head)
-    del head  # so that the first chunk goes once it is read, as the later ones do
-    pending = next(source, None)  # before the buffers, so that its temporaries come and go first
     # made once per call; an iteration uses the first n rows of the trial
     # axis, one per live trial.  Undamped, the check extrinsics become the
     # next messages in place
@@ -477,24 +473,23 @@ def bp_decode_batch(
     n = admitted = taken = 0
 
     while True:
-        # pending trials move into the free rows; a piece is dropped once all
-        # of its trials are in, and the next one is read when rows are free
-        while n < capacity:
-            if pending is None:
-                pending, taken = next(source, None), 0
-                if pending is None:
-                    break
-            a = min(capacity - n, pending[0].shape[1] - taken)
-            for j in range(len(obs_f)):  # by index, so that no name outlives the piece
-                obs_f[j][:, n : n + a] = pending[j][:, taken : taken + a]
+        # the chunk's next trials take the free rows; the next chunk is read
+        # once the chunk is used up and a row is free
+        while n < capacity and obs is not None:
+            if taken == len(obs):
+                obs, taken = take(), 0
+                continue
+            a = min(capacity - n, len(obs) - taken)
+            rows = v2c[:1, :, n : n + a]
+            _clean(obs[taken : taken + a], out=rows[0].reshape(m, a, t_len).transpose(1, 2, 0),
+                   scratch=row_scratch[0, n : n + a].reshape(a, t_len))
+            _dft(rows, tuple(p[None, :, n : n + a] for p in obs_f))
             v2c[:, :, n : n + a] = 1.0 / m
             trial[n : n + a] = np.arange(admitted, admitted + a)
             age[n : n + a] = 0
             streak[n : n + a] = 0
             prev[n : n + a] = -1
             taken, n, admitted = taken + a, n + a, admitted + a
-            if taken == pending[0].shape[1]:
-                pending = None
         if n == 0:
             break
 

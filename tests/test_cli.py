@@ -346,12 +346,16 @@ class TestSimulateReplay:
         *[(fixture, lambda doc, f=field, v=value: _set_field(doc, f, v), ())
           for fixture, field, value, _ in MISTYPED_FIELDS.values()],
         ("matrix-case1.txt", lambda doc: doc.update(command=["matrix"]), ()),
+        # argv None: no --out, so replay reads the manifest's output
+        *[("matrix-case1.txt", lambda doc, v=v: doc.update(output=v), None)
+          for v in (True, 5, ["a"])],
     ], ids=["no-config", "no-modulation-order", "unknown-sim-field", "null-dims",
             "null-configs", "unknown-decoder", "null-received", "null-info",
             "null-modulation-order", "list-config", "list-manifest", "null-noise-var",
             "null-max-iters", "null-target-error", "int-config-with-threads",
-            *NON_INTEGER_FIELDS, "nan-received", *MISTYPED_FIELDS, "list-command"])
-    def test_replay_of_malformed_manifest_exits_2(self, fixture, edit, argv, tmp_path, capsys):
+            *NON_INTEGER_FIELDS, "nan-received", *MISTYPED_FIELDS, "list-command",
+            "output-true", "output-5", "output-list"])
+    def test_replay_of_malformed_manifest_exits_2(self, fixture, edit, argv, tmp_path, capfd):
         doc = json.loads((REPLAY_FIXTURES / f"{fixture}.manifest.json").read_text())
         if edit == "list":  # the manifest becomes a JSON list
             doc = [doc]
@@ -360,9 +364,11 @@ class TestSimulateReplay:
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(doc))
         out = tmp_path / "r"
-        assert run_cli("replay", "--manifest", str(manifest), "--out", str(out), *argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
+        out_args = () if argv is None else ("--out", str(out), *argv)
+        assert run_cli("replay", "--manifest", str(manifest), *out_args) == 2
+        captured = capfd.readouterr()  # fd-level: output True would write to descriptor 1
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists() and list(tmp_path.iterdir()) == [manifest]
 
     @pytest.mark.parametrize("fixture, field, value, message", MISTYPED_FIELDS.values(),
                              ids=list(MISTYPED_FIELDS))

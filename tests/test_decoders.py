@@ -149,14 +149,16 @@ def _bp_one(g, pmfs, **kwargs):
     return [out[0] for out in bp_decode_batch(g, pmfs[None], **kwargs)]
 
 
-def _mixed_batch():
-    """(4,2,2), M=4, case 1 at mixed noise levels: trials settle after 4, 5,
-    11 and 25 iterations, and one never settles in 50."""
-    sh = TensorShape((4, 2, 2), 4)
+def _mixed_batch(m=4):
+    """(4,2,2), case 1 at mixed noise levels, scaled by the squared symbol
+    spacing of M-PSK against 4-PSK: at M = 4 trials settle after 4, 5, 11
+    and 25 iterations, and one never settles in 50."""
+    sh = TensorShape((4, 2, 2), m)
     rng = np.random.default_rng(0)
-    nvs = [0.3, 0.5, 1.0, 1.5, 2.0, 3.0] * 2
-    s = transmit_signal(encode(rng.integers(0, 4, (len(nvs), 5)), sh, 1), 4)
-    pmfs = np.stack([channel_pmfs(awgn(row, v, rng), v, 4) for row, v in zip(s, nvs)])
+    scale = (np.sin(np.pi / m) / np.sin(np.pi / 4)) ** 2
+    nvs = [v * scale for v in [0.3, 0.5, 1.0, 1.5, 2.0, 3.0] * 2]
+    s = transmit_signal(encode(rng.integers(0, m, (len(nvs), sh.info_length(1))), sh, 1), m)
+    pmfs = np.stack([channel_pmfs(awgn(row, v, rng), v, m) for row, v in zip(s, nvs)])
     return build_graph(sh, 1), pmfs
 
 
@@ -311,11 +313,17 @@ def _chunks(pmfs, first=1):
 
 
 class TestRefill:
+    # M = 2 and 3 take rfft, M = 8 and 16 the full fft and _sum_last's
+    # partial sums: each admits trials into rows at nonzero offsets
     @pytest.mark.parametrize("kwargs", [{}, {"damping": 0.3}, {"max_iters": 2},
-                                        {"max_iters": 7}])
+                                        {"max_iters": 7},
+                                        *(pytest.param({"m": m, "damping": damping},
+                                                       id=f"m{m}-damping{damping}")
+                                          for m in (2, 3, 8, 16) for damping in (0.0, 0.3))])
     @pytest.mark.parametrize("first", [1, 2, 3, 5, 12])
     def test_stream_matches_whole_batch(self, first, kwargs):
-        g, pmfs = _mixed_batch()
+        kwargs = dict(kwargs)
+        g, pmfs = _mixed_batch(kwargs.pop("m", 4))
         want = bp_decode_batch(g, pmfs, **kwargs)
         for a, b in zip(bp_decode_batch(g, _chunks(pmfs, first), **kwargs), want):
             assert a.shape == b.shape and np.array_equal(a, b), first
@@ -487,6 +495,34 @@ class TestByteBudget:
             growth = (peak(g, pmfs, 12) - peak(g, pmfs, 4)) / 8
             assert bp_budget_rows(sh, damping) >= 12
             assert counted <= growth <= 1.025 * counted, m
+
+    @pytest.mark.parametrize("damping", [0.0, 0.3])
+    @pytest.mark.parametrize("m", [3, 4, 8, 16])
+    def test_counted_bytes_bound_stream_growth(self, m, damping):
+        # the same 36 trials as chunks of 12 and of 4 rows: the kept outputs
+        # are equal, so the peaks differ by 8 rows of working arrays and the
+        # transients of admitting trials and iterating.  M = 2 stays out: at
+        # capacities 4 and 12 numpy's iterator buffers for ufuncs on strided
+        # views still grow with the rows there (up to 8,192 elements an
+        # operand), 1.03 of the count per row on both paths
+        def peak(g, pmfs, rows):
+            tracemalloc.start()
+            try:
+                bp_decode_batch(g, iter([pmfs[a : a + rows] for a in range(0, 36, rows)]),
+                                max_iters=2, damping=damping)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sh = TensorShape((6, 5, 4), m)
+        g = build_graph(sh, 1)
+        pmfs = _noisy_pmfs(sh, 36)
+        bp_decode_batch(g, pmfs[:1], max_iters=1)
+        counted = sum(np.prod(s) * np.dtype(t).itemsize
+                      for parts in _bp_arrays(sh, damping, 1).values() for s, t in parts)
+        growth = (peak(g, pmfs, 12) - peak(g, pmfs, 4)) / 8
+        assert bp_budget_rows(sh, damping) >= 12
+        assert growth <= 1.01 * counted, m
 
     @pytest.mark.parametrize("kwargs", [{}, {"damping": 0.3, "max_iters": 7}])
     def test_capacity_above_the_budget_changes_no_output(self, kwargs):
