@@ -7,8 +7,6 @@ with dispersion V = snr (snr + 2) / (snr + 1)^2 * log2(e)^2.
 
 from __future__ import annotations
 
-from statistics import NormalDist
-
 import numpy as np
 
 from .ring_code import TensorShape
@@ -28,6 +26,8 @@ def awgn_dispersion(snr: float) -> float:
 
 def _q_inv(p: float) -> float:
     """Inverse of the standard Gaussian tail Q(x) = P(N(0, 1) > x)."""
+    from statistics import NormalDist  # imported here: only sweep and bound call this
+
     return -NormalDist().inv_cdf(p)
 
 

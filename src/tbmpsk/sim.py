@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import numbers
 import struct
+import sys
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, is_dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -152,6 +152,16 @@ class SimConfig:
                 raise ValueError("the non-coherent multi-user scenario requires case 1")
             if self.num_users < 1 or self.num_antennas < 1:
                 raise ValueError("num_users and num_antennas must be >= 1")
+            # Kruskal's condition with generic k-ranks: below it CP need not
+            # single out the users' factors (one user's always are)
+            users, bound = self.num_users, 2 * self.num_users + len(self.dims)
+            kranks = sum(min(t, users) for t in self.dims) + min(self.num_antennas, users)
+            if users > 1 and kranks < bound:
+                raise ValueError(
+                    f"simo-mac fails Kruskal's condition: generic k-ranks sum to {kranks} "
+                    f"< 2 * users + modes = {bound} (users {users}, shape "
+                    f"{shape_label(self.dims)}, antennas {self.num_antennas}); CP-ALS "
+                    f"cannot identify the users")
 
     @property
     def shape(self) -> TensorShape:
@@ -383,8 +393,20 @@ def _map_units(fn, threads: int, units) -> list:
     workers = min(threads, len(units))
     if workers < 2:
         return list(map(fn, units))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the module attribute, so that a patched pool is the one that opens
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, units))
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first read (PEP 562): the import
+    also loads ``multiprocessing``, ``socket`` and ``subprocess``, which a
+    run in one process never uses."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def run(config: SimConfig) -> SimResult:

@@ -349,12 +349,14 @@ class TestSimulateReplay:
         # argv None: no --out, so replay reads the manifest's output
         *[("matrix-case1.txt", lambda doc, v=v: doc.update(output=v), None)
           for v in (True, 5, ["a"])],
+        ("simulate-simo-mac.csv",
+         lambda doc: doc["config"].update(num_users=3, num_antennas=1), ()),
     ], ids=["no-config", "no-modulation-order", "unknown-sim-field", "null-dims",
             "null-configs", "unknown-decoder", "null-received", "null-info",
             "null-modulation-order", "list-config", "list-manifest", "null-noise-var",
             "null-max-iters", "null-target-error", "int-config-with-threads",
             *NON_INTEGER_FIELDS, "nan-received", *MISTYPED_FIELDS, "list-command",
-            "output-true", "output-5", "output-list"])
+            "output-true", "output-5", "output-list", "kruskal"])
     def test_replay_of_malformed_manifest_exits_2(self, fixture, edit, argv, tmp_path, capfd):
         doc = json.loads((REPLAY_FIXTURES / f"{fixture}.manifest.json").read_text())
         if edit == "list":  # the manifest becomes a JSON list
@@ -392,6 +394,16 @@ class TestSimulateReplay:
                        "--threads", str(sim.MAX_THREADS + 1), "--out", str(out)) == 2
         assert "error: threads" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_simo_mac_below_kruskal_exits_2(self, tmp_path, capsys):
+        # 3 users, 1 antenna on (4,2,2): k-ranks 3 + 2 + 2 + 1 = 8 < 2 * 3 + 3
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--scenario", "simo-mac", "--shape", "4,2,2", "--mod", "4",
+                       "--users", "3", "--antennas", "1", "--snr-db", "30", "--trials", "20",
+                       "--seed", "1", "--out", str(out)) == 2
+        assert "Kruskal's condition: generic k-ranks sum to 8 < 2 * users + modes = 9" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_replay_threads_above_cap_exits_2(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -557,19 +569,52 @@ SCIPY_BLOCKED = textwrap.dedent("""
 """)
 
 
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter that imports tbmpsk from ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_commands_run_without_scipy(tmp_path):
     received = tmp_path / "s.txt"
     assert run_cli("encode", "--shape", "4,2,2", "--mod", "4", "--info", "3,1,0,2,1",
                    "--out", str(received)) == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(received)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_fresh(SCIPY_BLOCKED, str(received))
     result = proc.stdout.splitlines()[-1]
     assert result == "RESULT [0, 0, 0, 0, 0, 0] []", proc.stdout + proc.stderr
     assert "3 1 0 2 1" in proc.stdout
+
+
+# the modules a run in one process does not need: the process pool's, and the
+# normal approximation's, which only sweep and bound evaluate
+IMPORT_FOOTPRINT = textwrap.dedent("""
+    import sys
+    from tbmpsk.cli import main
+
+    lazy = ("concurrent.futures", "multiprocessing", "statistics")
+    runs = [
+        ["simulate", "--shape", "4,2,2", "--mod", "4", "--snr-db", "0,2", "--trials", "8",
+         "--seed", "1", "--threads", "1"],
+        ["sweep", "--shapes", "2,2", "--mods", "4", "--target-per", "0.2", "--snr-lo", "0",
+         "--snr-hi", "4", "--resolution", "2", "--trials", "8", "--seed", "3",
+         "--threads", "1"],
+    ]
+    for argv in runs:
+        code = main(argv)
+        print("RESULT", argv[0], code, [m for m in lazy if m in sys.modules])
+""")
+
+
+def test_one_process_runs_import_no_process_pool():
+    # a fresh interpreter: this one may have loaded these modules already
+    results = [line for line in run_fresh(IMPORT_FOOTPRINT).stdout.splitlines()
+               if line.startswith("RESULT ")]
+    assert results == ["RESULT simulate 0 []", "RESULT sweep 0 ['statistics']"]
 
 
 @pytest.mark.parametrize("argv", [

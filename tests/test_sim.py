@@ -76,6 +76,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(**{**BASE, "scenario": "simo-mac", "case": 3})
 
+    # (dims, users, antennas, generic k-rank sum, 2 * users + modes)
+    @pytest.mark.parametrize("dims, users, antennas, kranks, bound", [
+        ((4, 2, 2), 3, 1, 8, 9), ((2, 2), 2, 1, 5, 6)])
+    def test_simo_mac_refuses_configs_below_kruskal(self, dims, users, antennas, kranks,
+                                                    bound):
+        with pytest.raises(ValueError, match=f"k-ranks sum to {kranks} < 2 \\* users "
+                                             f"\\+ modes = {bound}"):
+            SimConfig(**{**BASE, "dims": dims, "scenario": "simo-mac", "num_users": users,
+                         "num_antennas": antennas})
+
+    # criterion 10, criterion 11b and simo-mac-paper, the replay fixture and
+    # the digest corpus, a sum at the bound (4 + 4 + 2 + 1 = 11), and one
+    # user, whose rank-1 factors are always unique
+    @pytest.mark.parametrize("dims, users, antennas", [
+        ((6, 5, 4), 3, 5), ((10, 20, 16), 1, 5), ((10, 20, 16), 5, 5), ((4, 2, 2), 2, 2),
+        ((4, 3, 2), 2, 4), ((4, 4, 2), 4, 1), ((4, 2, 2), 1, 1)])
+    def test_simo_mac_accepts_configs_meeting_kruskal(self, dims, users, antennas):
+        cfg = SimConfig(**{**BASE, "dims": dims, "scenario": "simo-mac", "num_users": users,
+                           "num_antennas": antennas})
+        assert cfg.num_users == users
+
     @pytest.mark.parametrize("field, value", [("num_users", 3), ("num_users", 0),
                                               ("num_antennas", 7), ("num_antennas", 0)])
     def test_awgn_rejects_users_and_antennas_other_than_one(self, field, value):
