@@ -7,7 +7,9 @@ writes a manifest that keeps the recorded one's other keys.
 
 Exit codes: 0 success, 2 configuration/validation error (among them an empty
 SNR, shape or order list, more than ``sim.MAX_THREADS`` workers, a
-non-finite received sample, an unknown decoder, a replayed manifest that is
+non-finite received sample, an unknown decoder, a ``simo-mac`` config below
+Kruskal's condition (generic k-ranks summing to less than 2 * users + modes,
+for two users or more), a replayed manifest that is
 not a JSON object, and a config doc, written or replayed, without exactly
 its command's fields (``REPLAYERS``) each of its kind, a bool never a number
 (:func:`sim.check_fields`)), 3 runtime guard (enumeration limit, simo-mac

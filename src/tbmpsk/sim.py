@@ -153,7 +153,7 @@ class SimConfig:
             if self.num_users < 1 or self.num_antennas < 1:
                 raise ValueError("num_users and num_antennas must be >= 1")
             # Kruskal's condition with generic k-ranks: below it CP need not
-            # single out the users' factors (one user's always are)
+            # identify the users' factors; one user's rank-1 factors always are
             users, bound = self.num_users, 2 * self.num_users + len(self.dims)
             kranks = sum(min(t, users) for t in self.dims) + min(self.num_antennas, users)
             if users > 1 and kranks < bound:
