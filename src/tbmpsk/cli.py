@@ -37,15 +37,13 @@ from .sim import SimConfig, result_csv, run, sweep_csv, sweep_table, write_manif
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
-    """Accept '4,2,2' or '4x2x2'."""
+    """Accept '4,2,2' or '4x2x2', with spaces around an entry; an empty entry
+    ('4,,2', '4x2x') is refused like any other that is not an integer."""
     sep = "x" if "x" in text else ","
     try:
-        dims = tuple(int(v) for v in text.split(sep) if v.strip())
+        return tuple(int(v) for v in text.split(sep))
     except ValueError:
-        raise ValueError(f"cannot parse shape {text!r}")
-    if not dims:
-        raise ValueError(f"cannot parse shape {text!r}")
-    return dims
+        raise ValueError(f"cannot parse shape {text!r}") from None
 
 
 def _shape(args) -> TensorShape:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -69,8 +69,11 @@ def channel_pmfs(received: np.ndarray, noise_var: float, modulation_order: int) 
     y = np.asarray(received, dtype=complex)
     points = transmit_signal(np.arange(modulation_order), modulation_order)
     d2 = np.empty(y.shape + (modulation_order,))
-    for j, point in enumerate(points):  # a symbol at a time: no (..., M) complex transient
-        d2[..., j] = np.abs(y - point) ** 2
+    # a symbol at a time, in one complex buffer that is gone before the softmax
+    diff = np.empty_like(y)
+    for j, point in enumerate(points):
+        np.square(np.abs(np.subtract(y, point, out=diff), out=d2[..., j]), out=d2[..., j])
+    del diff
     if noise_var == 0:
         return (np.argmin(d2, axis=-1)[..., None] == np.arange(modulation_order)).astype(float)
     x = np.divide(np.negative(d2, out=d2), noise_var, out=d2)
@@ -439,6 +442,7 @@ def bp_decode_batch(
         return None
 
     obs = take()  # read before the buffers, whose rows are its trials
+    used_up = np.empty((0, t_len, m))
     capacity = min(max(1, 0 if obs is None else len(obs)), bp_budget_rows(graph.shape, damping))
 
     # each mode's first info entry: 1 where entry 0 holds the reference symbol
@@ -490,6 +494,8 @@ def bp_decode_batch(
             streak[n : n + a] = 0
             prev[n : n + a] = -1
             taken, n, admitted = taken + a, n + a, admitted + a
+            if taken == len(obs):  # a used-up chunk is dropped at once, not at the next read
+                obs, taken = used_up, 0
         if n == 0:
             break
 
@@ -795,7 +801,9 @@ def multiuser_decode(
 
 
 def _decode_trials_bp(chunks, noise_var, shape, case, max_iters, damping, on_leave=None):
-    pmfs = (channel_pmfs(y, noise_var, shape.modulation_order) for y in chunks)
+    # a map, unlike a generator, keeps no chunk's received signals across a read
+    pmfs = map(partial(channel_pmfs, noise_var=noise_var,
+                       modulation_order=shape.modulation_order), chunks)
     dec, _, _, _ = bp_decode_batch(build_graph(shape, case), pmfs, max_iters, damping, on_leave)
     return dec
 

@@ -312,7 +312,9 @@ def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray
         rows = min(rows, bp_budget_rows(shape, config.damping))
     noise_var = 1.0 / db_to_linear(snr_db)
     budget = config.stop_errors
-    out = np.empty(0, dtype=np.int64)  # -1 until the trial finishes
+    # -1 until the trial finishes, then its errors, in the narrowest type that holds both
+    out_type = np.min_scalar_type(-1 - config.units_per_trial)
+    out = np.empty(0, dtype=out_type)
     drawn = finished = errors = 0
     cut = None
     settled = None if rule is None else rule(0, 0)
@@ -337,7 +339,7 @@ def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray
         stop = min(start + part, config.trials)
         if stop > out.size:  # so what ``out`` holds and copies is O(trials drawn)
             size = min(max(stop, 2 * out.size), config.trials)
-            out = np.concatenate([out, np.full(size - out.size, -1, dtype=np.int64)])
+            out = np.concatenate([out, np.full(size - out.size, -1, dtype=out_type)])
         if config.scenario == "simo-mac":
             [rng], [info], [signal] = _draw_trials(config, snr_db, start, stop)
             drawn = stop
@@ -346,15 +348,19 @@ def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray
                                        max_bp_iters=config.max_iters, damping=config.damping)
             settle([start], np.array([missed_users(info, decoded)]))
         else:
-            sent = np.empty((stop - start, shape.info_length(config.case)), dtype=np.int64)
+            sent = np.empty((stop - start, shape.info_length(config.case)),
+                            dtype=np.min_scalar_type(shape.modulation_order - 1))
 
-            def received():
+            def draw(b: int) -> np.ndarray:
                 nonlocal drawn
+                rngs, info, signal = _draw_trials(config, snr_db, drawn, drawn + b)
+                sent[drawn - start : drawn - start + b] = info[:, 0]
+                drawn += b
+                return awgn(signal[:, 0], noise_var, rngs)
+
+            def received():  # its frame holds no chunk across a yield
                 while (b := min(rows, stop - drawn, budget - errors if budget else rows)) > 0:
-                    rngs, info, signal = _draw_trials(config, snr_db, drawn, drawn + b)
-                    sent[drawn - start : drawn - start + b] = info[:, 0]
-                    drawn += b
-                    yield awgn(signal[:, 0], noise_var, rngs)
+                    yield draw(b)
 
             SINGLE_USER_DECODERS[config.decoder](
                 received(), noise_var, shape, config.case, config.max_iters, config.damping,

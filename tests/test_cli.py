@@ -90,9 +90,24 @@ class TestParsing:
         assert parse_shape("4,2,2") == (4, 2, 2)
         assert parse_shape("4x2x2") == (4, 2, 2)
 
+    def test_shape_entries_may_have_spaces(self):
+        assert parse_shape(" 4, 2 ,2") == parse_shape("4 x 2x 2 ") == (4, 2, 2)
+
     def test_bad_shape_exits_2(self, capsys):
         assert run_cli("matrix", "--shape", "4,a", "--mod", "4") == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["4,,2", "4,2,2,", "x4x2", "4x2x", "4, ,2", ""])
+    def test_empty_shape_entry_exits_2(self, text, capsys):
+        # an empty entry is refused, not dropped to run a smaller code
+        assert run_cli("simulate", "--shape", text, "--mod", "2", "--snr-db", "0",
+                       "--trials", "1", "--seed", "1") == 2
+        assert f"cannot parse shape {text!r}" in capsys.readouterr().err
+
+    def test_empty_shape_entry_in_a_sweep_row_exits_2(self, capsys):
+        assert run_cli("sweep", "--shapes", "2,2;4,,2", "--mods", "2", "--trials", "1",
+                       "--seed", "1", *SWEEP_BRACKET) == 2
+        assert "cannot parse shape '4,,2'" in capsys.readouterr().err
 
     def test_canonicalization_note(self, capsys):
         assert run_cli("matrix", "--shape", "10,20,16", "--mod", "4") == 0

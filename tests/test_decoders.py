@@ -1,6 +1,7 @@
 """Receiver correctness: FFT check updates vs direct convolution, BP round
 trips and batch invariance, the ML oracle, CP-ALS, and the multi-user path."""
 
+import gc
 import itertools
 import tracemalloc
 
@@ -504,8 +505,13 @@ class TestByteBudget:
         # transients of admitting trials and iterating.  M = 2 stays out: at
         # capacities 4 and 12 numpy's iterator buffers for ufuncs on strided
         # views still grow with the rows there (up to 8,192 elements an
-        # operand), 1.03 of the count per row on both paths
+        # operand), 1.03 of the count per row on both paths.  A full collection
+        # empties the interpreter's free lists first (see gc.collect): what
+        # earlier code left in them would otherwise serve some of a run's
+        # tuples untraced, more of them at 4 rows, whose run iterates more,
+        # and move the growth by up to 1% with the tests that ran before
         def peak(g, pmfs, rows):
+            gc.collect()
             tracemalloc.start()
             try:
                 bp_decode_batch(g, iter([pmfs[a : a + rows] for a in range(0, 36, rows)]),

@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism under batching/threading, early-stop
 semantics, metric accounting, and persistence formats."""
 
+import gc
 import json
 import tracemalloc
 from dataclasses import asdict
@@ -476,6 +477,32 @@ class TestByteBudget:
 
         peak(64)  # fills the caches
         assert peak(1024) <= 1.1 * peak(64)
+
+    @pytest.mark.parametrize("dims, trials", [((10, 20, 16), 8), ((6, 5, 4), 32)],
+                             ids=["10x20x16", "6x5x4"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 8, 16])
+    def test_stream_peak_within_the_counted_bytes(self, dims, trials, m):
+        # a used-up chunk is dropped as soon as its last trial is admitted, and
+        # neither producer holds a chunk across a read, so the stream holds
+        # BP's counted arrays, the kept outputs and one chunk in the making:
+        # (10,20,16) reads 0.98-1.10 of the count and (6,5,4) 0.98-1.06
+        # (1.04-1.24 and 1.06-1.24 while used-up chunks stayed alive).  A full
+        # collection empties the free lists, so that no earlier test moves the peak
+        cfg = SimConfig(dims=dims, modulation_order=m, snrs_db=(0.0,), trials=trials, seed=1,
+                        stop_errors=0, max_iters=2)
+        run(cfg)  # fills the caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = min(trials, decoders.bp_budget_rows(cfg.shape))
+        counted = sum(np.prod(s) * np.dtype(t).itemsize
+                      for parts in decoders._bp_arrays(cfg.shape, 0.0, rows).values()
+                      for s, t in parts)
+        assert peak <= 1.1 * counted
 
     def test_budget_chunks_match_batch_chunks(self):
         cfg = SimConfig(**self.KW, trials=40, batch_size=32)
