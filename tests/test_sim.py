@@ -486,7 +486,7 @@ class TestByteBudget:
         # neither producer holds a chunk across a read, so the stream holds
         # BP's counted arrays, the kept outputs and one chunk in the making:
         # (10,20,16) reads 0.98-1.10 of the count and (6,5,4) 0.98-1.06
-        # (1.04-1.24 and 1.06-1.24 while used-up chunks stayed alive).  A full
+        # (1.04-1.25 and 1.06-1.24 while used-up chunks stayed alive).  A full
         # collection empties the free lists, so that no earlier test moves the peak
         cfg = SimConfig(dims=dims, modulation_order=m, snrs_db=(0.0,), trials=trials, seed=1,
                         stop_errors=0, max_iters=2)
