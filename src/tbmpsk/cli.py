@@ -6,11 +6,11 @@ Every file-producing command writes a JSON manifest next to its output;
 writes a manifest that keeps the recorded one's other keys.
 
 Exit codes: 0 success, 2 configuration/validation error (among them an empty
-SNR, shape or order list, more than ``sim.MAX_THREADS`` workers, a
-non-finite received sample, an unknown decoder, a ``simo-mac`` config below
-Kruskal's condition (generic k-ranks summing to less than 2 * users + modes,
-for two users or more), a replayed manifest that is
-not a JSON object, and a config doc, written or replayed, without exactly
+SNR, shape or order list or an empty entry in one, more than
+``sim.MAX_THREADS`` workers, a non-finite received sample, an unknown
+decoder, a ``simo-mac`` config below Kruskal's condition (generic k-ranks
+summing to less than 2 * users + modes, for two users or more), a replayed
+manifest that is not a JSON object, and a config doc, written or replayed, without exactly
 its command's fields (``REPLAYERS``) each of its kind, a bool never a number
 (:func:`sim.check_fields`)), 3 runtime guard (enumeration limit, simo-mac
 byte limit, unreachable bound target) or an input or output file that
@@ -36,14 +36,27 @@ from . import sim as simmod
 from .sim import SimConfig, result_csv, run, sweep_csv, sweep_table, write_manifest
 
 
+def _entries(text: str, sep: str = ",") -> list[str]:
+    """The entries of a ``sep``-separated list, stripped of the spaces around
+    them.  An empty entry ('0,,2', '4,') is refused, naming the text; a list
+    of only empty entries (',', '') has no entries."""
+    entries = [v.strip() for v in text.split(sep)]
+    if not any(entries):
+        return []
+    if not all(entries):
+        raise ValueError(f"empty entry in list {text!r}")
+    return entries
+
+
 def parse_shape(text: str) -> tuple[int, ...]:
     """Accept '4,2,2' or '4x2x2', with spaces around an entry; an empty entry
     ('4,,2', '4x2x') is refused like any other that is not an integer."""
-    sep = "x" if "x" in text else ","
     try:
-        return tuple(int(v) for v in text.split(sep))
+        if dims := tuple(int(v) for v in _entries(text, "x" if "x" in text else ",")):
+            return dims
     except ValueError:
-        raise ValueError(f"cannot parse shape {text!r}") from None
+        pass
+    raise ValueError(f"cannot parse shape {text!r}")
 
 
 def _shape(args) -> TensorShape:
@@ -95,7 +108,9 @@ def _read_complex_lines(path: str) -> np.ndarray:
 
 
 def _parse_list(text: str, kind=int) -> list:
-    return [kind(v) for v in text.replace(",", " ").split()]
+    """The values of a list whose entries are separated by commas or by
+    whitespace, newlines included (:func:`_entries`)."""
+    return [kind(v) for entry in _entries(text) for v in entry.split()]
 
 
 # --- per-command text producers (shared by the commands and replay) ----------
@@ -231,7 +246,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    shapes = [parse_shape(s) for s in args.shapes.split(";") if s.strip()]
+    shapes = [parse_shape(s) for s in _entries(args.shapes, ";")]
     mods = _parse_list(args.mods)
     configs = [
         _sim_config(args, TensorShape(dims, m), (args.snr_lo, args.snr_hi))

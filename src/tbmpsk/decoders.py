@@ -14,7 +14,10 @@ array.  The layout is planar and trial-contiguous: the pmf (or spectrum)
 axis comes before the trials and the trials before the positions,
 (d, M, B, T_1, ..., T_d), so each symbol of a mode is one contiguous plane
 over all live trials and the short per-symbol arithmetic runs as long
-whole-array ufuncs on those planes.  A spectrum is a tuple of parts laid out
+whole-array ufuncs on those planes.  :func:`channel_pmfs` returns its pmfs
+as such planes too, so softmax and clean always read the pmf axis as the
+last axis of a planar view, where numpy's ``np.max`` and its short sums
+are fast (:func:`_sum_last`).  A spectrum is a tuple of parts laid out
 the same way (:func:`_bp_arrays`): at M = 4 the bins 0 and 2 of a real pmf
 are real and are kept as real planes, bin 1 as a complex one; every other M
 keeps one complex array.  A pinned reference entry's slots hold the all-ones
@@ -58,53 +61,45 @@ CP_RIDGE = 1e-9
 def channel_pmfs(received: np.ndarray, noise_var: float, modulation_order: int) -> np.ndarray:
     """Per-sample posterior pmfs over Z_M for y = phi(v) + CN(0, noise_var).
 
-    Shape (..., M) for input (...,).  Distances are offset by the per-sample
-    minimum before exponentiation, so arbitrarily small noise variances
-    yield a clean indicator pmf instead of 0/0; zero variance (infinite
-    SNR) gives the indicator of the nearest point, ties to the smallest
-    symbol.
+    Shape (..., M) for input (...,): a view of M planes, one per symbol,
+    BP's planar layout, so the softmax reads each symbol as one contiguous
+    plane.  Distances are offset by the per-sample minimum before
+    exponentiation, so arbitrarily small noise variances yield a clean
+    indicator pmf instead of 0/0; zero variance (infinite SNR) gives the
+    indicator of the nearest point, ties to the smallest symbol.
     """
     if not noise_var >= 0:
         raise ValueError(f"noise variance must be non-negative, got {noise_var}")
     y = np.asarray(received, dtype=complex)
     points = transmit_signal(np.arange(modulation_order), modulation_order)
-    d2 = np.empty(y.shape + (modulation_order,))
+    d2 = np.empty((modulation_order,) + y.shape)
     # a symbol at a time, in one complex buffer that is gone before the softmax
     diff = np.empty_like(y)
     for j, point in enumerate(points):
-        np.square(np.abs(np.subtract(y, point, out=diff), out=d2[..., j]), out=d2[..., j])
+        np.square(np.abs(np.subtract(y, point, out=diff), out=d2[j]), out=d2[j])
     del diff
     if noise_var == 0:
-        return (np.argmin(d2, axis=-1)[..., None] == np.arange(modulation_order)).astype(float)
-    x = np.divide(np.negative(d2, out=d2), noise_var, out=d2)
+        return (np.argmin(d2, axis=0)[..., None] == np.arange(modulation_order)).astype(float)
+    x = np.moveaxis(np.divide(np.negative(d2, out=d2), noise_var, out=d2), 0, -1)
     return _softmax(x, out=x)
 
 
-def _max_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.max(x, axis=-1)`` as a running ``np.maximum`` over the last
-    axis's slices: a maximum is exact, so every order gives the same bits,
-    and the slices skip numpy's slow reduction over a short axis."""
-    if out is None:
-        out = np.empty(x.shape[:-1])
-    np.maximum(x[..., 0], x[..., 1], out=out)
-    for j in range(2, x.shape[-1]):
-        np.maximum(out, x[..., j], out=out)
-    return out
-
-
 def _sum_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.sum(x, axis=-1)`` of a contiguous ``x``, as adds of the last
-    axis's slices in numpy's pairwise order, so every layout of ``x`` gives
-    the bits numpy gives its contiguous copy (up to the sign of a sum of
-    negative zeros, which numpy starts from +0.0).  Below 8 terms the adds
-    run left to right; up to 128, eight running sums r_j over the terms
-    j, j + 8, ... of the whole blocks combine as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before the tail is
-    added; longer axes split in two where numpy splits them.
+    """``np.sum(x, axis=-1)`` of a contiguous ``x``, for ``x`` in any layout.
 
-    From 8 terms on, each block of up to 128 terms makes three arrays shaped
-    like ``out`` for its partial sums, and each split one for its second
-    half."""
+    Below 8 terms it is ``np.add.reduce``: on a view whose last-axis slices
+    are planes numpy adds them left to right, as it adds a contiguous copy's
+    terms.  From 8 terms on, numpy adds a contiguous axis in its pairwise
+    order but a planar one in sequence, so :func:`_pairwise_sum` adds the
+    slices in the pairwise order (up to the sign of a sum of negative
+    zeros, which numpy starts from +0.0): up to 128 terms, eight running
+    sums r_j over the terms j, j + 8, ... of the whole blocks combine as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before the tail is
+    added; longer axes split in two where numpy splits them.  Each block of
+    up to 128 terms makes three arrays shaped like ``out`` for its partial
+    sums, and each split one for its second half."""
+    if x.shape[-1] < 8:
+        return np.add.reduce(x, axis=-1, out=out)
     if out is None:
         out = np.empty(x.shape[:-1])
     return _pairwise_sum(x, 0, x.shape[-1], out)
@@ -112,12 +107,7 @@ def _sum_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _pairwise_sum(x: np.ndarray, a: int, n: int, out: np.ndarray) -> np.ndarray:
     """Sum of the last-axis slices a, ..., a + n - 1 of ``x`` into ``out``,
-    in the order of numpy's ``pairwise_sum``."""
-    if n < 8:
-        np.add(x[..., a], x[..., a + 1], out=out)
-        for j in range(a + 2, a + n):
-            np.add(out, x[..., j], out=out)
-        return out
+    n >= 8, in the order of numpy's ``pairwise_sum``."""
     if n > 128:
         half = n // 2 - n // 2 % 8
         _pairwise_sum(x, a, half, out)
@@ -152,7 +142,7 @@ def _softmax(
     scipy's three operations.  ``out`` may be ``x``; ``scratch`` (shape
     ``x.shape[:-1]``) holds the per-row max and then the sum
     (:func:`_sum_last`)."""
-    s = _max_last(x, scratch)
+    s = np.max(x, axis=-1, out=scratch)
     e = np.subtract(x, s[..., None], out=out)
     np.exp(e, out=e)
     return np.divide(e, _sum_last(e, s)[..., None], out=e)

@@ -200,26 +200,10 @@ def _snr_key(snr_db: float) -> int:
     return int.from_bytes(struct.pack("<d", snr_db), "little")
 
 
-def _seed_words(n: int) -> list[int]:
-    """The uint32 words, low first, that numpy's ``SeedSequence`` makes of
-    a non-negative int; a negative one raises ValueError, as there."""
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    words = [n & 0xFFFFFFFF]
-    while n := n >> 32:
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
 def trial_rng(seed: int, snr_db: float, trial: int) -> np.random.Generator:
     """The trial's private generator; the sole source of randomness for its
-    info bits, channel draws, and decomposition restarts.  It is
-    ``default_rng(SeedSequence([seed, _snr_key(snr_db), trial]))``, seeded
-    from the uint32 words numpy would make of that list (numpy copies a
-    uint32 array as it is) without its per-word numpy scalars."""
-    words = _seed_words(seed) + _seed_words(_snr_key(snr_db)) + _seed_words(trial)
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+    info bits, channel draws, and decomposition restarts."""
+    return np.random.default_rng([seed, _snr_key(snr_db), trial])
 
 
 def _encode_batch(info: np.ndarray, shape: TensorShape, case: int) -> np.ndarray:

@@ -79,6 +79,8 @@ def _set_field(doc, field, value):
 
 # a sweep's target and bracket, for runs that stop before any point
 SWEEP_BRACKET = ("--target-per", "0.2", "--snr-lo", "0", "--snr-hi", "4")
+# a small run's trials and seed
+RUN = ("--trials", "4", "--seed", "1")
 
 
 def run_cli(*argv):
@@ -108,6 +110,37 @@ class TestParsing:
         assert run_cli("sweep", "--shapes", "2,2;4,,2", "--mods", "2", "--trials", "1",
                        "--seed", "1", *SWEEP_BRACKET) == 2
         assert "cannot parse shape '4,,2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, text", [
+        (("simulate", "--shape", "4,2,2", "--mod", "4", "--snr-db", "0,,2", *RUN), "0,,2"),
+        (("simulate", "--shape", "4,2,2", "--mod", "4", "--snr-db", "0,2, ", *RUN), "0,2, "),
+        (("encode", "--shape", "2,2", "--mod", "4", "--info", "3,,1"), "3,,1"),
+        (("encode", "--shape", "2,2", "--mod", "4", "--info", ",3,1"), ",3,1"),
+        (("sweep", "--shapes", "4,2,2;;", "--mods", "4", *SWEEP_BRACKET, *RUN), "4,2,2;;"),
+        (("sweep", "--shapes", ";4,2,2", "--mods", "4", *SWEEP_BRACKET, *RUN), ";4,2,2"),
+        (("sweep", "--shapes", "4,2,2", "--mods", "4,,", *SWEEP_BRACKET, *RUN), "4,,"),
+    ])
+    def test_empty_list_entry_exits_2(self, argv, text, tmp_path, capsys):
+        # a stray separator is refused, not dropped to run a shorter list
+        assert run_cli(*argv, "--out", str(tmp_path / "o.txt")) == 2
+        assert f"empty entry in list {text!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("content", ["3,,1\n", "3\n1,\n", "3, ,1"])
+    def test_empty_entry_in_an_info_file_exits_2(self, content, tmp_path, capsys):
+        info = tmp_path / "info.txt"
+        info.write_text(content)
+        assert run_cli("encode", "--shape", "2,2", "--mod", "4", "--in", str(info)) == 2
+        assert f"empty entry in list {content!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["3 1\n", "3\n1\n", "3,\n1\n", " 3 , 1 "])
+    def test_info_file_entries_split_on_commas_and_whitespace(self, content, tmp_path, capsys):
+        info = tmp_path / "info.txt"
+        info.write_text(content)
+        assert run_cli("encode", "--shape", "2,2", "--mod", "4", "--in", str(info)) == 0
+        from_file = capsys.readouterr().out
+        assert run_cli("encode", "--shape", "2,2", "--mod", "4", "--info", " 3, 1 ") == 0
+        assert from_file == capsys.readouterr().out
 
     def test_canonicalization_note(self, capsys):
         assert run_cli("matrix", "--shape", "10,20,16", "--mod", "4") == 0
