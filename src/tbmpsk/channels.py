@@ -66,8 +66,6 @@ def simo_mac(
         raise ValueError(f"signals must have length T = {shape.blocklength}")
     if num_antennas < 1:
         raise ValueError(f"need at least one antenna, got {num_antennas}")
-    if not noise_var >= 0:
-        raise ValueError(f"noise variance must be >= 0, got {noise_var}")
     num_users = s.shape[0]
     gains = (rng.standard_normal((num_users, num_antennas))
              + 1j * rng.standard_normal((num_users, num_antennas))) / np.sqrt(2.0)

@@ -10,11 +10,11 @@ SNR, shape or order list or an empty entry in one, more than
 ``sim.MAX_THREADS`` workers, a non-finite received sample, an unknown
 decoder, a ``simo-mac`` config below Kruskal's condition (generic k-ranks
 summing to less than 2 * users + modes, for two users or more), a replayed
-manifest that is not a JSON object, and a config doc, written or replayed, without exactly
-its command's fields (``REPLAYERS``) each of its kind, a bool never a number
-(:func:`sim.check_fields`)), 3 runtime guard (enumeration limit, simo-mac
-byte limit, unreachable bound target) or an input or output file that
-cannot be opened.
+manifest that is not a JSON object, ``replay --threads`` on a manifest that
+runs no trials, and a config doc, written or replayed, without exactly its
+command's fields (``REPLAYERS``) each of its kind, a bool never a number
+(:func:`sim.check_fields`)), 3 runtime guard (enumeration limit, simo-mac byte
+limit, unreachable bound target) or an input or output file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -149,9 +149,10 @@ def decode_text(doc: dict) -> str:
     check_bp_params(doc["max_iters"], doc["damping"])
     if not 0 <= (noise_var := doc["noise_var"]) < np.inf:
         raise ValueError(f"noise variance must be finite and non-negative, got {noise_var}")
-    decided = SINGLE_USER_DECODERS[decoder]([y[None]], noise_var, shape, doc["case"],
-                                            doc["max_iters"], doc["damping"])[0]
-    return " ".join(str(int(v)) for v in decided) + "\n"
+    decided = []
+    SINGLE_USER_DECODERS[decoder]([y[None]], noise_var, shape, doc["case"], doc["max_iters"],
+                                  doc["damping"], lambda _, words: decided.extend(words))
+    return " ".join(str(int(v)) for v in decided[0]) + "\n"
 
 
 def graph_text(doc: dict) -> str:
@@ -273,7 +274,9 @@ def cmd_replay(args) -> int:
         raise ValueError(f"manifest command {command!r} is not replayable")
     producer, fields = REPLAYERS[command]
     simmod.check_fields(config_doc := doc.get("config"), fields)
-    if args.threads is not None and command in ("simulate", "sweep"):
+    if args.threads is not None:
+        if command not in ("simulate", "sweep"):
+            raise ValueError(f"--threads applies to simulate and sweep manifests, not {command}")
         for c in config_doc["configs"] if command == "sweep" else [config_doc]:
             c["threads"] = args.threads
     out_path = args.out or doc.get("output")

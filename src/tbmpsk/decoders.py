@@ -780,37 +780,34 @@ def multiuser_decode(
 
 
 # --- single-user decoder registry -------------------------------------------
-# Uniform signature: (received chunks, an iterable of (b, T) arrays;
-# noise_var, shape, case, max_iters, damping, on_leave=None) -> decisions
-# (sum of b, K_case) in chunk order, reading the chunks as it decodes.  BP
-# holds as many trials at once as the first chunk has, and no more than fit
-# in ``BP_BYTES`` (the engine draws its chunks no larger, so each chunk's
-# channel pmfs are no larger than BP's rows for them).  ``on_leave(trials,
-# decisions)`` gets decided trials by their index in chunk order before the
-# next chunk is read: BP's as they leave, the ML oracle's a chunk at a
-# time.  A true return ends the decoding there: nothing more is read, and the
-# decisions are those of the trials decided so far, in chunk order.  A
-# von Mises phase-domain message-passing decoder would slot in here; only
-# FFT-BP and the ML oracle ship.
+# The stream contract every entry keeps, stated here only: (chunks,
+# noise_var, shape, case, max_iters, damping, on_leave), returning None.  An
+# entry reads the received chunks, an iterable of (b, T) arrays, as it
+# decodes, and its one output is ``on_leave(trials, decisions)``: the
+# trials' indices in chunk order and their (len(trials), K_case) info words,
+# reported before the next chunk is read.  BP reports trials as they leave,
+# the ML oracle a chunk at a time.  A true return ends the decoding there:
+# nothing more is read or reported.  BP holds as many trials at once as the
+# first chunk has, and no more than fit in ``BP_BYTES`` (the engine draws its
+# chunks no larger, so each chunk's channel pmfs are no larger than BP's
+# rows for them).  A von Mises phase-domain message-passing decoder would
+# slot in here; only FFT-BP and the ML oracle ship.
 
 
-def _decode_trials_bp(chunks, noise_var, shape, case, max_iters, damping, on_leave=None):
+def _decode_trials_bp(chunks, noise_var, shape, case, max_iters, damping, on_leave):
     # a map, unlike a generator, keeps no chunk's received signals across a read
     pmfs = map(partial(channel_pmfs, noise_var=noise_var,
                        modulation_order=shape.modulation_order), chunks)
-    dec, _, _, _ = bp_decode_batch(build_graph(shape, case), pmfs, max_iters, damping, on_leave)
-    return dec
+    bp_decode_batch(build_graph(shape, case), pmfs, max_iters, damping, on_leave)
 
 
-def _decode_trials_ml(chunks, noise_var, shape, case, max_iters, damping, on_leave=None):
-    decided, done = [], 0
+def _decode_trials_ml(chunks, noise_var, shape, case, max_iters, damping, on_leave):
+    done = 0
     for y in chunks:
         words = ml_oracle_decode(y, shape, case)
-        decided.append(words)
         done += len(words)
-        if on_leave is not None and on_leave(np.arange(done - len(words), done), words):
-            break
-    return np.concatenate(decided)
+        if on_leave(np.arange(done - len(words), done), words):
+            return
 
 
 SINGLE_USER_DECODERS = {

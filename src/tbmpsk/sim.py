@@ -283,9 +283,9 @@ def _collect_outcomes(config: SimConfig, snr_db: float, rule=None) -> np.ndarray
     ``batch_size`` trials, and under BP at most as many as fit in its byte
     budget (``bp_budget_rows``), the trials left in the part, and the budget
     less the errors of the finished trials, so the trials drawn always reach
-    the stop index.  BP holds as many trials at once as its first chunk has,
-    refills rows as trials leave, and reports each leaving trial
-    (``on_leave``) before it reads the next chunk.  A chunk's received
+    the stop index.  The decoder reads the chunks and reports decided trials
+    to ``settle`` under the stream contract stated above
+    ``decoders.SINGLE_USER_DECODERS``.  A chunk's received
     signals are one :func:`awgn` call over its trials' own RNGs, which have
     drawn their info words (:func:`_draw_trials`)."""
     shape = config.shape

@@ -3,8 +3,9 @@ construction, the paper's step-by-step derivation of the case generators,
 row-sum witnesses, index arithmetic, the single-constraint FFT check update
 and its direct-convolution reference, the all-complex route of the check
 kernel, the per-mode and systematic encoders, the per-user CP factor
-normalization, and the AWGN trial producer drawn a trial at a time.  Each must agree with the production route it checks; none
-of them runs in a simulation.
+normalization, the AWGN trial producer drawn a trial at a time, and the
+M-PSK symbol error rate from Craig's integral.  Each must agree with the
+production route it checks; none of them runs in a simulation.
 """
 
 from __future__ import annotations
@@ -275,3 +276,19 @@ def awgn_trials_per_trial(seed: int, snr_db: float, start: int, stop: int, shape
         received.append(s + np.sqrt(noise_var / 2.0) * (re + 1j * im))
         info.append(u[0])
     return np.array(info), np.concatenate(received)
+
+
+# --- exact error rates -----------------------------------------------------------
+
+
+def psk_symbol_error(m: int, snr: float) -> float:
+    """The symbol error rate of nearest-point M-PSK detection at Es/N0 =
+    ``snr`` (linear), by Craig's integral (Craig, 1991):
+    P_s = (1 / pi) * int_0^{(M - 1) pi / M} exp(-snr sin^2(pi / M) / sin^2 t) dt."""
+    from scipy.integrate import quad
+
+    def integrand(t):
+        return math.exp(-snr * math.sin(math.pi / m) ** 2 / math.sin(t) ** 2) if t > 0 else 0.0
+
+    value, _ = quad(integrand, 0.0, (m - 1) * math.pi / m, epsabs=1e-14, epsrel=1e-12)
+    return value / math.pi

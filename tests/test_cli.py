@@ -255,6 +255,27 @@ class TestEncodeDecode:
                        "--decoder", decoder, *bad) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, code, message", [
+        (lambda lines: ["", *lines[:2], "  ", *lines[2:], ""], 0, ""),
+        (lambda lines: [*lines[:2], lines[2] + " 0", *lines[3:]], 2, "s.txt:3: expected 're im'"),
+        (None, 2, "expected 16 samples, got 0"),
+    ], ids=["blank-lines-skipped", "three-fields", "dev-null"])
+    def test_decode_input_file(self, edit, code, message, tmp_path, capsys):
+        enc = tmp_path / "s.txt"
+        run_cli("encode", "--shape", "4,2,2", "--mod", "4", "--info", "3,1,0,2,1",
+                "--out", str(enc))
+        if edit is None:
+            enc = Path(os.devnull)
+        else:
+            enc.write_text("\n".join(edit(enc.read_text().splitlines())))
+        capsys.readouterr()
+        assert run_cli("decode", "--shape", "4,2,2", "--mod", "4", "--in", str(enc)) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith("error: ") and message in captured.err
+        else:
+            assert captured.out == "3 1 0 2 1\n"
+
     def test_wrong_info_length_exits_2(self):
         assert run_cli("encode", "--shape", "4,2,2", "--mod", "4", "--info", "1,2") == 2
 
@@ -276,6 +297,12 @@ class TestGraphAndBound:
         assert run_cli("bound", "--blocklength", "3200", "--target-error", "0.01",
                        "--rate", "0.625") == 0
         float(capsys.readouterr().out.strip())
+
+    def test_bound_min_snr_at_the_floor(self, capsys):
+        # a rate reached at the bisection's lowest SNR, 1e-9, prints that floor
+        assert run_cli("bound", "--blocklength", "16", "--target-error", "0.1",
+                       "--rate", "0.01") == 0
+        assert capsys.readouterr().out == "-90.0\n"
 
     def test_bound_unreachable_exits_3(self, capsys):
         assert run_cli("bound", "--blocklength", "3200", "--target-error", "0.01",
@@ -399,12 +426,22 @@ class TestSimulateReplay:
           for v in (True, 5, ["a"])],
         ("simulate-simo-mac.csv",
          lambda doc: doc["config"].update(num_users=3, num_antennas=1), ()),
+        ("simulate-awgn-bp.csv", lambda doc: doc["config"].update(case=4), ()),
+        ("simulate-awgn-bp.csv", lambda doc: doc["config"].update(decoder="foo"), ()),
+        ("sweep.csv", lambda doc: doc["config"]["configs"][0].update(decoder="foo"), ()),
+        # --threads on a manifest that runs no trials is a setting it would ignore
+        *[(fixture, lambda doc: None, ("--threads", n))
+          for fixture in ("matrix-case1.txt", "encode-case1.txt", "decode-bp-case1.txt",
+                          "export-graph.txt") for n in ("0", "1", "1000")],
     ], ids=["no-config", "no-modulation-order", "unknown-sim-field", "null-dims",
             "null-configs", "unknown-decoder", "null-received", "null-info",
             "null-modulation-order", "list-config", "list-manifest", "null-noise-var",
             "null-max-iters", "null-target-error", "int-config-with-threads",
             *NON_INTEGER_FIELDS, "nan-received", *MISTYPED_FIELDS, "list-command",
-            "output-true", "output-5", "output-list", "kruskal"])
+            "output-true", "output-5", "output-list", "kruskal", "simulate-case-4",
+            "simulate-unknown-decoder", "sweep-unknown-decoder",
+            *[f"threads-{n}-on-{c}" for c in ("matrix", "encode", "decode", "export-graph")
+              for n in ("0", "1", "1000")]])
     def test_replay_of_malformed_manifest_exits_2(self, fixture, edit, argv, tmp_path, capfd):
         doc = json.loads((REPLAY_FIXTURES / f"{fixture}.manifest.json").read_text())
         if edit == "list":  # the manifest becomes a JSON list
@@ -538,6 +575,26 @@ class TestSimulateReplay:
                        "--trials", "4", "--seed", "1", *run_args, "--out", str(out)) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--trials", "0"), "trials must be >= 1, got 0"),
+        (("--stop-errors", "-1"), "stop_errors must be >= 0, got -1"),
+        (("--threads", "0"), "threads and batch_size must be >= 1"),
+        (("--batch-size", "0"), "threads and batch_size must be >= 1"),
+        (("--scenario", "simo-mac", "--users", "0"), "num_users and num_antennas must be >= 1"),
+        (("sweep", "--shapes", "2,2", "--mods", "4", "--target-per", "0.2", "--snr-lo", "2",
+          "--snr-hi", "1", *RUN), "need lo_db < hi_db"),
+        (("encode", "--shape", "4,2,2", "--mod", "4"), "provide exactly one of --info or --in"),
+    ], ids=["trials-0", "stop-errors-minus-1", "threads-0", "batch-size-0", "simo-mac-users-0",
+            "sweep-bracket-reversed", "encode-without-input"])
+    def test_out_of_range_setting_exits_2_naming_it(self, argv, message, tmp_path, capsys):
+        # flags alone are a simulate run's: the last value of a flag wins over RUN's
+        if argv[0].startswith("--"):
+            argv = ("simulate", "--shape", "4,2,2", "--mod", "4", "--snr-db", "10", *RUN, *argv)
+        out = tmp_path / "o.txt"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("run_args", [
         ("--snr-db", "nan"),

@@ -2,6 +2,7 @@
 trips and batch invariance, the ML oracle, CP-ALS, and the multi-user path."""
 
 import gc
+import inspect
 import itertools
 import tracemalloc
 
@@ -442,15 +443,38 @@ class TestOnLeave:
         for (k, t, d), (wk, wt, wd) in zip(calls, want_calls):
             assert k == wk and np.array_equal(t, wt) and np.array_equal(d, wd)
 
+    @pytest.mark.parametrize("name", sorted(SINGLE_USER_DECODERS))
+    def test_registry_entries_report_only_through_on_leave(self, name):
+        # on_leave is required and is the one output: the entry returns None,
+        # its reports cover each trial once, and a true return at the second
+        # call ends the reports there, after the full run's first two
+        entry = SINGLE_USER_DECODERS[name]
+        assert inspect.signature(entry).parameters["on_leave"].default is inspect.Parameter.empty
+        sh = TensorShape((4, 2, 2), 4)
+        rng = np.random.default_rng(3)
+        y = awgn(transmit_signal(encode(rng.integers(0, 4, (12, 5)), sh, 1), 4), 0.8, rng)
+
+        def reports(stop):
+            calls = []
+            assert entry(iter([y[:4], y[4:8], y[8:]]), 0.8, sh, 1, 50, 0.0,
+                         lambda t, d: calls.append((t, d)) or len(calls) == stop) is None
+            return calls
+
+        full, stopped = reports(None), reports(2)
+        assert sorted(np.concatenate([t for t, _ in full])) == list(range(12))
+        assert len(stopped) == 2
+        for (t, d), (wt, wd) in zip(stopped, full):
+            assert np.array_equal(t, wt) and np.array_equal(d, wd)
+
     def test_ml_reports_each_chunk(self):
         sh = TensorShape((4, 2, 2), 4)
         rng = np.random.default_rng(4)
         y = transmit_signal(encode(rng.integers(0, 4, (5, 5)), sh, 1), 4)
         calls = []
-        decided = SINGLE_USER_DECODERS["ml"](iter([y[:3], y[3:]]), 0.1, sh, 1, 50, 0.0,
-                                             lambda t, d: calls.append((t, d)))
+        assert SINGLE_USER_DECODERS["ml"](iter([y[:3], y[3:]]), 0.1, sh, 1, 50, 0.0,
+                                          lambda t, d: calls.append((t, d))) is None
         assert [list(t) for t, _ in calls] == [[0, 1, 2], [3, 4]]
-        assert np.array_equal(np.concatenate([d for _, d in calls]), decided)
+        assert np.array_equal(np.concatenate([d for _, d in calls]), ml_oracle_decode(y, sh, 1))
 
     def test_ml_ends_on_a_true_return(self):
         sh = TensorShape((4, 2, 2), 4)
@@ -463,10 +487,13 @@ class TestOnLeave:
                 read.append(len(c))
                 yield c
 
-        decided = SINGLE_USER_DECODERS["ml"](chunks(), 0.1, sh, 1, 50, 0.0, lambda t, d: True)
+        calls = []
+        SINGLE_USER_DECODERS["ml"](chunks(), 0.1, sh, 1, 50, 0.0,
+                                   lambda t, d: calls.append((t, d)) or True)
         assert read == [3]
-        assert np.array_equal(decided, SINGLE_USER_DECODERS["ml"](iter([y[:3]]), 0.1, sh, 1,
-                                                                  50, 0.0))
+        [(trials, decided)] = calls
+        assert list(trials) == [0, 1, 2]
+        assert np.array_equal(decided, ml_oracle_decode(y[:3], sh, 1))
 
 
 def _noisy_pmfs(sh, trials, seed=0):
@@ -687,7 +714,11 @@ class TestMlOracle:
         rng = np.random.default_rng(8)
         y = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
         y[0] = 0  # every word scores 0: the tie goes to the all-zero word
-        got = SINGLE_USER_DECODERS["ml"]([y[:1], y[1:4], y[4:]], 1.0, sh, 1, 50, 0.0)
+        calls = []
+        SINGLE_USER_DECODERS["ml"]([y[:1], y[1:4], y[4:]], 1.0, sh, 1, 50, 0.0,
+                                   lambda t, d: calls.append((t, d)))
+        assert np.array_equal(np.concatenate([t for t, _ in calls]), range(6))
+        got = np.concatenate([d for _, d in calls])
         assert np.array_equal(got, [ml_oracle_decode(row, sh, 1) for row in y])
         assert not got[0].any()
 
@@ -746,6 +777,8 @@ class TestCpAls:
             cp_als(np.zeros((2, 2)), 1, rng)
         with pytest.raises(ValueError):
             cp_als(np.ones((2, 2)), 0, rng)
+        with pytest.raises(ValueError, match="at least 2 modes"):
+            cp_als(np.ones(3), 1, rng)
 
 
 class TestCpBytes:

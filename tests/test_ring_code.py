@@ -233,6 +233,15 @@ class TestRingMatrix:
         with pytest.raises(ValueError):
             RingMatrix(np.array([[-1]]), 4)
 
+    @pytest.mark.parametrize("entries, modulus, message", [
+        ([1, 2], 4, "matrix must be 2-D, got ndim=1"),
+        ([[[0]]], 4, "matrix must be 2-D, got ndim=3"),
+        ([[0]], 1, "modulus must be >= 2, got 1"),
+    ])
+    def test_rejects_non_matrix_or_modulus_below_2(self, entries, modulus, message):
+        with pytest.raises(ValueError, match=message):
+            RingMatrix(np.array(entries), modulus)
+
     def test_entries_immutable(self):
         g = case_matrix(TensorShape((2, 2), 2), 2)
         with pytest.raises(ValueError):

@@ -525,9 +525,13 @@ class TestByteBudget:
         for rows in (budget, cfg.batch_size):
             chunks = [sim._draw_trials(cfg, 0.0, a, min(a + rows, 40)) for a in range(0, 40, rows)]
             received = [awgn(signal[:, 0], 1.0, rngs) for rngs, _, signal in chunks]
-            decided = decoders.SINGLE_USER_DECODERS["bp"](iter(received), 1.0, cfg.shape, 1,
-                                                          50, 0.0)
-            outs.append((np.concatenate([info[:, 0] for _, info, _ in chunks]), decided))
+            calls = []
+            decoders.SINGLE_USER_DECODERS["bp"](iter(received), 1.0, cfg.shape, 1, 50, 0.0,
+                                                lambda t, d: calls.append((t, d)))
+            trials, decided = (np.concatenate(x) for x in zip(*calls))
+            assert np.array_equal(np.sort(trials), range(40))
+            outs.append((np.concatenate([info[:, 0] for _, info, _ in chunks]),
+                         decided[np.argsort(trials)]))
         (sent_a, dec_a), (sent_b, dec_b) = outs
         assert np.array_equal(sent_a, sent_b) and np.array_equal(dec_a, dec_b)
         assert (dec_a != sent_a).any(axis=1).sum() > 0  # some errors, so decisions matter
